@@ -78,7 +78,9 @@ def cara_utility(agent: Agent, x: RandomVariable) -> float:
         raise DimensionError("payoff and beliefs live on different state spaces")
     a = -x.values / agent.delta
     m = a.max()
-    return float(-agent.delta * (m + np.log(np.dot(agent.beliefs.weights, np.exp(a - m)))))
+    # A plain sum, not np.dot: the game solver calls this at every step, and
+    # a BLAS dot wakes idle BLAS threads that burn CPU far beyond the sum.
+    return float(-agent.delta * (m + np.log(np.sum(agent.beliefs.weights * np.exp(a - m)))))
 
 
 def endowment_to_beliefs(actual_beliefs: Measure, endowment: RandomVariable, delta: float) -> Agent:

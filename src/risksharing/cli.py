@@ -56,8 +56,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         states["seed"] = args.seed
     if getattr(args, "tol", None) is not None:
         solver["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        solver["max_iter"] = args.max_iter
     return Scenario(
         name=scenario.name,
         states=states,
@@ -174,15 +172,7 @@ def run_ad(args, scenario: Scenario) -> int:
 def run_nash(args, scenario: Scenario) -> int:
     market, variables, info = build_market(scenario)
     ad = solve_arrow_debreu(market)
-    solver = scenario.solver
-    eq = solve_nash(
-        market,
-        ad=ad,
-        tol=solver.get("tol"),
-        max_iter=int(solver.get("max_iter", 120)),
-        multistart=solver.get("multistart"),
-        damping=float(solver.get("damping", 0.5)),
-    )
+    eq = solve_nash(market, ad=ad, tol=scenario.solver.get("tol"))
     diag = compute_diagnostics(market, ad, eq)
     ledger = nash_ledger(market, ad, eq)
     rows = [
@@ -388,7 +378,6 @@ def _add_common(p, scenario_arg=True):
     if scenario_arg:
         p.add_argument("scenario", help="path to a scenario YAML/JSON file")
     p.add_argument("--tol", type=float, default=None, help="equilibrium distance tolerance")
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     p.add_argument(
         "--quadrature-order", type=int, default=None, dest="quadrature_order"

@@ -4,11 +4,12 @@ For each zero-sum vector ``z`` (one coordinate per agent) there is a unique
 collection of candidate securities solving a coupled per-state system; the
 equilibria are exactly the ``z`` at which every candidate security has zero
 price under the induced valuation.  The per-state system is solved by two
-nested bracketed monotone solves, the zero-price condition by bisection
-(two agents, where the map is strictly increasing) or by a damped
-fixed-point iteration with Newton polish and multistart (three or more
-agents, where uniqueness is not guaranteed and all distinct roots found are
-reported).
+nested bracketed monotone solves.  The zero-price condition is met at the
+fixed points of the certainty-equivalent update map ``phi``, found for every
+agent count by one backtracking Newton iteration on ``phi(z) - z`` with a
+last Newton step on the prices: from the centre of the individually
+rational box for two agents, where the root is unique, and also from its
+corners for three or more, where all distinct roots found are reported.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .agents import Market, cara_utility
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
 from .measures import Measure, RandomVariable, normalize_log_density
-from .roots import brent_root, solve_exp_linear
+from .roots import solve_exp_linear
 
 W_MAX_ITER = 300
 Z_SUM_TOL = 1e-9
@@ -166,14 +167,27 @@ def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
     )
 
 
-def _prices(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray) -> np.ndarray:
+def _phi_and_prices(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
+    """The update map ``phi(z)`` and the candidate prices, from one inner solve."""
     u, y = _inner_log_ratios(market, ad, z)
     securities = market.delta_minus[:, None] * np.expm1(u)
-    logq = ad.pricing.log_weights() - y
-    logq -= logq.max()
-    q = np.exp(logq)
-    q /= q.sum()
-    return securities @ q
+    q = normalize_log_density(ad.pricing, -y).weights
+    payoffs = (RandomVariable(market.space, c) for c in securities)
+    u_vals = np.array([cara_utility(a, x) for a, x in zip(market.agents, payoffs)])
+    shortfall = ad.aggregate_gain - float(u_vals.sum())
+    return u_vals - np.asarray(ad.agent_gains) + market.lambdas * shortfall, securities @ q
+
+
+def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
+    """``-sum_i delta_minus_i * log(1 + eps_i/delta_minus_i)``, +inf at or past the pole.
+
+    A saturated security's price can round onto ``-delta_minus_i``, where
+    the logarithm has no finite value.
+    """
+    ratio = eps / market.delta_minus
+    if np.any(ratio <= -1.0):
+        return float("inf")
+    return float(-np.sum(market.delta_minus * np.log1p(ratio)))
 
 
 def nash_distance(market: Market, ad: ArrowDebreuEquilibrium, z) -> float:
@@ -183,12 +197,7 @@ def nash_distance(market: Market, ad: ArrowDebreuEquilibrium, z) -> float:
     may print as a tiny negative.
     """
     z = _check_z(market, z)
-    eps = _prices(market, ad, z)
-    return float(-np.sum(market.delta_minus * np.log1p(eps / market.delta_minus)))
-
-
-def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
-    return float(-np.sum(market.delta_minus * np.log1p(eps / market.delta_minus)))
+    return _distance_from_prices(market, _phi_and_prices(market, ad, z)[1])
 
 
 def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
@@ -199,102 +208,80 @@ def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
     output sums to zero by construction.
     """
     z = _check_z(market, z)
-    sol = inner_solve(market, ad, z)
-    u_vals = np.array(
-        [cara_utility(agent, c) for agent, c in zip(market.agents, sol.securities)]
-    )
-    gains = np.asarray(ad.agent_gains)
-    shortfall = ad.aggregate_gain - float(u_vals.sum())
-    return u_vals - gains + market.lambdas * shortfall
+    return _phi_and_prices(market, ad, z)[0]
 
 
-def _lower_corner(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
-    return -(market.delta_minus + np.asarray(ad.agent_gains))
+def _newton(market, ad, z, eps_target):
+    """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the prices.
 
-
-def _phi_and_distance(market, ad, z):
-    """One inner solve shared between the update map and the distance."""
-    u, y = _inner_log_ratios(market, ad, z)
-    securities = market.delta_minus[:, None] * np.expm1(u)
-    logq = ad.pricing.log_weights() - y
-    logq -= logq.max()
-    q = np.exp(logq)
-    q /= q.sum()
-    eps = securities @ q
-    u_vals = np.array(
-        [
-            cara_utility(agent, RandomVariable(market.space, c))
-            for agent, c in zip(market.agents, securities)
-        ]
-    )
-    shortfall = ad.aggregate_gain - float(u_vals.sum())
-    phi = u_vals - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    return phi, _distance_from_prices(market, eps)
-
-
-def _fixed_point_start(market, ad, z0, max_iter, tol_l, damping=0.5):
-    """Damped fixed-point iteration, halving the step on distance increases."""
-    best_z = z0.copy()
-    target, best_l = _phi_and_distance(market, ad, best_z)
-    gamma, streak = damping, 0
-    floor = _lower_corner(market, ad)
-    trace = [best_l]
-    for _ in range(max_iter):
-        if best_l <= tol_l or float(np.max(np.abs(target - best_z))) < 1e-11:
-            break
-        z_new = (1.0 - gamma) * best_z + gamma * target
-        z_new = np.maximum(z_new, floor)
-        z_new -= z_new.sum() / z_new.size
-        phi_new, l_new = _phi_and_distance(market, ad, z_new)
-        trace.append(l_new)
-        if l_new < best_l:
-            best_z, best_l, target = z_new, l_new, phi_new
-            streak += 1
-            if streak >= 3:
-                gamma = min(1.0, 2.0 * gamma)
-                streak = 0
-        else:
-            gamma *= 0.5
-            streak = 0
-            if gamma < 1e-6:
-                break
-    return best_z, best_l, trace
-
-
-def _newton_polish(market, ad, z0, eps_target, max_iter=40):
-    """Newton iteration on the reduced zero-price system, FD Jacobian."""
+    Both residuals sum to zero, so a step solves for ``z[1:]`` with a
+    forward-difference Jacobian.  A step is halved until ``max|F|`` falls; a
+    trial point outside the individually rational box ``z_i >= -gain_i``, or
+    whose inner solve fails, counts as no decrease.  ``F`` and the prices
+    vanish together only up to the error of the competitive gains and the
+    per-state solve divided by ``lambda_i``, so a last Newton step on the
+    prices is kept if it lowers ``max|price|`` and keeps ``max|F|`` within
+    ``eps_target`` or its last value.  Returns the point, its residuals
+    ``(F, prices)`` (None if the start cannot be solved) and ``max|F|`` at
+    every accepted point.
+    """
     n = market.n_agents
+    floor = -np.asarray(ad.agent_gains)
 
-    def full(y):
-        return np.concatenate(([-y.sum()], y))
-
-    y = z0[1:].copy()
-    g = _prices(market, ad, full(y))[1:]
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) <= eps_target:
-            break
-        jac = np.empty((n - 1, n - 1))
-        h = 1e-7 * (1.0 + np.abs(y))
-        for k in range(n - 1):
-            yk = y.copy()
-            yk[k] += h[k]
-            jac[:, k] = (_prices(market, ad, full(yk))[1:] - g) / h[k]
+    def residuals(z):
         try:
-            step = np.linalg.solve(jac, -g)
+            phi, eps = _phi_and_prices(market, ad, z)
+        except SolverError:
+            return None
+        return phi - z, eps
+
+    def trial(z):
+        return residuals(z) if np.all(z >= floor) else None
+
+    def newton_step(z, r, which):
+        h = 1e-7 * (1.0 + np.abs(z[1:]))
+        jac = np.empty((n - 1, n - 1))
+        for k in range(n - 1):
+            dz = np.zeros(n)
+            dz[0], dz[k + 1] = -h[k], h[k]
+            bumped = residuals(z + dz)
+            if bumped is None:
+                return None
+            jac[:, k] = (bumped[which][1:] - r[which][1:]) / h[k]
+        try:
+            dy = np.linalg.solve(jac, -r[which][1:])
         except np.linalg.LinAlgError:
+            return None
+        return np.concatenate(([-dy.sum()], dy))
+
+    r = residuals(z)
+    if r is None:
+        return z, None, [float("inf")]
+    trace = [float(np.max(np.abs(r[0])))]
+    for _ in range(40):
+        step = None if trace[-1] <= eps_target else newton_step(z, r, 0)
+        if step is None:
             break
-        improved = False
         for _ in range(25):
-            y_try = y + step
-            g_try = _prices(market, ad, full(y_try))[1:]
-            if np.max(np.abs(g_try)) < np.max(np.abs(g)):
-                y, g = y_try, g_try
-                improved = True
+            r_try = trial(z + step)
+            if r_try is not None and np.max(np.abs(r_try[0])) < trace[-1]:
+                z, r = z + step, r_try
+                trace.append(float(np.max(np.abs(r[0]))))
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
-    return full(y), g
+    # Prices below 1e-3 * eps_target are float noise that no step lowers.
+    step = newton_step(z, r, 1) if np.max(np.abs(r[1])) > 1e-3 * eps_target else None
+    if step is not None:
+        r_try = trial(z + step)
+        if (
+            r_try is not None
+            and np.max(np.abs(r_try[1])) < np.max(np.abs(r[1]))
+            and np.max(np.abs(r_try[0])) <= max(eps_target, trace[-1])
+        ):
+            z, r = z + step, r_try
+    return z, r, trace
 
 
 def _assemble(market, ad, z, all_roots) -> NashEquilibrium:
@@ -323,24 +310,19 @@ def solve_nash(
     market: Market,
     ad: ArrowDebreuEquilibrium | None = None,
     tol: float | None = None,
-    max_iter: int = 120,
-    multistart: int | None = None,
-    damping: float = 0.5,
 ) -> NashEquilibrium:
     """Solve the risk-sharing game.
 
-    Two agents: deterministic bisection on the scalar zero-price map, which
-    is strictly increasing, then assembly.  Three or more agents: damped
-    fixed-point iteration (initial step ``damping``, adapted to keep the
-    distance decreasing) from the centre and the corners of the a-priori
-    feasibility box, Newton polish on each start, deduplicated roots all
-    reported (uniqueness is only guaranteed for two agents).  ``tol`` is the
-    acceptance threshold on the equilibrium distance and defaults to
-    ``1e-10 * delta_total``; the solver keeps polishing well below it so
-    post-equilibrium identities hold to tighter tolerances.
+    Backtracking Newton on ``phi(z) - z`` (see :func:`_newton`) from the
+    centre of the individually rational box, and for three or more agents
+    also from its ``n`` corners, where uniqueness is not guaranteed.  Every
+    distinct root found is reported, nearest to zero distance first.
+    ``tol`` is the acceptance threshold on the equilibrium distance and
+    defaults to ``1e-10 * delta_total``; Newton keeps going well below it
+    so post-equilibrium identities hold to tighter tolerances.
 
-    Pure given its inputs and configuration: repeated calls return
-    identical results, and concurrent use is safe.
+    Pure given its inputs: repeated calls return identical results, and
+    concurrent use is safe.
     """
     if ad is None:
         ad = solve_arrow_debreu(market)
@@ -348,68 +330,36 @@ def solve_nash(
         tol = 1e-10 * market.delta_total
     eps_target = 1e-12 * max(1.0, market.delta_total)
 
-    if market.n_agents == 2:
-        gains = np.asarray(ad.agent_gains)
-
-        def price0(z0: float) -> float:
-            return _prices(market, ad, np.array([z0, -z0]))[0]
-
-        lo, hi = -gains[0], gains[1]
-        pad = 1e-9 * max(1.0, market.delta_total)
-        lo, hi = lo - pad, hi + pad
-        flo, fhi = price0(lo), price0(hi)
-        width = max(hi - lo, 1.0)
-        while flo > 0.0:
-            lo -= width
-            flo = price0(lo)
-            width *= 2.0
-        while fhi < 0.0:
-            hi += width
-            fhi = price0(hi)
-            width *= 2.0
-        z0 = brent_root(price0, lo, hi)
-        z = np.array([z0, -z0])
-        return _assemble(market, ad, z, all_roots=[z])
-
     gains = np.asarray(ad.agent_gains)
     n = market.n_agents
     starts = [np.zeros(n)]
-    count = multistart if multistart is not None else 1 + n
-    for k in range(min(n, max(count - 1, 0))):
-        corner = -gains.copy()
-        corner[k] = gains.sum() - gains[k]
-        if any(np.max(np.abs(corner - s)) < 1e-12 for s in starts):
-            continue
-        starts.append(corner)
+    if n > 2:
+        for k in range(n):
+            corner = -gains.copy()
+            corner[k] = gains.sum() - gains[k]
+            if any(np.max(np.abs(corner - s)) < 1e-12 for s in starts):
+                continue
+            starts.append(corner)
 
-    roots: list[np.ndarray] = []
-    best: tuple[float, np.ndarray] | None = None
-    traces = []
+    ends = []  # (distance, z, trace) per start
     for z_start in starts:
-        z_fp, _, trace = _fixed_point_start(
-            market, ad, z_start, max_iter, tol_l=1e-18, damping=damping
-        )
-        traces.append(trace)
-        z_pol, g = _newton_polish(market, ad, z_fp, eps_target)
-        l_pol = _distance_from_prices(market, _prices(market, ad, z_pol))
-        if best is None or l_pol < best[0]:
-            best = (l_pol, z_pol)
-        if l_pol <= tol:
-            if not any(
-                np.max(np.abs(z_pol - r)) <= 1e-7 * (1.0 + np.max(np.abs(r)))
-                for r in roots
-            ):
-                roots.append(z_pol)
-
+        z, r, trace = _newton(market, ad, z_start, eps_target)
+        ends.append((float("inf") if r is None else _distance_from_prices(market, r[1]), z, trace))
+    roots: list[np.ndarray] = []
+    for dist, z, _ in sorted(ends, key=lambda end: end[0]):
+        if dist <= tol and not any(
+            np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root in roots
+        ):
+            roots.append(z)
     if not roots:
+        best = min(ends, key=lambda end: end[0])
         raise SolverError(
             "no equilibrium reached the distance tolerance",
             diagnostics={
-                "best_z": None if best is None else best[1].tolist(),
-                "best_distance": None if best is None else best[0],
+                "best_z": best[1].tolist(),
+                "best_distance": best[0],
                 "tolerance": tol,
-                "distance_traces": [t[-5:] for t in traces],
+                "residual_traces": [trace[-5:] for _, _, trace in ends],
             },
         )
-    roots.sort(key=lambda r: nash_distance(market, ad, r))
     return _assemble(market, ad, roots[0], all_roots=roots)

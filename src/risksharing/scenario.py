@@ -16,7 +16,8 @@ A scenario is one YAML (or JSON) document with three sections:
     optional ``actual`` beliefs underneath).
 
 ``solver`` (optional)
-    ``tol``, ``max_iter``, ``multistart``.
+    ``tol``, the equilibrium distance tolerance: a number, or null for the
+    default.  No other key is accepted.
 
 ``limits`` (optional)
     ``deltas`` grid plus, for the proportional-tolerance mode, ``mode:
@@ -113,7 +114,11 @@ def _validate(doc: dict) -> Scenario:
         _require(isinstance(beliefs, dict), f"agent {k} beliefs must be a mapping")
         kinds = [key for key in ("weights", "log_density", "endowment") if key in beliefs]
         _require(len(kinds) <= 1, f"agent {k} beliefs entry is ambiguous: {kinds}")
-    solver = dict(doc.get("solver") or {})
+    solver = doc.get("solver") or {}
+    _require(isinstance(solver, dict), "'solver' must be a mapping")
+    for key, value in solver.items():
+        _require(key == "tol", f"unknown solver key {key!r}; the only one is 'tol'")
+        _require(value is None or type(value) in (int, float), f"bad solver tol {value!r}")
     limits = doc.get("limits")
     if limits is not None:
         _require(isinstance(limits, dict), "'limits' must be a mapping")
@@ -121,7 +126,7 @@ def _validate(doc: dict) -> Scenario:
         name=str(doc.get("name", "scenario")),
         states=dict(states),
         agents=tuple(dict(a) for a in agents),
-        solver=solver,
+        solver=dict(solver),
         limits=dict(limits) if limits is not None else None,
     )
 

@@ -162,6 +162,28 @@ class TestMarketBuilding:
         with pytest.raises(ValidationError):
             Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize("tol", [1e-9, 0, None])
+    def test_solver_tol_accepted(self, tol):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["solver"] = {"tol": tol}
+        assert Scenario.from_dict(doc).solver == {"tol": tol}
+
+    @pytest.mark.parametrize("key", ["damping", "max_iter", "multistart", "tolerance"])
+    def test_solver_unknown_key_rejected(self, tmp_path, key, capsys):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["solver"] = {"tol": 1e-9, key: 1}
+        with pytest.raises(ValidationError, match=key):
+            Scenario.from_dict(doc)
+        assert cli_main(["nash", str(write_yaml(tmp_path, doc))]) == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", [{"tol": "1e-9"}, {"tol": True}, ["tol"]])
+    def test_solver_malformed_rejected(self, solver):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["solver"] = solver
+        with pytest.raises(ValidationError):
+            Scenario.from_dict(doc)
+
 
 class TestCli:
     def test_nash_on_common_beliefs_certified(self, tmp_path, capsys):
