@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .agents import Market, cara_utility
 from .errors import ContractError, DimensionError
@@ -25,7 +24,7 @@ from .measures import (
     relative_entropy,
     weights_from_logs,
 )
-from .roots import brent_root, find_bracket_increasing, solve_exp_linear
+from .roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
 
 ZETA_BOUND = 1e6
 

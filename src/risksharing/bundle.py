@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .agents import Agent, Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
-from .best_response import solve_best_response
+from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
 from .errors import ValidationError
 from .measures import Measure, RandomVariable, StateSpace
@@ -237,12 +237,11 @@ def br_ledger(market: Market, i: int, br, reports_others) -> list:
     ]
 
 
-def limits_ledger(kind: str, payload: dict) -> list:
+def limits_ledger(payload: dict) -> list:
     entries = [
         _entry("limit_root", payload.get("root_residual", 0.0)),
         _entry("limit_accounting", payload.get("accounting_residual", 0.0)),
     ]
-    _ = kind
     table = payload.get("table", [])
     mono = np.inf
     for prev, cur in zip(table, table[1:]):
@@ -320,8 +319,6 @@ def verify_bundle(doc: dict) -> list:
     if "best_response" in doc:
         br_doc = doc["best_response"]
         i = int(br_doc["agent"])
-        from .best_response import BestResponse
-
         br = BestResponse(
             reported=Measure(space, br_doc["reported"]),
             security=RandomVariable(space, br_doc["security"]),
@@ -335,5 +332,5 @@ def verify_bundle(doc: dict) -> list:
         reports = [Measure(space, w) for w in br_doc["others_reports"]]
         ledger.extend(br_ledger(market, i, br, reports))
     if "limits" in doc:
-        ledger.extend(limits_ledger(doc["limits"].get("mode", "one-agent"), doc["limits"]))
+        ledger.extend(limits_ledger(doc["limits"]))
     return ledger

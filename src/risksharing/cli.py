@@ -307,7 +307,7 @@ def run_limits(args, scenario: Scenario) -> int:
             (f"delta0={d:>10.4g}", f"dist_ad={a:.3e}  dist_game={b:.3e}")
             for d, a, b in report.convergence_table
         ]
-    ledger = limits_ledger(payload["mode"], payload)
+    ledger = limits_ledger(payload)
     _print_table(f"extreme-risk-tolerance analysis: {scenario.name}", rows)
     sections = {"market": market_to_dict(market), "limits": payload}
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.limits.json")

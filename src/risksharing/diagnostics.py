@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .agents import Market, cara_utility
 from .arrow_debreu import ArrowDebreuEquilibrium
@@ -28,6 +27,7 @@ from .measures import (
     weights_from_logs,
 )
 from .nash import NashEquilibrium
+from .roots import logsumexp
 
 
 @dataclass(frozen=True)

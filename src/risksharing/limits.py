@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .agents import Agent, Market
 from .arrow_debreu import solve_arrow_debreu
@@ -26,7 +25,7 @@ from .measures import (
     variance,
 )
 from .nash import solve_nash
-from .roots import brent_root, find_bracket_increasing, solve_exp_linear
+from .roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
 
 
 @dataclass(frozen=True)

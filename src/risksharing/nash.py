@@ -3,13 +3,15 @@
 For each zero-sum vector ``z`` (one coordinate per agent) there is a unique
 collection of candidate securities solving a coupled per-state system; the
 equilibria are exactly the ``z`` at which every candidate security has zero
-price under the induced valuation.  The per-state system is solved by two
-nested bracketed monotone solves.  The zero-price condition is met at the
-fixed points of the certainty-equivalent update map ``phi``, found for every
-agent count by one backtracking Newton iteration on ``phi(z) - z`` with a
-last Newton step on the prices: from the centre of the individually
-rational box for two agents, where the root is unique, and also from its
-corners for three or more, where all distinct roots found are reported.
+price under the induced valuation.  The per-state system is convex with an
+M-matrix Jacobian, so one joint Newton iteration per state, started at a
+super-solution, decreases monotonically to its root.  The zero-price
+condition is met at the fixed points of the certainty-equivalent update map
+``phi``, found for every agent count by one backtracking Newton iteration on
+``phi(z) - z`` with a last Newton step on the prices: from the centre of the
+individually rational box for two agents, where the root is unique, and also
+from its corners for three or more, where all distinct roots found are
+reported.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import ContractError, SolverError
 from .measures import Measure, RandomVariable, normalize_log_density
 from .roots import solve_exp_linear
 
-W_MAX_ITER = 300
+INNER_MAX_ITER = 100
 Z_SUM_TOL = 1e-9
 
 
@@ -83,71 +85,92 @@ def _check_z(market: Market, z) -> np.ndarray:
 def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
     """Per-state solve of the coupled security system.
 
-    Returns ``(u, y)`` where ``u[i]`` is log(1 + C_i/delta_minus_i) per
-    state and ``y`` is the per-state lambda-weighted mean of the ``u[i]``.
-    The outer unknown ``y`` satisfies a strictly increasing scalar equation
-    per state and is found by safeguarded Newton inside a sign-checked
-    bracket; each evaluation needs one exp-linear solve per agent.
+    Returns ``(u, y)``: ``u[i]`` is log(1 + C_i/delta_minus_i) per state and
+    ``y`` the lambda-weighted mean of the ``u[i]``.  With ``a = z + C*`` and
+    ``D_i = delta_minus_i * exp(u_i) + delta_i``, each state solves
+
+        G_i = delta_minus_i * expm1(u_i) + delta_i * (u_i - y) - a_i = 0,
+        W   = y - sum_i lambda_i * u_i = 0.
+
+    The system is convex and its Jacobian ``[[diag(D), -delta], [-lambda^T, 1]]``
+    is an M-matrix, so Newton started where ``G, W >= 0`` decreases
+    monotonically to the root (Ortega & Rheinboldt, 1970, 13.3).  A step is
+    one pass over the states through the Schur complement
+    ``s = 1 - sum_i lambda_i * delta_i / D_i``.  It starts at
+    ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
+    at the root lies below its cap, so ``W(y0) > 0``.  An agent holding
+    over half the total tolerance is carried as ``v = u - y``: its ``u`` is
+    close to ``y``, and ``y`` amplifies an error in ``v`` by
+    ``1/lambda_minus``.
     """
     cstar = ad.security_values()
     a = z[:, None] + cstar  # (n, S)
     deltas = market.deltas[:, None]
     dminus = market.delta_minus[:, None]
     lambdas = market.lambdas[:, None]
+    top = int(np.argmax(market.lambdas))
+    dom = slice(top, top + 1) if market.lambdas[top] > 0.5 else slice(0, 0)  # carried as v
+    others = np.ones(market.n_agents, dtype=bool)
+    others[dom] = False
+    rest = float(np.sum(market.lambdas[others]))  # W = rest*y - sum lambda*u, v for dom
     # Clearing forces log(1 + C_i/delta_minus_i) < log(n*delta/delta_minus_i)
     # strictly.  The exact solution can sit within ~1e-140 of that cap, far
     # below float resolution, so solved ratios are projected just inside it;
     # the projection is of the same order as the solve tolerance.
     n_others = market.n_agents - 1
     caps = np.log(n_others * market.delta_total / market.delta_minus)
-    caps = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
-
-    def eval_w(y):
-        u = np.minimum(solve_exp_linear(dminus, deltas, a + deltas * y), caps)
-        w = y - np.sum(lambdas * u, axis=0)
-        wp = 1.0 - np.sum(lambdas * deltas / (dminus * np.exp(u) + deltas), axis=0)
-        return u, w, wp
-
-    # Below -max_i(a_i/delta_i) the objective is negative; expand to be safe.
-    lo = -np.max(a / deltas, axis=0)
-    _, w_lo, _ = eval_w(lo)
-    step = 1.0
-    while np.any(w_lo > 0.0):
-        lo = np.where(w_lo > 0.0, lo - step, lo)
-        _, w_lo, _ = eval_w(lo)
-        step *= 2.0
-        if step > 1e12:
-            raise SolverError("could not bracket inner solve from below")
-    hi = lo + 1.0
-    _, w_hi, _ = eval_w(hi)
-    step = 1.0
-    while np.any(w_hi < 0.0):
-        step *= 2.0
-        hi = np.where(w_hi < 0.0, hi + step, hi)
-        _, w_hi, _ = eval_w(hi)
-        if step > 1e12:
-            raise SolverError("could not bracket inner solve from above")
-
-    y = 0.5 * (lo + hi)
-    scale = 1.0 + np.abs(lo) + np.abs(hi)
-    for _ in range(W_MAX_ITER):
-        u, w, wp = eval_w(y)
-        done = np.abs(w) <= 1e-14 * scale
-        if done.all():
-            return u, y
-        lo = np.where(w < 0.0, y, lo)
-        hi = np.where(w > 0.0, y, hi)
-        y_new = y - w / wp
-        outside = (y_new <= lo) | (y_new >= hi)
-        y = np.where(outside, 0.5 * (lo + hi), y_new)
-    u, w, _ = eval_w(y)
-    if np.any(np.abs(w) > 1e-10 * scale):
-        idx = int(np.argmax(np.abs(w)))
+    y = np.full(a.shape[1], float(market.lambdas @ caps))
+    u = solve_exp_linear(dminus, deltas, a + deltas * y)
+    w = y - np.sum(lambdas * u, axis=0)
+    if np.any(w < 0.0):
+        idx = int(np.argmin(w))
         raise SolverError(
-            "per-state security system did not converge",
-            diagnostics={"state": idx, "residual": float(w[idx]), "iterations": W_MAX_ITER},
+            "per-state start is not a super-solution",
+            diagnostics={"state": idx, "residual": float(w[idx])},
         )
-    return u, y
+    v = u[dom] - y
+    caps = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
+    # Tolerances scale with the terms, y's among them through dG/dy, not with
+    # their sum, which cancels; the step from a point within them lands on
+    # the rounding floor.
+    a_scale = 1.0 + np.abs(a)
+    for _ in range(INNER_MAX_ITER):
+        em1 = np.expm1(u)
+        growth = dminus * (em1 + 1.0)
+        d = growth + deltas
+        spread = deltas * (u - y)
+        spread[dom] = deltas[dom] * v
+        g = dminus * em1 + spread - a
+        lam_u = lambdas * u
+        lam_u[dom] = lambdas[dom] * v
+        w = rest * y - np.sum(lam_u, axis=0)
+        abs_y = np.abs(y)
+        done = np.all(np.abs(w) <= 1e-14 * (1.0 + rest * abs_y + np.sum(np.abs(lam_u), axis=0)))
+        if done:  # G is checked only once W is within its tolerance
+            g_scale = a_scale + deltas * abs_y
+            g_scale[dom] = a_scale[dom] + np.abs(spread[dom]) + growth[dom] * abs_y
+            done = np.all(np.abs(g) <= 1e-14 * g_scale)
+        # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
+        lam_d = lambdas / d
+        s = np.sum(lam_d * growth, axis=0)
+        dy = -(w + np.sum(lam_d * g, axis=0)) / s
+        du = (deltas * dy - g) / d
+        y += dy
+        v += du[dom] - dy
+        u += du
+        u[dom] = v + y
+        if done:
+            return np.minimum(u, caps), y
+    idx = int(np.argmax(np.max(np.abs(g), axis=0) + np.abs(w)))
+    raise SolverError(
+        "per-state security system did not converge",
+        diagnostics={
+            "state": idx,
+            "residual": float(np.max(np.abs(g[:, idx]))),
+            "coupling_residual": float(w[idx]),
+            "iterations": INNER_MAX_ITER,
+        },
+    )
 
 
 def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
@@ -316,7 +339,7 @@ def solve_nash(
     Backtracking Newton on ``phi(z) - z`` (see :func:`_newton`) from the
     centre of the individually rational box, and for three or more agents
     also from its ``n`` corners, where uniqueness is not guaranteed.  Every
-    distinct root found is reported, nearest to zero distance first.
+    distinct root within ``tol`` is reported, smallest ``max|price|`` first.
     ``tol`` is the acceptance threshold on the equilibrium distance and
     defaults to ``1e-10 * delta_total``; Newton keeps going well below it
     so post-equilibrium identities hold to tighter tolerances.
@@ -341,12 +364,17 @@ def solve_nash(
                 continue
             starts.append(corner)
 
-    ends = []  # (distance, z, trace) per start
+    ends = []  # (distance, max|price|, z, trace) per start
     for z_start in starts:
         z, r, trace = _newton(market, ad, z_start, eps_target)
-        ends.append((float("inf") if r is None else _distance_from_prices(market, r[1]), z, trace))
+        dist = price = float("inf")
+        if r is not None:
+            dist, price = _distance_from_prices(market, r[1]), float(np.max(np.abs(r[1])))
+        ends.append((dist, price, z, trace))
     roots: list[np.ndarray] = []
-    for dist, z, _ in sorted(ends, key=lambda end: end[0]):
+    # At a root the distance is float noise around zero; of several ends at
+    # one root, the one with the smallest prices is kept.
+    for dist, _, z, _ in sorted(ends, key=lambda end: end[1]):
         if dist <= tol and not any(
             np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root in roots
         ):
@@ -356,10 +384,10 @@ def solve_nash(
         raise SolverError(
             "no equilibrium reached the distance tolerance",
             diagnostics={
-                "best_z": best[1].tolist(),
+                "best_z": best[2].tolist(),
                 "best_distance": best[0],
                 "tolerance": tol,
-                "residual_traces": [trace[-5:] for _, _, trace in ends],
+                "residual_traces": [trace[-5:] for *_, trace in ends],
             },
         )
     return _assemble(market, ad, roots[0], all_roots=roots)

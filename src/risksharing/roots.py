@@ -8,16 +8,31 @@ vectorised kernel here solves the recurring family
 
 whose solution map is the building block for reported-density ratios,
 per-state sharing securities, and the risk-neutral limit security.  Scalar
-outer roots go through SciPy's Brent iteration after a geometric bracket
+outer roots go through Brent's iteration after a geometric bracket
 expansion.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SolverError
+
+
+def logsumexp(a, axis=None):
+    """``log(sum(exp(a)))`` along ``axis``.
+
+    The largest term (every tie of it) is split off and the rest summed
+    through ``log1p``, which keeps full precision when one term dominates
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=axis, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+    rest = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max)), axis=axis, keepdims=True)
+    out = np.log1p(rest / m) + np.log(m) + a_max
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 
 def solve_exp_linear(alpha, beta, rhs, rtol: float = 1e-14, max_iter: int = 200):
@@ -106,7 +121,48 @@ def find_bracket_increasing(f, x0: float = 0.0, step: float = 1.0, max_abs: floa
 
 
 def brent_root(f, lo: float, hi: float, xtol: float = 1e-14) -> float:
-    """Brent iteration on a sign-changing bracket, tightened to float limits."""
+    """Brent iteration on a sign-changing bracket, tightened to float limits.
+
+    Inverse quadratic or secant steps, with bisection whenever a step would
+    shrink the bracket too slowly (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 4).  Stops once the bracket is narrower
+    than ``xtol`` plus four float spacings of the iterate.
+    """
     if lo == hi:
         return lo
-    return float(brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200))
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if fpre == 0.0 or fcur == 0.0 or np.isnan(fpre + fcur):
+            break
+        if np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        elif fblk == 0.0:
+            break  # no sign change
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = 0.5 * (xtol + 8.9e-16 * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    if fcur == 0.0 or fpre == 0.0:
+        return xcur if fcur == 0.0 else xpre
+    raise SolverError(
+        "Brent iteration failed", diagnostics={"x": xcur, "f": fcur, "lo": lo, "hi": hi}
+    )

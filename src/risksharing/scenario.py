@@ -262,7 +262,7 @@ def build_market(scenario: Scenario):
     space, variables, info = build_state_space(scenario)
     base = space.baseline()
     agents = []
-    for k, spec in enumerate(scenario.agents):
+    for spec in scenario.agents:
         delta = float(spec["delta"])
         beliefs_spec = dict(spec.get("beliefs") or {})
         if "weights" in beliefs_spec:
@@ -285,7 +285,6 @@ def build_market(scenario: Scenario):
         else:
             tilt = _evaluate(beliefs_spec.get("log_density", 0.0), variables, space.n_states)
             agents.append(Agent(delta, normalize_log_density(base, tilt)))
-        _ = k
     return Market(agents), variables, info
 
 

@@ -1,6 +1,8 @@
 """Best probability response: inner per-state solve, outer root, optimality."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -223,3 +225,20 @@ class TestSolveBestResponse:
             noise = rng.normal(0.0, eps, m.space.n_states)
             perturbed = normalize_log_density(br.reported, noise)
             assert br.response_value >= response_value(m, 0, perturbed, others) - 1e-9
+
+
+def test_solve_leaves_no_reference_cycle():
+    """Dropping the result and the market frees the market at once.
+
+    A reference cycle through the outer root's closure would keep the
+    market, and every array it holds, alive until a full collection.
+    """
+    m, _ = small_market()
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        br = solve_best_response(m, 0, [m.agents[1].beliefs])
+        del br, m
+        assert ref() is None
+    finally:
+        gc.enable()

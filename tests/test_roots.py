@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import logsumexp as scipy_logsumexp
 
 from risksharing.errors import SolverError
-from risksharing.roots import brent_root, find_bracket_increasing, solve_exp_linear
+from risksharing.roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
 
 
 class TestExpLinear:
@@ -62,3 +63,31 @@ class TestBracketing:
             find_bracket_increasing(lambda x: -1.0, x0=0.0, max_abs=100.0)
         assert "bracket" in str(err.value)
         assert err.value.diagnostics["direction"] == "up"
+
+    def test_brent_matches_scipy_brentq(self):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            c, k = rng.normal(0.0, 5.0), rng.uniform(0.01, 10.0)
+
+            def f(x):
+                return np.expm1(x - c) + k * (x - c)
+
+            lo, hi = find_bracket_increasing(f, x0=0.0)
+            want = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            assert brent_root(f, lo, hi) == pytest.approx(want, abs=1e-14 * (1 + abs(want)))
+
+    def test_brent_needs_sign_change(self):
+        with pytest.raises(SolverError):
+            brent_root(lambda x: x + 1.0, 0.0, 1.0)
+
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(74)
+    for scale in (1.0, 30.0, 700.0):
+        a = rng.normal(0.0, scale, (3, 40))
+        a[:, 0] = a[:, 1] = a.max(axis=1)  # a tie at each row's maximum
+        for axis in (None, 0, 1):
+            np.testing.assert_allclose(
+                logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-15, atol=0.0
+            )
+    assert isinstance(logsumexp(np.zeros(4)), float)
