@@ -24,7 +24,7 @@ from .measures import (
     relative_entropy,
     weights_from_logs,
 )
-from .roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
+from .roots import increasing_root, logsumexp, solve_exp_linear
 
 ZETA_BOUND = 1e6
 
@@ -116,23 +116,27 @@ def _log_valuation(market: Market, i: int, u: np.ndarray, r_agg: np.ndarray) -> 
 def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
     """Unique optimal report of agent ``i`` against the others' reports.
 
-    The outer scalar is located by geometric bracket expansion and Brent
-    iteration on the (strictly increasing) log of the valuation-weighted
-    mean density ratio; the per-state layer is the bracketed solve of
-    :func:`solve_inner_D`.
+    The outer scalar ``zeta`` is the root of the strictly increasing log
+    valuation-weighted mean density ratio ``h``, found by
+    :func:`~risksharing.roots.increasing_root`; each evaluation solves the
+    per-state equation of :func:`solve_inner_D` once.  With
+    ``u' = 1/(1 + exp(u)/lambda_i)`` the slope of ``zeta -> u`` and ``q``
+    the valuation, ``h'(zeta) = (1 - lambda_i) E_A[u'] + lambda_i E_q[u']``
+    where ``A`` is proportional to ``q exp(u)``.
     """
     reports = _check_reports(market, reports_others)
     r_agg = _aggregated_log_reports(market, i, reports)
-    inv_lam = 1.0 / market.lambdas[i]
+    lam = market.lambdas[i]
 
-    def log_mean_ratio(z: float) -> float:
-        u = solve_exp_linear(inv_lam, 1.0, z - r_agg)
-        return float(logsumexp(_log_valuation(market, i, u, r_agg) + u))
+    def log_mean_ratio(z: float):
+        u = solve_exp_linear(1.0 / lam, 1.0, z - r_agg)
+        logq = _log_valuation(market, i, u, r_agg)
+        h = float(logsumexp(logq + u))
+        du = lam / (lam + np.exp(u))
+        slope = np.sum(((1.0 - lam) * np.exp(logq + u - h) + lam * np.exp(logq)) * du)
+        return h, slope, u
 
-    lo, hi = find_bracket_increasing(log_mean_ratio, x0=0.0, step=1.0, max_abs=ZETA_BOUND)
-    zeta = brent_root(log_mean_ratio, lo, hi)
-
-    u = solve_exp_linear(inv_lam, 1.0, zeta - r_agg)
+    zeta, u = increasing_root(log_mean_ratio, 0.0, ZETA_BOUND)
     security = RandomVariable(market.space, market.delta_minus[i] * np.expm1(u))
     logq = _log_valuation(market, i, u, r_agg)
     valuation = weights_from_logs(market.space, logq)

@@ -22,7 +22,7 @@ from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
 from .errors import ValidationError
-from .measures import Measure, RandomVariable, StateSpace
+from .measures import Measure, RandomVariable, StateSpace, relative_entropy, variance
 from .nash import NashEquilibrium
 
 SCHEMA_VERSION = 1
@@ -132,6 +132,35 @@ def nash_from_dict(doc: dict, space: StateSpace) -> NashEquilibrium:
     )
 
 
+def br_to_dict(br: BestResponse, agent: int, others_mode: str, reports) -> dict:
+    return {
+        "agent": agent,
+        "others_mode": others_mode,
+        "others_reports": [m.weights.tolist() for m in reports],
+        "reported": br.reported.weights.tolist(),
+        "security": br.security.values.tolist(),
+        "valuation": br.valuation.weights.tolist(),
+        "zeta": br.zeta,
+        "response_value": br.response_value,
+        "log_ratio": np.asarray(br.log_ratio).tolist(),
+    }
+
+
+def br_from_dict(doc: dict, space: StateSpace):
+    """The stored response with its agent index and the reports it answers."""
+    br = BestResponse(
+        reported=Measure(space, doc["reported"]),
+        security=RandomVariable(space, doc["security"]),
+        valuation=Measure(space, doc["valuation"]),
+        zeta=float(doc["zeta"]),
+        response_value=float(doc["response_value"]),
+        log_ratio=np.asarray(doc["log_ratio"], dtype=float)
+        if doc.get("log_ratio") is not None
+        else None,
+    )
+    return int(doc["agent"]), br, [Measure(space, w) for w in doc["others_reports"]]
+
+
 def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
     sec = ad.security_values()
     q = ad.pricing.weights
@@ -237,11 +266,29 @@ def br_ledger(market: Market, i: int, br, reports_others) -> list:
     ]
 
 
-def limits_ledger(payload: dict) -> list:
-    entries = [
-        _entry("limit_root", payload.get("root_residual", 0.0)),
-        _entry("limit_accounting", payload.get("accounting_residual", 0.0)),
-    ]
+def limit_residuals(market: Market, payload: dict) -> tuple:
+    """Root and accounting residuals of a stored one-agent limit.
+
+    Recomputed from the stored ``nash_security``, ``pricing`` and
+    ``z_infinity`` and the market's agent-0 beliefs and agent-1 tolerance:
+    the root condition ``E_p0[1/(1 + C/d1)] = 1`` and the accounting
+    ``z_infinity = Var_q(C)/d1 + d1*H(p0|q)``.
+    """
+    p0 = market.agents[0].beliefs
+    d1 = float(market.deltas[1])
+    security = RandomVariable(market.space, payload["nash_security"])
+    pricing = Measure(market.space, payload["pricing"])
+    root = abs(float(np.dot(p0.weights, 1.0 / (1.0 + security.values / d1))) - 1.0)
+    gain0 = variance(pricing, security) / d1
+    accounting = abs(payload["z_infinity"] - (gain0 + d1 * relative_entropy(p0, pricing)))
+    return root, float(accounting)
+
+
+def limits_ledger(market: Market, payload: dict) -> list:
+    entries = []
+    if payload.get("mode") == "one-agent":
+        root, accounting = limit_residuals(market, payload)
+        entries += [_entry("limit_root", root), _entry("limit_accounting", accounting)]
     table = payload.get("table", [])
     mono = np.inf
     for prev, cur in zip(table, table[1:]):
@@ -317,20 +364,8 @@ def verify_bundle(doc: dict) -> list:
         ledger = [e for e in ledger if not e["name"].startswith("ad_")]
         ledger.extend(nash_ledger(market, ad, eq))
     if "best_response" in doc:
-        br_doc = doc["best_response"]
-        i = int(br_doc["agent"])
-        br = BestResponse(
-            reported=Measure(space, br_doc["reported"]),
-            security=RandomVariable(space, br_doc["security"]),
-            valuation=Measure(space, br_doc["valuation"]),
-            zeta=float(br_doc["zeta"]),
-            response_value=float(br_doc["response_value"]),
-            log_ratio=np.asarray(br_doc["log_ratio"], dtype=float)
-            if br_doc.get("log_ratio") is not None
-            else None,
-        )
-        reports = [Measure(space, w) for w in br_doc["others_reports"]]
+        i, br, reports = br_from_dict(doc["best_response"], space)
         ledger.extend(br_ledger(market, i, br, reports))
     if "limits" in doc:
-        ledger.extend(limits_ledger(doc["limits"]))
+        ledger.extend(limits_ledger(market, doc["limits"]))
     return ledger

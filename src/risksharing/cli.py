@@ -23,6 +23,8 @@ from .bundle import (
     ad_to_dict,
     assemble_bundle,
     br_ledger,
+    br_to_dict,
+    limit_residuals,
     limits_ledger,
     market_to_dict,
     nash_ledger,
@@ -34,7 +36,7 @@ from .bundle import (
 from .diagnostics import compute_diagnostics
 from .errors import SolverError, ValidationError
 from .limits import both_limit_check, limiting_gains, one_agent_limit_report
-from .measures import RandomVariable, expect, relative_entropy
+from .measures import RandomVariable, expect
 from .nash import solve_nash
 from .scenario import Scenario, _evaluate, build_market, builtin_scenario, load_scenario
 
@@ -238,17 +240,7 @@ def run_best_response(args, scenario: Scenario) -> int:
     )
     sections = {
         "market": market_to_dict(market),
-        "best_response": {
-            "agent": i,
-            "others_mode": mode,
-            "others_reports": [m.weights.tolist() for m in reports],
-            "reported": br.reported.weights.tolist(),
-            "security": br.security.values.tolist(),
-            "valuation": br.valuation.weights.tolist(),
-            "zeta": br.zeta,
-            "response_value": br.response_value,
-            "log_ratio": np.asarray(br.log_ratio).tolist(),
-        },
+        "best_response": br_to_dict(br, i, mode, reports),
         "histograms": _histograms(
             args, market, variables, _measures_for(market, br=br, br_agent=i)
         ),
@@ -268,46 +260,35 @@ def run_limits(args, scenario: Scenario) -> int:
         xi0 = RandomVariable(space, _evaluate(cfg["xi0"], variables, space.n_states))
         xi1 = RandomVariable(space, _evaluate(cfg["xi1"], variables, space.n_states))
         table = both_limit_check(xi0, xi1, float(cfg.get("lambda0", 0.5)), deltas)
-        payload = {
-            "mode": "both",
-            "table": [list(r) for r in table],
-            "root_residual": 0.0,
-            "accounting_residual": 0.0,
-        }
+        payload = {"mode": "both", "table": [list(r) for r in table]}
         rows = [("delta  dist_competitive  dist_half_law", "")]
         rows += [(f"{d:>10.4g}", f"{a:.3e}  {b:.3e}") for d, a, b in table]
     else:
         p0 = market.agents[0].beliefs
         agent1 = market.agents[1]
         report = one_agent_limit_report(p0, agent1, deltas)
-        z_inf, c_inf, q_inf = report.z_infinity, report.limiting_nash_security, report.limiting_pricing
-        root_resid = abs(
-            float(np.dot(p0.weights, 1.0 / (1.0 + c_inf.values / agent1.delta))) - 1.0
-        )
+        # The report holds the same gains; this second solve of the limit
+        # stays while perfbench/spans.py traces cli.limiting_gains.
         gain0, loss1 = limiting_gains(p0, agent1)
-        accounting = abs(z_inf - (gain0 + agent1.delta * relative_entropy(p0, q_inf)))
         payload = {
             "mode": "one-agent",
-            "z_infinity": z_inf,
+            "z_infinity": report.z_infinity,
             "ad_security": report.limiting_ad_security.values.tolist(),
-            "nash_security": c_inf.values.tolist(),
-            "pricing": q_inf.weights.tolist(),
-            "gain_agent0": report.gain_agent0,
-            "loss_agent1": report.loss_agent1,
+            "nash_security": report.limiting_nash_security.values.tolist(),
+            "pricing": report.limiting_pricing.weights.tolist(),
+            "gain_agent0": gain0,
+            "loss_agent1": loss1,
             "table": [list(r) for r in report.convergence_table],
-            "root_residual": root_resid,
-            "accounting_residual": accounting,
         }
-        rows = [
-            ("z_infinity", z_inf),
-            ("gain_agent0", report.gain_agent0),
-            ("loss_agent1", report.loss_agent1),
-        ]
+        payload["root_residual"], payload["accounting_residual"] = limit_residuals(
+            market, payload
+        )
+        rows = [("z_infinity", report.z_infinity), ("gain_agent0", gain0), ("loss_agent1", loss1)]
         rows += [
             (f"delta0={d:>10.4g}", f"dist_ad={a:.3e}  dist_game={b:.3e}")
             for d, a, b in report.convergence_table
         ]
-    ledger = limits_ledger(payload)
+    ledger = limits_ledger(market, payload)
     _print_table(f"extreme-risk-tolerance analysis: {scenario.name}", rows)
     sections = {"market": market_to_dict(market), "limits": payload}
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.limits.json")
@@ -356,17 +337,7 @@ def run_replicate(args) -> int:
             "market": market_to_dict(market),
             "ad": ad_to_dict(ad),
             "nash": nash_to_dict(eq),
-            "best_response": {
-                "agent": 0,
-                "others_mode": "truthful",
-                "others_reports": [m.weights.tolist() for m in reports],
-                "reported": br.reported.weights.tolist(),
-                "security": br.security.values.tolist(),
-                "valuation": br.valuation.weights.tolist(),
-                "zeta": br.zeta,
-                "response_value": br.response_value,
-                "log_ratio": np.asarray(br.log_ratio).tolist(),
-            },
+            "best_response": br_to_dict(br, 0, "truthful", reports),
             "diagnostics": {"residuals": diag.residuals},
             "histograms": hists,
         }

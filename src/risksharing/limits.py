@@ -25,7 +25,7 @@ from .measures import (
     variance,
 )
 from .nash import solve_nash
-from .roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
+from .roots import increasing_root, logsumexp, solve_exp_linear
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,15 @@ def limiting_arrow_debreu(p0: Measure, agent1: Agent):
     return security, 0.0, d1 * gap
 
 
-def _limit_security_values(d1: float, rhs: np.ndarray) -> tuple:
-    """Solve C + d1*log(1 + C/d1) = rhs per state; returns (C, log ratio)."""
-    u = solve_exp_linear(d1, d1, rhs)
-    return d1 * np.expm1(u), u
-
-
 def limiting_nash(p0: Measure, agent1: Agent):
     """Game limit when agent 0 becomes risk neutral.
 
-    The per-state security solves a monotone implicit equation indexed by a
-    scalar; the scalar is the unique root of the (strictly decreasing)
-    expectation of the reciprocal price ratio under agent 0's beliefs.
+    The per-state security ``C = d1*expm1(u)`` solves a monotone implicit
+    equation indexed by a scalar ``z``; ``z_infinity`` is the unique root of
+    the strictly increasing ``f(z) = -log E_{p0}[exp(-u)]``, found by
+    :func:`~risksharing.roots.increasing_root`.  With
+    ``u' = 1/(d1 (exp(u) + 1))`` the slope of ``z -> u``,
+    ``f'(z) = E_B[u']`` where ``B`` is proportional to ``p0 exp(-u)``.
     Returns ``(z_infinity, security, valuation)``.
     """
     _check_pair(p0, agent1)
@@ -78,18 +75,22 @@ def limiting_nash(p0: Measure, agent1: Agent):
     d1 = agent1.delta
     logp0 = p0.log_weights()
 
-    def neg_log_mean_inverse_ratio(z: float) -> float:
-        _, u = _limit_security_values(d1, z + ad_security.values)
-        return -float(logsumexp(logp0 - u))
+    def neg_log_mean_inverse_ratio(z: float):
+        u = solve_exp_linear(d1, d1, z + ad_security.values)
+        f = -float(logsumexp(logp0 - u))
+        slope = np.sum(np.exp(logp0 - u + f) / (d1 * (np.exp(u) + 1.0)))
+        return f, slope, u
 
-    lo, hi = find_bracket_increasing(
-        neg_log_mean_inverse_ratio, x0=0.0, step=max(1.0, d1), max_abs=1e9
-    )
-    z_inf = brent_root(neg_log_mean_inverse_ratio, lo, hi)
-    values, u = _limit_security_values(d1, z_inf + ad_security.values)
-    security = RandomVariable(p0.space, values)
+    z_inf, u = increasing_root(neg_log_mean_inverse_ratio, 0.0, 1e9)
+    security = RandomVariable(p0.space, d1 * np.expm1(u))
     valuation = normalize_log_density(p0, -u)
     return float(z_inf), security, valuation
+
+
+def _gains(p0: Measure, d1: float, security: RandomVariable, valuation: Measure):
+    gain0 = variance(valuation, security) / d1
+    loss1 = -gain0 - d1 * relative_entropy(p0, valuation)
+    return float(gain0), float(loss1)
 
 
 def limiting_gains(p0: Measure, agent1: Agent):
@@ -101,10 +102,7 @@ def limiting_gains(p0: Measure, agent1: Agent):
     valuation.
     """
     _, security, valuation = limiting_nash(p0, agent1)
-    d1 = agent1.delta
-    gain0 = variance(valuation, security) / d1
-    loss1 = -gain0 - d1 * relative_entropy(p0, valuation)
-    return float(gain0), float(loss1)
+    return _gains(p0, agent1.delta, security, valuation)
 
 
 def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitReport:
@@ -117,7 +115,7 @@ def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitRepor
     _check_pair(p0, agent1)
     ad_security, gain0_ad, gain1_ad = limiting_arrow_debreu(p0, agent1)
     z_inf, nash_security, valuation = limiting_nash(p0, agent1)
-    gain0, loss1 = limiting_gains(p0, agent1)
+    gain0, loss1 = _gains(p0, agent1.delta, nash_security, valuation)
     rows = []
     for d0 in delta_grid:
         market = Market([Agent(float(d0), p0), agent1])

@@ -173,10 +173,7 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
     )
 
 
-def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
-    """Unique candidate securities, log tilt, and valuation at ``z``."""
-    z = _check_z(market, z)
-    u, y = _inner_log_ratios(market, ad, z)
+def _inner_solution(market: Market, ad: ArrowDebreuEquilibrium, u, y) -> InnerSolution:
     securities = market.delta_minus[:, None] * np.expm1(u)
     valuation = normalize_log_density(ad.pricing, -y)
     space = market.space
@@ -190,15 +187,22 @@ def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
     )
 
 
+def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
+    """Unique candidate securities, log tilt, and valuation at ``z``."""
+    z = _check_z(market, z)
+    return _inner_solution(market, ad, *_inner_log_ratios(market, ad, z))
+
+
 def _phi_and_prices(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
-    """The update map ``phi(z)`` and the candidate prices, from one inner solve."""
+    """The update map ``phi(z)``, the candidate prices and the inner ``(u, y)``."""
     u, y = _inner_log_ratios(market, ad, z)
     securities = market.delta_minus[:, None] * np.expm1(u)
     q = normalize_log_density(ad.pricing, -y).weights
     payoffs = (RandomVariable(market.space, c) for c in securities)
     u_vals = np.array([cara_utility(a, x) for a, x in zip(market.agents, payoffs)])
     shortfall = ad.aggregate_gain - float(u_vals.sum())
-    return u_vals - np.asarray(ad.agent_gains) + market.lambdas * shortfall, securities @ q
+    phi = u_vals - np.asarray(ad.agent_gains) + market.lambdas * shortfall
+    return phi, securities @ q, u, y
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
@@ -244,19 +248,19 @@ def _newton(market, ad, z, eps_target):
     vanish together only up to the error of the competitive gains and the
     per-state solve divided by ``lambda_i``, so a last Newton step on the
     prices is kept if it lowers ``max|price|`` and keeps ``max|F|`` within
-    ``eps_target`` or its last value.  Returns the point, its residuals
-    ``(F, prices)`` (None if the start cannot be solved) and ``max|F|`` at
-    every accepted point.
+    ``eps_target`` or its last value.  Returns the point, its residuals and
+    inner solution ``(F, prices, u, y)`` (None if the start cannot be
+    solved) and ``max|F|`` at every accepted point.
     """
     n = market.n_agents
     floor = -np.asarray(ad.agent_gains)
 
     def residuals(z):
         try:
-            phi, eps = _phi_and_prices(market, ad, z)
+            phi, eps, u, y = _phi_and_prices(market, ad, z)
         except SolverError:
             return None
-        return phi - z, eps
+        return phi - z, eps, u, y
 
     def trial(z):
         return residuals(z) if np.all(z >= floor) else None
@@ -307,8 +311,10 @@ def _newton(market, ad, z, eps_target):
     return z, r, trace
 
 
-def _assemble(market, ad, z, all_roots) -> NashEquilibrium:
-    sol = inner_solve(market, ad, z)
+def _assemble(market, ad, z, r, all_roots) -> NashEquilibrium:
+    """The equilibrium at ``z`` from its residuals and inner solution ``r``."""
+    _, eps, u, y = r
+    sol = _inner_solution(market, ad, u, y)
     revealed = tuple(
         normalize_log_density(agent.beliefs, -logr)
         for agent, logr in zip(market.agents, sol.log_ratios)
@@ -323,7 +329,7 @@ def _assemble(market, ad, z, all_roots) -> NashEquilibrium:
         revealed=revealed,
         agent_values=values,
         aggregate_value=float(sum(values)),
-        distance=nash_distance(market, ad, z),
+        distance=_distance_from_prices(market, eps),
         log_ratios=sol.log_ratios,
         all_roots=tuple(np.array(r) for r in all_roots),
     )
@@ -364,22 +370,22 @@ def solve_nash(
                 continue
             starts.append(corner)
 
-    ends = []  # (distance, max|price|, z, trace) per start
+    ends = []  # (distance, max|price|, z, trace, residuals) per start
     for z_start in starts:
         z, r, trace = _newton(market, ad, z_start, eps_target)
         dist = price = float("inf")
         if r is not None:
             dist, price = _distance_from_prices(market, r[1]), float(np.max(np.abs(r[1])))
-        ends.append((dist, price, z, trace))
-    roots: list[np.ndarray] = []
+        ends.append((dist, price, z, trace, r))
+    found = []  # (z, residuals) per distinct root
     # At a root the distance is float noise around zero; of several ends at
     # one root, the one with the smallest prices is kept.
-    for dist, _, z, _ in sorted(ends, key=lambda end: end[1]):
+    for dist, _, z, _, r in sorted(ends, key=lambda end: end[1]):
         if dist <= tol and not any(
-            np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root in roots
+            np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root, _ in found
         ):
-            roots.append(z)
-    if not roots:
+            found.append((z, r))
+    if not found:
         best = min(ends, key=lambda end: end[0])
         raise SolverError(
             "no equilibrium reached the distance tolerance",
@@ -387,7 +393,7 @@ def solve_nash(
                 "best_z": best[2].tolist(),
                 "best_distance": best[0],
                 "tolerance": tol,
-                "residual_traces": [trace[-5:] for *_, trace in ends],
+                "residual_traces": [end[3][-5:] for end in ends],
             },
         )
-    return _assemble(market, ad, roots[0], all_roots=roots)
+    return _assemble(market, ad, *found[0], all_roots=[z for z, _ in found])

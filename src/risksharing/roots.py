@@ -7,9 +7,10 @@ vectorised kernel here solves the recurring family
     alpha * (exp(u) - 1) + beta * u = rhs,        alpha > 0, beta > 0,
 
 whose solution map is the building block for reported-density ratios,
-per-state sharing securities, and the risk-neutral limit security.  Scalar
-outer roots go through Brent's iteration after a geometric bracket
-expansion.
+per-state sharing securities, and the risk-neutral limit security.  A
+scalar outer root is found by Newton on its increasing condition, whose
+slope costs one pass over the states, safeguarded by bisection within an
+a-priori bound.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverError
+
+ROOT_MAX_ITER = 200
 
 
 def logsumexp(a, axis=None):
@@ -78,91 +81,45 @@ def solve_exp_linear(alpha, beta, rhs, rtol: float = 1e-14, max_iter: int = 200)
     return u
 
 
-def find_bracket_increasing(f, x0: float = 0.0, step: float = 1.0, max_abs: float = 1e6):
-    """Bracket the root of a strictly increasing scalar function.
+def increasing_root(f, x0: float, bound: float):
+    """Root of a strictly increasing scalar function, by safeguarded Newton.
 
-    Expands geometrically from ``x0`` (x0 +/- step, 2*step, 4*step, ...) in
-    the direction indicated by the sign of ``f(x0)``.  Raises
-    :class:`SolverError` when the abscissa exceeds ``max_abs`` without a
-    sign change.
+    ``f(x)`` returns ``(value, slope, state)``.  Newton starts at ``x0``
+    inside the bracket ``[-bound, bound]``, which every evaluation narrows
+    by the sign of its value; a step that would leave the bracket is
+    replaced by bisection ("rtsafe"; Press et al., *Numerical Recipes*,
+    9.4).  Stops once a step is at most ``1e-14`` plus four float spacings
+    of the iterate, and returns the last evaluated point with its
+    ``state``, so the caller need not evaluate again.  Raises
+    :class:`SolverError` when there is no sign change within the bound:
+    the bound is never returned as a root.
     """
-    f0 = f(x0)
-    if f0 == 0.0:
-        return x0, x0
-    if f0 < 0.0:
-        lo, flo = x0, f0
-        h = step
-        while True:
-            hi = lo + h
-            if abs(hi) > max_abs:
-                raise SolverError(
-                    "bracket expansion exceeded bound",
-                    diagnostics={"x": hi, "f_last": flo, "direction": "up"},
-                )
-            fhi = f(hi)
-            if fhi >= 0.0:
-                return lo, hi
-            lo, flo = hi, fhi
-            h *= 2.0
-    hi, fhi = x0, f0
-    h = step
-    while True:
-        lo = hi - h
-        if abs(lo) > max_abs:
-            raise SolverError(
-                "bracket expansion exceeded bound",
-                diagnostics={"x": lo, "f_last": fhi, "direction": "down"},
-            )
-        flo = f(lo)
-        if flo <= 0.0:
-            return lo, hi
-        hi, fhi = lo, flo
-        h *= 2.0
-
-
-def brent_root(f, lo: float, hi: float, xtol: float = 1e-14) -> float:
-    """Brent iteration on a sign-changing bracket, tightened to float limits.
-
-    Inverse quadratic or secant steps, with bisection whenever a step would
-    shrink the bracket too slowly (Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 4).  Stops once the bracket is narrower
-    than ``xtol`` plus four float spacings of the iterate.
-    """
-    if lo == hi:
-        return lo
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(200):
-        if fpre == 0.0 or fcur == 0.0 or np.isnan(fpre + fcur):
-            break
-        if np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        elif fblk == 0.0:
-            break  # no sign change
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = 0.5 * (xtol + 8.9e-16 * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    lo, hi = -float(bound), float(bound)
+    seen_lo = seen_hi = False
+    x = float(x0)
+    for _ in range(ROOT_MAX_ITER):
+        fx, slope, state = f(x)
+        fx, slope = float(fx), float(slope)
+        if fx == 0.0:
+            return x, state
+        if fx < 0.0:
+            lo, seen_lo = x, True
+        elif fx > 0.0:
+            hi, seen_hi = x, True
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = float(f(xcur))
-    if fcur == 0.0 or fpre == 0.0:
-        return xcur if fcur == 0.0 else xpre
+            break
+        x_new = x - fx / slope if slope > 0.0 else np.inf
+        newton = lo < x_new < hi or x_new == x  # x_new == x: step below float resolution
+        if not newton:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-14 + 4.0 * np.spacing(abs(x)):
+            # A bisection only converges onto an end that never saw its
+            # sign when the root lies beyond the bound.
+            if newton or (seen_lo and seen_hi):
+                return x, state
+            break
+        x = x_new
     raise SolverError(
-        "Brent iteration failed", diagnostics={"x": xcur, "f": fcur, "lo": lo, "hi": hi}
+        "no root of the increasing function within the bound",
+        diagnostics={"x": x, "f": fx, "lo": lo, "hi": hi},
     )

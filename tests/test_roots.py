@@ -1,4 +1,4 @@
-"""Root-finding kernels: vectorised exp-linear solves and bracket expansion."""
+"""Root-finding kernels: vectorised exp-linear solves and the safeguarded scalar Newton."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp as scipy_logsumexp
 
 from risksharing.errors import SolverError
-from risksharing.roots import brent_root, find_bracket_increasing, logsumexp, solve_exp_linear
+from risksharing.roots import increasing_root, logsumexp, solve_exp_linear
 
 
 class TestExpLinear:
@@ -48,23 +48,8 @@ class TestExpLinear:
         assert float(solve_exp_linear(1.0, 1.0, -5.0)) < 0
 
 
-class TestBracketing:
-    def test_finds_increasing_root(self):
-        lo, hi = find_bracket_increasing(lambda x: x - 17.3, x0=0.0)
-        assert lo <= 17.3 <= hi
-        assert brent_root(lambda x: x - 17.3, lo, hi) == pytest.approx(17.3, abs=1e-12)
-
-    def test_downward_expansion(self):
-        lo, hi = find_bracket_increasing(lambda x: x + 9.1, x0=0.0)
-        assert lo <= -9.1 <= hi
-
-    def test_expansion_bound_raises(self):
-        with pytest.raises(SolverError) as err:
-            find_bracket_increasing(lambda x: -1.0, x0=0.0, max_abs=100.0)
-        assert "bracket" in str(err.value)
-        assert err.value.diagnostics["direction"] == "up"
-
-    def test_brent_matches_scipy_brentq(self):
+class TestIncreasingRoot:
+    def test_matches_scipy_brentq(self):
         rng = np.random.default_rng(73)
         for _ in range(200):
             c, k = rng.normal(0.0, 5.0), rng.uniform(0.01, 10.0)
@@ -72,13 +57,50 @@ class TestBracketing:
             def f(x):
                 return np.expm1(x - c) + k * (x - c)
 
-            lo, hi = find_bracket_increasing(f, x0=0.0)
-            want = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-            assert brent_root(f, lo, hi) == pytest.approx(want, abs=1e-14 * (1 + abs(want)))
+            def f_slope(x):
+                return f(x), np.exp(x - c) + k, None
 
-    def test_brent_needs_sign_change(self):
-        with pytest.raises(SolverError):
-            brent_root(lambda x: x + 1.0, 0.0, 1.0)
+            want = brentq(f, -50.0, 50.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            got, _ = increasing_root(f_slope, 0.0, 50.0)
+            assert got == pytest.approx(want, abs=1e-14 * (1 + abs(want)))
+
+    def test_returns_state_of_last_evaluation(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 17.3, 1.0, len(seen)
+
+        root, state = increasing_root(f, 0.0, 1e6)
+        assert root == seen[-1] == pytest.approx(17.3, abs=1e-12)
+        assert state == len(seen)
+
+    @pytest.mark.parametrize(
+        "f, unseen",
+        [(lambda x: (-1.0, 0.0, None), "hi"), (lambda x: (x + 200.0, 1.0, None), "lo")],
+        ids=["below", "above"],
+    )
+    def test_no_sign_change_raises(self, f, unseen):
+        with pytest.raises(SolverError) as err:
+            increasing_root(f, 0.0, 100.0)
+        diag = err.value.diagnostics
+        assert set(diag) == {"x", "f", "lo", "hi"}
+        assert abs(diag[unseen]) == 100.0  # that end of the bracket never saw its sign
+        assert diag["f"] != 0.0
+
+    def test_bisects_when_newton_overshoots(self):
+        # Newton on arctan diverges from 0: its second step lands at -120,
+        # outside the bracket [0, 12.49] the first two values give.
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return np.arctan(x - 3.0), 1.0 / (1.0 + (x - 3.0) ** 2), None
+
+        root, _ = increasing_root(f, 0.0, 1e6)
+        assert root == pytest.approx(3.0, abs=1e-14)
+        assert xs[2] == 0.5 * (xs[0] + xs[1])
+        assert all(0.0 <= x <= xs[1] for x in xs)
 
 
 def test_logsumexp_matches_scipy():

@@ -1,6 +1,7 @@
 """Scenario files, state-space construction, bundles, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ class TestCli:
         payload = json.loads(out.read_text())["limits"]
         assert payload["mode"] == "one-agent"
         assert len(payload["table"]) == 4
+        assert cli_main(["verify", str(out)]) == 0
+
+    # A limit bundle written before verify recomputed the limit residuals.
+    LIMIT_BUNDLE = Path(__file__).parent / "data" / "limit-one-agent-0.1.0.json"
+
+    def test_earlier_limit_bundle_verifies(self):
+        assert cli_main(["verify", str(self.LIMIT_BUNDLE)]) == 0
+
+    def test_verify_recomputes_limit_residuals(self, tmp_path):
+        doc = json.loads(self.LIMIT_BUNDLE.read_text())
+        lim = doc["limits"]
+        lim["nash_security"] = [c + 5.0 for c in lim["nash_security"]]
+        lim["z_infinity"] += 3.0
+        lim["pricing"] = lim["pricing"][::-1]
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(tampered)]) == 2
 
     def test_replicate_names_exist(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
