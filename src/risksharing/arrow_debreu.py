@@ -56,7 +56,7 @@ def solve_arrow_debreu(market: Market) -> ArrowDebreuEquilibrium:
         gains.append(gain)
 
     closed_form_last = securities[-1]
-    securities[-1] = -np.sum(securities[:-1], axis=0) if market.n_agents > 1 else closed_form_last
+    securities[-1] = -np.sum(securities[:-1], axis=0)
     drift = float(np.max(np.abs(securities[-1] - closed_form_last)))
     if drift > CLEARING_TOL:
         raise SolverError(

@@ -182,12 +182,7 @@ def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
     ]
 
 
-def nash_ledger(
-    market: Market,
-    ad: ArrowDebreuEquilibrium,
-    eq: NashEquilibrium,
-    check_fixed_point: bool = True,
-) -> list:
+def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium) -> list:
     entries = ad_ledger(market, ad)
     sec = eq.security_values()
     u = np.asarray(eq.log_ratios)
@@ -226,15 +221,12 @@ def nash_ledger(
     caps = np.log((market.n_agents - 1) * market.delta_total / market.delta_minus)
     bound_slack = float(np.min(caps[:, None] - u)) if np.all(np.isfinite(u)) else -np.inf
     entries.append(_entry("endogenous_bounds", bound_slack))
-    if check_fixed_point:
-        gap = 0.0
-        for i in range(market.n_agents):
-            others = [eq.revealed[j] for j in range(market.n_agents) if j != i]
-            br = solve_best_response(market, i, others)
-            gap = max(
-                gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights)))
-            )
-        entries.append(_entry("fixed_point_gap", gap))
+    gap = 0.0
+    for i in range(market.n_agents):
+        others = [eq.revealed[j] for j in range(market.n_agents) if j != i]
+        br = solve_best_response(market, i, others)
+        gap = max(gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights))))
+    entries.append(_entry("fixed_point_gap", gap))
     return entries
 
 
@@ -352,17 +344,14 @@ def verify_bundle(doc: dict) -> list:
         raise ValidationError("bundle has no market section to verify against")
     market = market_from_dict(doc["market"])
     space = market.space
+    ad = ad_from_dict(doc["ad"], space) if "ad" in doc else None
     ledger: list = []
-    ad = None
-    if "ad" in doc:
-        ad = ad_from_dict(doc["ad"], space)
-        ledger.extend(ad_ledger(market, ad))
-    if "nash" in doc:
+    if "nash" in doc:  # the game's ledger opens with the competitive entries
         if ad is None:
             ad = solve_arrow_debreu(market)
-        eq = nash_from_dict(doc["nash"], space)
-        ledger = [e for e in ledger if not e["name"].startswith("ad_")]
-        ledger.extend(nash_ledger(market, ad, eq))
+        ledger.extend(nash_ledger(market, ad, nash_from_dict(doc["nash"], space)))
+    elif ad is not None:
+        ledger.extend(ad_ledger(market, ad))
     if "best_response" in doc:
         i, br, reports = br_from_dict(doc["best_response"], space)
         ledger.extend(br_ledger(market, i, br, reports))

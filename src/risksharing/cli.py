@@ -12,6 +12,7 @@ tolerance, 3 validation error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -38,7 +39,14 @@ from .errors import SolverError, ValidationError
 from .limits import both_limit_check, limiting_gains, one_agent_limit_report
 from .measures import RandomVariable, expect
 from .nash import solve_nash
-from .scenario import Scenario, _evaluate, build_market, builtin_scenario, load_scenario
+from .scenario import (
+    BUILTIN_SCENARIOS,
+    Scenario,
+    _evaluate,
+    build_market,
+    builtin_scenario,
+    load_scenario,
+)
 
 EXIT_OK = 0
 EXIT_RESIDUALS = 2
@@ -49,41 +57,29 @@ EXIT_SOLVER = 4
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     states = dict(scenario.states)
     solver = dict(scenario.solver)
-    if getattr(args, "quadrature_order", None) is not None:
+    if args.quadrature_order is not None:
         states["quadrature_order"] = args.quadrature_order
         states.pop("samples", None)
-    if getattr(args, "samples", None) is not None:
+    if args.samples is not None:
         states["samples"] = args.samples
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         states["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         solver["tol"] = args.tol
-    return Scenario(
-        name=scenario.name,
-        states=states,
-        agents=scenario.agents,
-        solver=solver,
-        limits=scenario.limits,
-    )
-
-
-def _load(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    return _apply_overrides(scenario, args)
+    return dataclasses.replace(scenario, states=states, solver=solver)
 
 
 def _histograms(args, market, variables, payoffs) -> dict:
     """Binned masses of requested expressions under the available measures."""
-    exprs = getattr(args, "hist", None) or []
-    if not exprs:
+    if not args.hist:
         return {}
-    bins = getattr(args, "bins", None) or 50
+    bins = args.bins or 50
     ns = dict(variables)
     space = market.space
     for name, values in payoffs.get("payoffs", {}).items():
         ns[name] = RandomVariable(space, values)
     out = {}
-    for expr in exprs:
+    for expr in args.hist:
         values = _evaluate(expr, ns, space.n_states)
         lo, hi = float(values.min()), float(values.max())
         if hi <= lo:
@@ -124,7 +120,7 @@ def _print_ledger(ledger) -> None:
 
 def _finish(args, scenario, sections, ledger, info, default_out):
     doc = assemble_bundle(scenario, sections, ledger, info)
-    out = getattr(args, "out", None) or default_out
+    out = args.out or default_out
     write_bundle(doc, out)
     _print_ledger(ledger)
     print(f"bundle: {out}")
@@ -171,7 +167,8 @@ def run_ad(args, scenario: Scenario) -> int:
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.ad.json")
 
 
-def run_nash(args, scenario: Scenario) -> int:
+def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
+    """Solve the game; with ``br_agent``, also that agent's response to truthful reports."""
     market, variables, info = build_market(scenario)
     ad = solve_arrow_debreu(market)
     eq = solve_nash(market, ad=ad, tol=scenario.solver.get("tol"))
@@ -191,25 +188,27 @@ def run_nash(args, scenario: Scenario) -> int:
         rows.append((f"value_{i} (vs {ad.agent_gains[i]:.6g})", eq.agent_values[i]))
     if len(eq.all_roots) > 1:
         rows.append(("distinct_roots_found", len(eq.all_roots)))
-    _print_table(f"risk-sharing game equilibrium: {scenario.name}", rows)
     sections = {
         "market": market_to_dict(market),
         "ad": ad_to_dict(ad),
         "nash": nash_to_dict(eq),
         "diagnostics": {
-            "efficiency_loss": diag.efficiency_loss,
-            "per_agent_delta": list(diag.per_agent_delta),
-            "alpha_weights": list(diag.alpha_weights),
-            "entropy_terms": list(diag.entropy_terms),
-            "undervaluation": list(diag.undervaluation),
-            "belief_distance": list(diag.belief_distance),
-            "marginal_prices": list(diag.marginal_prices),
-            "residuals": diag.residuals,
+            f.name: getattr(diag, f.name)
+            for f in dataclasses.fields(diag)
+            if f.name != "marginal_measures"
         },
-        "histograms": _histograms(
-            args, market, variables, _measures_for(market, ad=ad, eq=eq)
-        ),
     }
+    br = None
+    if br_agent is not None:
+        reports = [a.beliefs for j, a in enumerate(market.agents) if j != br_agent]
+        br = solve_best_response(market, br_agent, reports)
+        ledger += br_ledger(market, br_agent, br, reports)
+        sections["best_response"] = br_to_dict(br, br_agent, "truthful", reports)
+        rows.append((f"response_value_{br_agent}", br.response_value))
+    _print_table(f"risk-sharing game equilibrium: {scenario.name}", rows)
+    sections["histograms"] = _histograms(
+        args, market, variables, _measures_for(market, ad=ad, eq=eq, br=br, br_agent=br_agent)
+    )
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.nash.json")
 
 
@@ -305,44 +304,15 @@ def run_verify(args) -> int:
 
 def run_replicate(args) -> int:
     scenario = _apply_overrides(builtin_scenario(args.name), args)
-    if scenario.name in ("limit-one-agent", "limit-both"):
-        args.deltas = getattr(args, "deltas", None)
+    if scenario.limits is not None:
         return run_limits(args, scenario)
-    if scenario.name == "example-2.7":
-        # Figure data: the reported densities of the endowments and the
-        # post-trade position densities need both the single-strategic-agent
-        # response and the full game.
-        market, variables, info = build_market(scenario)
-        ad = solve_arrow_debreu(market)
-        reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != 0]
-        br = solve_best_response(market, 0, reports)
-        eq = solve_nash(market, ad=ad)
-        diag = compute_diagnostics(market, ad, eq)
-        ledger = nash_ledger(market, ad, eq) + br_ledger(market, 0, br, reports)
-        payoff_ns = _measures_for(market, ad=ad, eq=eq, br=br, br_agent=0)
-        if not getattr(args, "hist", None):
-            args.hist = ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
-        hists = _histograms(args, market, variables, payoff_ns)
-        _print_table(
-            "replicate example-2.7",
-            [
-                ("states", market.space.n_states),
-                ("response_value_agent0", br.response_value),
-                ("game_value_agent0", eq.agent_values[0]),
-                ("competitive_gain_agent0", ad.agent_gains[0]),
-                ("efficiency_loss", diag.efficiency_loss),
-            ],
-        )
-        sections = {
-            "market": market_to_dict(market),
-            "ad": ad_to_dict(ad),
-            "nash": nash_to_dict(eq),
-            "best_response": br_to_dict(br, 0, "truthful", reports),
-            "diagnostics": {"residuals": diag.residuals},
-            "histograms": hists,
-        }
-        return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.json")
-    return run_nash(args, scenario)
+    if scenario.name != "example-2.7":
+        return run_nash(args, scenario)
+    # Figure data: the densities of the endowments and of the post-trade
+    # positions under the competitive equilibrium, the game and agent 0's
+    # response to truthful reports.
+    args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
+    return run_nash(args, scenario, br_agent=0)
 
 
 def _add_common(p, scenario_arg=True):
@@ -374,12 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ad", help="solve the competitive (price-taking) equilibrium")
     _add_common(p)
+    p.set_defaults(run=run_ad)
 
     p = sub.add_parser("nash", help="solve the risk-sharing game and run diagnostics")
     _add_common(p)
+    p.set_defaults(run=run_nash)
 
     p = sub.add_parser("best-response", help="one agent's optimal reported beliefs")
     _add_common(p)
+    p.set_defaults(run=run_best_response)
     p.add_argument("--agent", type=int, required=True, help="strategic agent index")
     p.add_argument(
         "--truthful-others",
@@ -389,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="extreme-risk-tolerance limit analysis")
     _add_common(p)
+    p.set_defaults(run=run_limits)
     p.add_argument(
         "--deltas",
         type=lambda s: [float(x) for x in s.split(",")],
@@ -398,14 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run the residual ledger on a stored bundle")
     p.add_argument("bundle", help="path to a bundle JSON file")
+    p.set_defaults(run=run_verify)
 
     p = sub.add_parser("replicate", help="run a built-in scenario")
-    p.add_argument(
-        "name",
-        choices=["example-2.7", "beta-symmetric", "example-3.9", "limit-one-agent", "limit-both"],
-    )
+    p.add_argument("name", choices=list(BUILTIN_SCENARIOS))
     _add_common(p, scenario_arg=False)
     p.add_argument("--deltas", type=lambda s: [float(x) for x in s.split(",")], default=None)
+    p.set_defaults(run=run_replicate)
 
     return parser
 
@@ -413,20 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return run_verify(args)
-        if args.command == "replicate":
-            return run_replicate(args)
-        scenario = _load(args)
-        if args.command == "ad":
-            return run_ad(args, scenario)
-        if args.command == "nash":
-            return run_nash(args, scenario)
-        if args.command == "best-response":
-            return run_best_response(args, scenario)
-        if args.command == "limits":
-            return run_limits(args, scenario)
-        raise ValidationError(f"unknown command {args.command!r}")
+        if "scenario" in args:
+            return args.run(args, _apply_overrides(load_scenario(args.scenario), args))
+        return args.run(args)
     except (ValidationError, OSError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -194,15 +194,12 @@ def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
 
 
 def _phi_and_prices(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
-    """The update map ``phi(z)``, the candidate prices and the inner ``(u, y)``."""
-    u, y = _inner_log_ratios(market, ad, z)
-    securities = market.delta_minus[:, None] * np.expm1(u)
-    q = normalize_log_density(ad.pricing, -y).weights
-    payoffs = (RandomVariable(market.space, c) for c in securities)
-    u_vals = np.array([cara_utility(a, x) for a, x in zip(market.agents, payoffs)])
-    shortfall = ad.aggregate_gain - float(u_vals.sum())
-    phi = u_vals - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    return phi, securities @ q, u, y
+    """``phi(z)``, the candidate prices, the inner solution and the agents' values."""
+    sol = _inner_solution(market, ad, *_inner_log_ratios(market, ad, z))
+    values = np.array([cara_utility(a, c) for a, c in zip(market.agents, sol.securities)])
+    shortfall = ad.aggregate_gain - float(values.sum())
+    phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
+    return phi, sol.security_values() @ sol.valuation.weights, sol, values
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
@@ -248,19 +245,19 @@ def _newton(market, ad, z, eps_target):
     vanish together only up to the error of the competitive gains and the
     per-state solve divided by ``lambda_i``, so a last Newton step on the
     prices is kept if it lowers ``max|price|`` and keeps ``max|F|`` within
-    ``eps_target`` or its last value.  Returns the point, its residuals and
-    inner solution ``(F, prices, u, y)`` (None if the start cannot be
-    solved) and ``max|F|`` at every accepted point.
+    ``eps_target`` or its last value.  Returns the point, its residuals,
+    inner solution and values ``(F, prices, sol, values)`` (None if the
+    start cannot be solved) and ``max|F|`` at every accepted point.
     """
     n = market.n_agents
     floor = -np.asarray(ad.agent_gains)
 
     def residuals(z):
         try:
-            phi, eps, u, y = _phi_and_prices(market, ad, z)
+            phi, eps, sol, values = _phi_and_prices(market, ad, z)
         except SolverError:
             return None
-        return phi - z, eps, u, y
+        return phi - z, eps, sol, values
 
     def trial(z):
         return residuals(z) if np.all(z >= floor) else None
@@ -311,17 +308,14 @@ def _newton(market, ad, z, eps_target):
     return z, r, trace
 
 
-def _assemble(market, ad, z, r, all_roots) -> NashEquilibrium:
-    """The equilibrium at ``z`` from its residuals and inner solution ``r``."""
-    _, eps, u, y = r
-    sol = _inner_solution(market, ad, u, y)
+def _assemble(market, z, r, all_roots) -> NashEquilibrium:
+    """The equilibrium at ``z`` from its residuals, inner solution and values ``r``."""
+    _, eps, sol, values = r
     revealed = tuple(
         normalize_log_density(agent.beliefs, -logr)
         for agent, logr in zip(market.agents, sol.log_ratios)
     )
-    values = tuple(
-        cara_utility(agent, c) for agent, c in zip(market.agents, sol.securities)
-    )
+    values = tuple(values.tolist())
     return NashEquilibrium(
         z=z,
         securities=sol.securities,
@@ -396,4 +390,4 @@ def solve_nash(
                 "residual_traces": [end[3][-5:] for end in ends],
             },
         )
-    return _assemble(market, ad, *found[0], all_roots=[z for z, _ in found])
+    return _assemble(market, *found[0], all_roots=[z for z, _ in found])

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import SolverError
 
 ROOT_MAX_ITER = 200
+KERNEL_RTOL = 1e-14
+KERNEL_MAX_ITER = 200
 
 
 def logsumexp(a, axis=None):
@@ -38,13 +40,13 @@ def logsumexp(a, axis=None):
     return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 
-def solve_exp_linear(alpha, beta, rhs, rtol: float = 1e-14, max_iter: int = 200):
+def solve_exp_linear(alpha, beta, rhs):
     """Solve ``alpha*(exp(u)-1) + beta*u = rhs`` elementwise for ``u``.
 
     The left side is strictly increasing and convex, so Newton started at
     the upper end of the exact bracket converges monotonically; iterates are
     clipped to the bracket as a float-safety net.  Residuals are driven to
-    ``rtol * (1 + |rhs|)``.
+    ``KERNEL_RTOL * (1 + |rhs|)``.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -57,8 +59,8 @@ def solve_exp_linear(alpha, beta, rhs, rtol: float = 1e-14, max_iter: int = 200)
     hi = np.where(pos, np.minimum(rhs / beta, np.log1p(np.maximum(rhs, 0.0) / alpha)), 0.0)
 
     u = hi.copy()
-    tol = rtol * (1.0 + np.abs(rhs))
-    for _ in range(max_iter):
+    tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
+    for _ in range(KERNEL_MAX_ITER):
         g = alpha * np.expm1(u) + beta * u - rhs
         active = np.abs(g) > tol
         if not active.any():

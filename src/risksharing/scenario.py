@@ -30,8 +30,9 @@ are deterministic; sampling is opt-in and requires a seed.
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -56,18 +57,23 @@ _EXPR_NAMESPACE = {
     "pi": math.pi,
     "e": math.e,
 }
+# Syntax an expression may use beyond names, numbers and calls.
+_EXPR_NODES = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Load,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.UAdd, ast.USub,
+    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
+)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario document plus construction provenance."""
+    """Validated scenario document."""
 
     name: str
     states: dict
     agents: tuple
     solver: dict
     limits: dict | None = None
-    provenance: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
@@ -131,8 +137,26 @@ def _validate(doc: dict) -> Scenario:
     )
 
 
+def _allowed(node, names) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Call):
+        func = node.func
+        return isinstance(func, ast.Name) and func.id in _EXPR_NAMESPACE and not node.keywords
+    return isinstance(node, _EXPR_NODES)
+
+
 def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
-    """Evaluate a scalar-or-vector expression over the named state variables."""
+    """Evaluate a scalar-or-vector expression over the named state variables.
+
+    An expression is arithmetic and comparisons over the state variables,
+    the names in ``_EXPR_NAMESPACE`` and numeric literals, with positional
+    calls of the functions there; anything else is a :class:`ValidationError`
+    before evaluation.  Literals become floats, so an overflow raises
+    instead of growing an integer without bound.
+    """
     if isinstance(expr, (int, float)):
         return np.full(n_states, float(expr))
     if isinstance(expr, list):
@@ -143,10 +167,16 @@ def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
     ns = dict(_EXPR_NAMESPACE)
     ns.update({name: rv.values for name, rv in variables.items()})
     try:
-        out = eval(str(expr), {"__builtins__": {}}, ns)  # noqa: S307 - documented trusted input
+        tree = ast.parse(str(expr), mode="eval")
+        for node in ast.walk(tree):
+            if not _allowed(node, ns):
+                raise ValueError(f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+        out = eval(compile(tree, "<expression>", "eval"), {"__builtins__": {}}, ns)  # noqa: S307
+        return np.broadcast_to(np.asarray(out, dtype=float), (n_states,)).astype(float)
     except Exception as exc:
         raise ValidationError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    return np.broadcast_to(np.asarray(out, dtype=float), (n_states,)).astype(float)
 
 
 def _repair_covariance(cov: np.ndarray, mode: str):

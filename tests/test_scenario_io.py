@@ -11,6 +11,7 @@ from risksharing.cli import main as cli_main
 from risksharing.errors import ValidationError
 from risksharing.scenario import (
     Scenario,
+    _evaluate,
     build_market,
     build_state_space,
     builtin_scenario,
@@ -136,6 +137,26 @@ class TestStateSpace:
         doc["agents"][0]["beliefs"] = {"log_density": "X + missing_name"}
         with pytest.raises(ValidationError, match="expression"):
             build_market(Scenario.from_dict(doc))
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "X.__class__",
+            "X[0]",
+            "[x for x in X]",
+            "(lambda: 1.0)()",
+            "open('scenario.yaml')",
+            "'X'",
+            "9**9**9",
+            "[c for c in ().__class__.__base__.__subclasses__()].__len__()",
+        ],
+        ids=["attribute", "subscript", "comprehension", "lambda", "off-list-call", "string",
+             "overflow", "escape"],
+    )
+    def test_expression_outside_grammar_rejected(self, expr):
+        variables = build_state_space(Scenario.from_dict(COMMON_BELIEFS_DOC))[1]
+        with pytest.raises(ValidationError, match="expression"):
+            _evaluate(expr, variables, 4)
 
 
 class TestMarketBuilding:
@@ -291,6 +312,30 @@ class TestCli:
     def test_replicate_names_exist(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["replicate", "beta-symmetric", "--out", "b.json"]) == 0
+
+    def test_replicate_figure_bundle(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["replicate", "example-2.7", "--quadrature-order", "8"]) == 0
+        doc = json.loads((tmp_path / "example-2.7.nash.json").read_text())
+        assert doc["best_response"]["agent"] == 0
+        assert doc["best_response"]["others_mode"] == "truthful"
+        assert set(doc["diagnostics"]) == {
+            "efficiency_loss", "per_agent_delta", "alpha_weights", "entropy_terms",
+            "undervaluation", "belief_distance", "marginal_prices", "residuals",
+        }
+        assert "E0 + CR0" in doc["histograms"]
+        assert cli_main(["verify", "example-2.7.nash.json"]) == 0
+
+    def test_replicate_figure_honours_tol(self, tmp_path):
+        out = tmp_path / "f.json"
+        args = ["replicate", "example-2.7", "--quadrature-order", "8", "--tol", "-1"]
+        assert cli_main(args + ["--out", str(out)]) == 4
+
+    # A figure bundle written before replicate ran through the nash command.
+    FIGURE_BUNDLE = Path(__file__).parent / "data" / "example-2.7-0.1.0.json"
+
+    def test_earlier_figure_bundle_verifies(self):
+        assert cli_main(["verify", str(self.FIGURE_BUNDLE)]) == 0
 
     def test_histogram_masses_sum_to_one(self, tmp_path):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
