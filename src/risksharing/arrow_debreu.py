@@ -86,6 +86,6 @@ def utility_gain_vs_ad(
     delta = market.agents[i].delta
     diff = -(c.values - ad.securities[i].values) / delta
     m = diff.max()
-    return float(-delta * (m + np.log(np.dot(ad.pricing.weights, np.exp(diff - m)))))
+    return float(-delta * (m + np.log(np.sum(ad.pricing.weights * np.exp(diff - m)))))
 
 

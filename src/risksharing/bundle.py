@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .agents import Agent, Market
+from .agents import Agent, Market, cara_utility
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
@@ -165,16 +165,13 @@ def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
     sec = ad.security_values()
     q = ad.pricing.weights
     clearing = float(np.max(np.abs(sec.sum(axis=0))))
-    zero_price = float(np.max(np.abs(sec @ q)))
+    zero_price = float(np.max(np.abs(np.sum(sec * q, axis=1))))
     # The random leg alone leaves each agent indifferent to no trade.
     indiff = 0.0
     logq = ad.pricing.log_weights()
     for i, agent in enumerate(market.agents):
         part = agent.delta * (market.log_beliefs[i] - logq)
-        a = -part / agent.delta
-        m = a.max()
-        val = -agent.delta * (m + np.log(np.dot(agent.beliefs.weights, np.exp(a - m))))
-        indiff = max(indiff, abs(val))
+        indiff = max(indiff, abs(cara_utility(agent, RandomVariable(market.space, part))))
     return [
         _entry("ad_clearing", clearing),
         _entry("ad_zero_price", zero_price),
@@ -182,7 +179,8 @@ def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
     ]
 
 
-def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium) -> list:
+def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium, diag=None) -> list:
+    """The game's ledger; ``diag`` is the caller's ``compute_diagnostics``, if it has one."""
     entries = ad_ledger(market, ad)
     sec = eq.security_values()
     u = np.asarray(eq.log_ratios)
@@ -191,7 +189,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium)
     dminus = market.delta_minus[:, None]
 
     entries.append(_entry("nash_clearing", float(np.max(np.abs(sec.sum(axis=0))))))
-    entries.append(_entry("nash_zero_price", float(np.max(np.abs(sec @ q)))))
+    entries.append(_entry("nash_zero_price", float(np.max(np.abs(np.sum(sec * q, axis=1))))))
     entries.append(
         _entry(
             "nash_representation",
@@ -199,7 +197,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium)
         )
     )
     # Per-state characterisation at the solved transfers.
-    coupling = market.lambdas @ u
+    coupling = np.sum(market.lambdas[:, None] * u, axis=0)
     system = sec + deltas * u - (
         eq.z[:, None] + ad.security_values() + deltas * coupling
     )
@@ -211,7 +209,8 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium)
     entries.append(
         _entry("nash_pricing_reconstruction", float(np.max(np.abs(w / w.sum() - q))))
     )
-    diag = compute_diagnostics(market, ad, eq)
+    if diag is None:
+        diag = compute_diagnostics(market, ad, eq)
     entries.append(_entry("identity_suite", diag.max_identity_residual()))
     entries.append(_entry("belief_bounds", diag.min_bound_slack()))
     entries.append(
@@ -233,7 +232,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium)
 def br_ledger(market: Market, i: int, br, reports_others) -> list:
     q = br.valuation.weights
     c = br.security.values
-    zero_price = abs(float(np.dot(q, c)))
+    zero_price = abs(float(np.sum(q * c)))
     # First-order condition, modulo its additive constant.
     log_pi = market.log_beliefs[i]
     acc = np.zeros(market.space.n_states)
@@ -245,7 +244,7 @@ def br_ledger(market: Market, i: int, br, reports_others) -> list:
     else:
         u = -br.reported.log_density(market.agents[i].beliefs)
     resid = c / market.deltas[i] + market.lambda_minus[i] * u + acc
-    resid -= np.dot(q, resid)
+    resid -= np.sum(q * resid)
     lower_slack = (
         float(np.min(c + market.delta_minus[i]))
         if not np.all(np.isfinite(u))
@@ -270,7 +269,7 @@ def limit_residuals(market: Market, payload: dict) -> tuple:
     d1 = float(market.deltas[1])
     security = RandomVariable(market.space, payload["nash_security"])
     pricing = Measure(market.space, payload["pricing"])
-    root = abs(float(np.dot(p0.weights, 1.0 / (1.0 + security.values / d1))) - 1.0)
+    root = abs(float(np.sum(p0.weights / (1.0 + security.values / d1))) - 1.0)
     gain0 = variance(pricing, security) / d1
     accounting = abs(payload["z_infinity"] - (gain0 + d1 * relative_entropy(p0, pricing)))
     return root, float(accounting)

@@ -66,6 +66,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         states["seed"] = args.seed
     if args.tol is not None:
         solver["tol"] = args.tol
+    if args.bins is not None and args.bins < 1:
+        raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     return dataclasses.replace(scenario, states=states, solver=solver)
 
 
@@ -173,7 +175,7 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     ad = solve_arrow_debreu(market)
     eq = solve_nash(market, ad=ad, tol=scenario.solver.get("tol"))
     diag = compute_diagnostics(market, ad, eq)
-    ledger = nash_ledger(market, ad, eq)
+    ledger = nash_ledger(market, ad, eq, diag)
     rows = [
         ("states", market.space.n_states),
         ("agents", market.n_agents),
@@ -221,7 +223,7 @@ def run_best_response(args, scenario: Scenario) -> int:
         reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != i]
         mode = "truthful"
     else:
-        eq = solve_nash(market)
+        eq = solve_nash(market, tol=scenario.solver.get("tol"))
         reports = [eq.revealed[j] for j in range(market.n_agents) if j != i]
         mode = "nash-revealed"
     br = solve_best_response(market, i, reports)

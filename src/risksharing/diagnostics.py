@@ -113,9 +113,9 @@ def compute_diagnostics(
 
     # Loss formula: aggregate shortfall equals the valuation-weighted
     # log-mean of the lambda-geometric-mean of the price ratios.
-    log_mix = lambdas @ u
+    log_mix = np.sum(lambdas[:, None] * u, axis=0)
     loss_formula = market.delta_total * float(
-        np.log(np.dot(qgame.weights, np.exp(log_mix)))
+        np.log(np.sum(qgame.weights * np.exp(log_mix)))
     )
     residuals["loss_formula"] = (u_game.sum() - ad.aggregate_gain) - loss_formula
 
@@ -170,7 +170,8 @@ def compute_diagnostics(
         slack_cap = min(slack_cap, float(np.min(cap - lik)))
     likelihoods = np.stack(ratio_rows)
     residuals["bound_likelihood_cap"] = slack_cap
-    residuals["bound_alpha_mixture"] = float(np.min(1.0 - alpha @ likelihoods))
+    mixture = np.sum(alpha[:, None] * likelihoods, axis=0)
+    residuals["bound_alpha_mixture"] = float(np.min(1.0 - mixture))
     residuals["bound_plain_sum"] = float(np.min(likelihoods.sum(axis=0) - 1.0))
     residuals["bound_belief_entropy"] = float(
         np.min(np.log(bound_cap) - belief_distance)

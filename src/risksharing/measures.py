@@ -227,12 +227,11 @@ def relative_entropy(q2: Measure, q1: Measure) -> float:
 def expect(q: Measure, x: RandomVariable) -> float:
     """Expectation of ``x`` under ``q``."""
     _same_space(q, x)
-    return float(np.dot(q.weights, x.values))
+    return float(np.sum(q.weights * x.values))
 
 
 def variance(q: Measure, x: RandomVariable) -> float:
     """Second central moment of ``x`` under ``q``."""
     _same_space(q, x)
-    mean = np.dot(q.weights, x.values)
-    dev = x.values - mean
-    return float(np.dot(q.weights, dev * dev))
+    dev = x.values - np.sum(q.weights * x.values)
+    return float(np.sum(q.weights * dev * dev))

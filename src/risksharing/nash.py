@@ -8,14 +8,16 @@ M-matrix Jacobian, so one joint Newton iteration per state, started at a
 super-solution, decreases monotonically to its root.  The zero-price
 condition is met at the fixed points of the certainty-equivalent update map
 ``phi``, found for every agent count by one backtracking Newton iteration on
-``phi(z) - z`` with a last Newton step on the prices: from the centre of the
-individually rational box for two agents, where the root is unique, and also
-from its corners for three or more, where all distinct roots found are
-reported.
+``phi(z) - z`` with a last Newton step on the prices, both with exact
+Jacobians from implicit differentiation of the per-state system: from the
+centre of the individually rational box for two agents, where the root is
+unique, and also from its corners for three or more, where all distinct
+roots found are reported.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,33 +175,54 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
     )
 
 
-def _inner_solution(market: Market, ad: ArrowDebreuEquilibrium, u, y) -> InnerSolution:
-    securities = market.delta_minus[:, None] * np.expm1(u)
-    valuation = normalize_log_density(ad.pricing, -y)
-    space = market.space
-    u = u.copy()
+_Evaluation = namedtuple("_Evaluation", "phi residual prices sol values jac_residual jac_prices")
+
+
+def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray) -> _Evaluation:
+    """The game at ``z``: ``phi``, ``F = phi - z``, the prices, the inner solution, the
+    values, and the Jacobians of ``F`` and of the prices in ``z[1:]`` (``z[0] = -sum(z[1:])``).
+
+    Differentiating the per-state system of :func:`_inner_log_ratios` gives
+    ``dy/dz_j = lambda_j/(D_j*s)`` and ``dC_i/dz_j = r_i*(delta_i*dy/dz_j + [i = j])``
+    with ``r_i = delta_minus_i*exp(u_i)/D_i``.  A value moves by ``E_{Q_i}[dC_i/dz_j]``,
+    with ``Q_i`` proportional to ``P_i*exp(-C_i/delta_i)``, and a price by
+    ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
+    """
+    u, y = _inner_log_ratios(market, ad, z)
     u.setflags(write=False)
-    return InnerSolution(
-        securities=tuple(RandomVariable(space, c) for c in securities),
+    deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
+    sec = market.delta_minus[:, None] * np.expm1(u)
+    sol = InnerSolution(
+        securities=tuple(RandomVariable(market.space, c) for c in sec),
         log_ratios=u,
-        log_tilt=RandomVariable(space, y),
-        valuation=valuation,
+        log_tilt=RandomVariable(market.space, y),
+        valuation=normalize_log_density(ad.pricing, -y),
     )
+    values = np.array([cara_utility(a, c) for a, c in zip(market.agents, sol.securities)])
+    shortfall = ad.aggregate_gain - float(values.sum())
+    phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
+    q = sol.valuation.weights
+    prices = np.sum(sec * q, axis=1)
+
+    growth = sec + market.delta_minus[:, None]  # dC/du
+    ratio = growth / (growth + deltas)
+    dy = lambdas / ((growth + deltas) * np.sum(lambdas * ratio, axis=0))  # row j: dy/dz_j
+    n = market.n_agents
+    d_sec = ratio[:, None] * (deltas[:, None] * dy + np.eye(n)[:, :, None])  # [i, j]: dC_i/dz_j
+    tilt = market.log_beliefs - sec / deltas
+    big_q = np.exp(tilt - tilt.max(axis=1, keepdims=True))
+    big_q /= np.sum(big_q, axis=1, keepdims=True)
+    d_values = np.sum(big_q[:, None] * d_sec, axis=2)
+    d_f = d_values - lambdas * np.sum(d_values, axis=0) - np.eye(n)
+    cov = np.sum((q * (sec - prices[:, None]))[:, None] * dy, axis=2)
+    d_prices = np.sum(q * d_sec, axis=2) - cov
+    jac_prices = d_prices[:, 1:] - d_prices[:, :1]
+    return _Evaluation(phi, phi - z, prices, sol, values, d_f[:, 1:] - d_f[:, :1], jac_prices)
 
 
 def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
     """Unique candidate securities, log tilt, and valuation at ``z``."""
-    z = _check_z(market, z)
-    return _inner_solution(market, ad, *_inner_log_ratios(market, ad, z))
-
-
-def _phi_and_prices(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
-    """``phi(z)``, the candidate prices, the inner solution and the agents' values."""
-    sol = _inner_solution(market, ad, *_inner_log_ratios(market, ad, z))
-    values = np.array([cara_utility(a, c) for a, c in zip(market.agents, sol.securities)])
-    shortfall = ad.aggregate_gain - float(values.sum())
-    phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    return phi, sol.security_values() @ sol.valuation.weights, sol, values
+    return _evaluate(market, ad, _check_z(market, z)).sol
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
@@ -220,8 +243,7 @@ def nash_distance(market: Market, ad: ArrowDebreuEquilibrium, z) -> float:
     Reported raw: at a solved root the value is float noise around zero and
     may print as a tiny negative.
     """
-    z = _check_z(market, z)
-    return _distance_from_prices(market, _phi_and_prices(market, ad, z)[1])
+    return _distance_from_prices(market, _evaluate(market, ad, _check_z(market, z)).prices)
 
 
 def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
@@ -231,100 +253,87 @@ def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
     competitive gain, plus their share of the aggregate shortfall; the
     output sums to zero by construction.
     """
-    z = _check_z(market, z)
-    return _phi_and_prices(market, ad, z)[0]
+    return _evaluate(market, ad, _check_z(market, z)).phi
 
 
 def _newton(market, ad, z, eps_target):
     """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the prices.
 
-    Both residuals sum to zero, so a step solves for ``z[1:]`` with a
-    forward-difference Jacobian.  A step is halved until ``max|F|`` falls; a
-    trial point outside the individually rational box ``z_i >= -gain_i``, or
-    whose inner solve fails, counts as no decrease.  ``F`` and the prices
-    vanish together only up to the error of the competitive gains and the
-    per-state solve divided by ``lambda_i``, so a last Newton step on the
-    prices is kept if it lowers ``max|price|`` and keeps ``max|F|`` within
-    ``eps_target`` or its last value.  Returns the point, its residuals,
-    inner solution and values ``(F, prices, sol, values)`` (None if the
-    start cannot be solved) and ``max|F|`` at every accepted point.
+    Both residuals sum to zero, so a step solves for ``z[1:]`` with the
+    exact Jacobian that :func:`_evaluate` returns with them.  A step is
+    halved until ``max|F|`` falls; a trial point outside the individually
+    rational box ``z_i >= -gain_i``, or whose inner solve fails, counts as
+    no decrease.  ``F`` and the prices vanish together only up to the error
+    of the competitive gains and the per-state solve divided by
+    ``lambda_i``, so a last Newton step on the prices is kept if it lowers
+    ``max|price|`` and keeps ``max|F|`` within ``eps_target`` or its last
+    value.  Returns the point, its evaluation (None if the start cannot be
+    solved) and ``max|F|`` at every accepted point.
     """
-    n = market.n_agents
     floor = -np.asarray(ad.agent_gains)
 
-    def residuals(z):
+    def evaluate(z):
         try:
-            phi, eps, sol, values = _phi_and_prices(market, ad, z)
+            return _evaluate(market, ad, z)
         except SolverError:
             return None
-        return phi - z, eps, sol, values
 
     def trial(z):
-        return residuals(z) if np.all(z >= floor) else None
+        return evaluate(z) if np.all(z >= floor) else None
 
-    def newton_step(z, r, which):
-        h = 1e-7 * (1.0 + np.abs(z[1:]))
-        jac = np.empty((n - 1, n - 1))
-        for k in range(n - 1):
-            dz = np.zeros(n)
-            dz[0], dz[k + 1] = -h[k], h[k]
-            bumped = residuals(z + dz)
-            if bumped is None:
-                return None
-            jac[:, k] = (bumped[which][1:] - r[which][1:]) / h[k]
+    def newton_step(residual, jac):
         try:
-            dy = np.linalg.solve(jac, -r[which][1:])
+            dy = np.linalg.solve(jac[1:], -residual[1:])
         except np.linalg.LinAlgError:
             return None
         return np.concatenate(([-dy.sum()], dy))
 
-    r = residuals(z)
-    if r is None:
+    e = evaluate(z)
+    if e is None:
         return z, None, [float("inf")]
-    trace = [float(np.max(np.abs(r[0])))]
+    trace = [float(np.max(np.abs(e.residual)))]
     for _ in range(40):
-        step = None if trace[-1] <= eps_target else newton_step(z, r, 0)
+        step = None if trace[-1] <= eps_target else newton_step(e.residual, e.jac_residual)
         if step is None:
             break
         for _ in range(25):
-            r_try = trial(z + step)
-            if r_try is not None and np.max(np.abs(r_try[0])) < trace[-1]:
-                z, r = z + step, r_try
-                trace.append(float(np.max(np.abs(r[0]))))
+            e_try = trial(z + step)
+            if e_try is not None and np.max(np.abs(e_try.residual)) < trace[-1]:
+                z, e = z + step, e_try
+                trace.append(float(np.max(np.abs(e.residual))))
                 break
             step *= 0.5
         else:
             break
     # Prices below 1e-3 * eps_target are float noise that no step lowers.
-    step = newton_step(z, r, 1) if np.max(np.abs(r[1])) > 1e-3 * eps_target else None
-    if step is not None:
-        r_try = trial(z + step)
+    if np.max(np.abs(e.prices)) > 1e-3 * eps_target:
+        step = newton_step(e.prices, e.jac_prices)
+        e_try = None if step is None else trial(z + step)
         if (
-            r_try is not None
-            and np.max(np.abs(r_try[1])) < np.max(np.abs(r[1]))
-            and np.max(np.abs(r_try[0])) <= max(eps_target, trace[-1])
+            e_try is not None
+            and np.max(np.abs(e_try.prices)) < np.max(np.abs(e.prices))
+            and np.max(np.abs(e_try.residual)) <= max(eps_target, trace[-1])
         ):
-            z, r = z + step, r_try
-    return z, r, trace
+            z, e = z + step, e_try
+    return z, e, trace
 
 
-def _assemble(market, z, r, all_roots) -> NashEquilibrium:
-    """The equilibrium at ``z`` from its residuals, inner solution and values ``r``."""
-    _, eps, sol, values = r
+def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
+    """The equilibrium at ``z`` from its evaluation ``e``."""
     revealed = tuple(
         normalize_log_density(agent.beliefs, -logr)
-        for agent, logr in zip(market.agents, sol.log_ratios)
+        for agent, logr in zip(market.agents, e.sol.log_ratios)
     )
-    values = tuple(values.tolist())
+    values = tuple(e.values.tolist())
     return NashEquilibrium(
         z=z,
-        securities=sol.securities,
-        pricing=sol.valuation,
+        securities=e.sol.securities,
+        pricing=e.sol.valuation,
         revealed=revealed,
         agent_values=values,
         aggregate_value=float(sum(values)),
-        distance=_distance_from_prices(market, eps),
-        log_ratios=sol.log_ratios,
+        distance=_distance_from_prices(market, e.prices),
+        log_ratios=e.sol.log_ratios,
         all_roots=tuple(np.array(r) for r in all_roots),
     )
 
@@ -364,21 +373,21 @@ def solve_nash(
                 continue
             starts.append(corner)
 
-    ends = []  # (distance, max|price|, z, trace, residuals) per start
+    ends = []  # (distance, max|price|, z, trace, evaluation) per start
     for z_start in starts:
-        z, r, trace = _newton(market, ad, z_start, eps_target)
+        z, e, trace = _newton(market, ad, z_start, eps_target)
         dist = price = float("inf")
-        if r is not None:
-            dist, price = _distance_from_prices(market, r[1]), float(np.max(np.abs(r[1])))
-        ends.append((dist, price, z, trace, r))
-    found = []  # (z, residuals) per distinct root
+        if e is not None:
+            dist, price = _distance_from_prices(market, e.prices), float(np.max(np.abs(e.prices)))
+        ends.append((dist, price, z, trace, e))
+    found = []  # (z, evaluation) per distinct root
     # At a root the distance is float noise around zero; of several ends at
     # one root, the one with the smallest prices is kept.
-    for dist, _, z, _, r in sorted(ends, key=lambda end: end[1]):
+    for dist, _, z, _, e in sorted(ends, key=lambda end: end[1]):
         if dist <= tol and not any(
             np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root, _ in found
         ):
-            found.append((z, r))
+            found.append((z, e))
     if not found:
         best = min(ends, key=lambda end: end[0])
         raise SolverError(

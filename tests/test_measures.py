@@ -143,7 +143,9 @@ class TestRelativeEntropy:
         q2, q1 = Measure(space, w2), Measure(space, w1)
         h = relative_entropy(q2, q1)
         assert h >= -1e-14
-        if np.allclose(w1, w2, atol=1e-15):
+        # rtol=0: allclose's default rtol of 1e-5 admits weights 1e-6 apart,
+        # whose entropy is of order 1e-12.
+        if np.allclose(w1, w2, rtol=0.0, atol=1e-15):
             assert h == pytest.approx(0.0, abs=1e-12)
         if h == 0.0:
             np.testing.assert_allclose(w1, w2, atol=1e-12)

@@ -21,8 +21,10 @@ from risksharing import (
     solve_best_response,
     solve_nash,
 )
+from risksharing import nash
 from risksharing.bundle import nash_ledger
-from risksharing.nash import _distance_from_prices
+from risksharing.diagnostics import compute_diagnostics
+from risksharing.nash import _distance_from_prices, _evaluate
 
 
 def scalar_two_agent_security(market, ad, z0, tol=1e-14):
@@ -225,6 +227,13 @@ class TestSolveNash:
             gap = float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights)))
             assert gap <= 1e-8
 
+    def test_ledger_takes_the_callers_diagnostics(self):
+        m = random_market(np.random.default_rng(18), n_agents=3, n_states=60)
+        ad = solve_arrow_debreu(m)
+        eq = solve_nash(m, ad=ad)
+        diag = compute_diagnostics(m, ad, eq)
+        assert nash_ledger(m, ad, eq, diag) == nash_ledger(m, ad, eq)
+
     def test_trade_strictly_loses_efficiency(self):
         rng = np.random.default_rng(16)
         m = random_market(rng, n_agents=2, n_states=30)
@@ -325,3 +334,64 @@ def test_extreme_inputs_certify_or_raise(trial):
         eq = solve_nash(m, ad=ad)
         failing = {e["name"]: e["value"] for e in nash_ledger(m, ad, eq) if not e["pass"]}
     assert not failing
+
+
+def dominant_market(seed):
+    """Three agents, the first holding over half the total tolerance (carried as ``v = u - y``)."""
+    m = random_market(np.random.default_rng(seed), n_agents=3, n_states=200)
+    return Market([Agent(10.0, m.agents[0].beliefs)] + list(m.agents[1:]))
+
+
+def jacobian_case(case):
+    """``(market, z)``: n agents, a dominant agent, or an extreme-sweep trial at its root."""
+    if case == "dominant":
+        return dominant_market(4), np.array([0.02, -0.01, -0.01])
+    if isinstance(case, str):
+        m = extreme_market(int(case.split("-")[1]))
+        return m, solve_nash(m).z
+    rng = np.random.default_rng(case)
+    z = rng.normal(0.0, 0.05, case)
+    return random_market(rng, n_agents=case, n_states=300), z - z.mean()
+
+
+class TestExactJacobian:
+    @pytest.mark.parametrize("case", [*range(2, 9), "dominant", "extreme-89", "extreme-104"])
+    def test_matches_central_differences(self, case):
+        m, z = jacobian_case(case)
+        ad = solve_arrow_debreu(m)
+        e = _evaluate(m, ad, z)
+        n = m.n_agents
+        fd_residual, fd_prices = np.empty((n, n - 1)), np.empty((n, n - 1))
+        for k in range(n - 1):
+            h = 1e-5 * (1.0 + abs(z[k + 1]))
+            dz = np.zeros(n)
+            dz[0], dz[k + 1] = -h, h
+            up, down = _evaluate(m, ad, z + dz), _evaluate(m, ad, z - dz)
+            fd_residual[:, k] = (up.residual - down.residual) / (2.0 * h)
+            fd_prices[:, k] = (up.prices - down.prices) / (2.0 * h)
+        for exact, fd in ((e.jac_residual, fd_residual), (e.jac_prices, fd_prices)):
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_cases_reach_the_edges(self):
+        """The dominant agent holds over half the tolerance, trial 89 has a ratio
+        on its projected cap, and trial 104 a security within exp(-50) of its
+        floor ``-delta_minus``."""
+        assert dominant_market(4).lambdas[0] > 0.5
+        m, z = jacobian_case("extreme-89")
+        caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)
+        assert np.min(caps[:, None] - inner_solve(m, solve_arrow_debreu(m), z).log_ratios) <= 1e-12
+        m, z = jacobian_case("extreme-104")
+        assert np.min(inner_solve(m, solve_arrow_debreu(m), z).log_ratios) <= -50.0
+
+    def test_inner_solves_per_equilibrium(self, monkeypatch):
+        """Guards against Jacobian columns bought with inner solves.
+
+        The search makes one inner solve per trial point.  Forward-difference
+        columns add n - 1 more per Newton step: 353 on this market.
+        """
+        calls = []
+        inner = nash._inner_log_ratios
+        monkeypatch.setattr(nash, "_inner_log_ratios", lambda *a: calls.append(1) or inner(*a))
+        m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
+        solve_nash(m)
+        assert 0 < len(calls) <= 12 * (m.n_agents + 1)

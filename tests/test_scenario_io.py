@@ -264,6 +264,22 @@ class TestCli:
         path = write_yaml(tmp_path, doc)
         assert cli_main(["nash", str(path)]) == 4
 
+    def test_best_response_honours_tol(self, tmp_path):
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        out = tmp_path / "br.json"
+        assert cli_main(["best-response", str(path), "--agent", "0", "--out", str(out)]) == 0
+        args = ["best-response", str(path), "--agent", "0", "--tol", "-1", "--out", str(out)]
+        assert cli_main(args) == 4
+
+    @pytest.mark.parametrize("bins", ["-3", "0"])
+    def test_bins_below_one_rejected(self, tmp_path, bins, capsys):
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        out = tmp_path / "h.json"
+        args = ["nash", str(path), "--hist", "X", "--bins", bins, "--out", str(out)]
+        assert cli_main(args) == 3
+        assert "--bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_best_response_command(self, tmp_path):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["agents"][1]["beliefs"] = {"log_density": "-0.5*X"}
