@@ -168,11 +168,10 @@ def compute_diagnostics(
         lik = agent.beliefs.weights / rev.weights
         ratio_rows.append(lik)
         slack_cap = min(slack_cap, float(np.min(cap - lik)))
-    likelihoods = np.stack(ratio_rows)
     residuals["bound_likelihood_cap"] = slack_cap
-    mixture = np.sum(alpha[:, None] * likelihoods, axis=0)
+    mixture = sum(a * lik for a, lik in zip(alpha, ratio_rows))
     residuals["bound_alpha_mixture"] = float(np.min(1.0 - mixture))
-    residuals["bound_plain_sum"] = float(np.min(likelihoods.sum(axis=0) - 1.0))
+    residuals["bound_plain_sum"] = float(np.min(sum(ratio_rows) - 1.0))
     residuals["bound_belief_entropy"] = float(
         np.min(np.log(bound_cap) - belief_distance)
     )

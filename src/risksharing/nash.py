@@ -8,11 +8,10 @@ M-matrix Jacobian, so one joint Newton iteration per state, started at a
 super-solution, decreases monotonically to its root.  The zero-price
 condition is met at the fixed points of the certainty-equivalent update map
 ``phi``, found for every agent count by one backtracking Newton iteration on
-``phi(z) - z`` with a last Newton step on the prices, both with exact
-Jacobians from implicit differentiation of the per-state system: from the
-centre of the individually rational box for two agents, where the root is
-unique, and also from its corners for three or more, where all distinct
-roots found are reported.
+``phi(z) - z`` and a last Newton step on the prices, both with exact
+Jacobians: from the centre of the individually rational box for two agents,
+where the root is unique, and also from its corners for three or more, where
+all distinct roots found are reported.
 """
 
 from __future__ import annotations
@@ -175,22 +174,13 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
     )
 
 
-_Evaluation = namedtuple("_Evaluation", "phi residual prices sol values jac_residual jac_prices")
+_Evaluation = namedtuple("_Evaluation", "phi residual prices sol values")
 
 
 def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray) -> _Evaluation:
-    """The game at ``z``: ``phi``, ``F = phi - z``, the prices, the inner solution, the
-    values, and the Jacobians of ``F`` and of the prices in ``z[1:]`` (``z[0] = -sum(z[1:])``).
-
-    Differentiating the per-state system of :func:`_inner_log_ratios` gives
-    ``dy/dz_j = lambda_j/(D_j*s)`` and ``dC_i/dz_j = r_i*(delta_i*dy/dz_j + [i = j])``
-    with ``r_i = delta_minus_i*exp(u_i)/D_i``.  A value moves by ``E_{Q_i}[dC_i/dz_j]``,
-    with ``Q_i`` proportional to ``P_i*exp(-C_i/delta_i)``, and a price by
-    ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
-    """
+    """``phi``, ``F = phi - z``, the prices, the inner solution and the values at ``z``."""
     u, y = _inner_log_ratios(market, ad, z)
     u.setflags(write=False)
-    deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
     sec = market.delta_minus[:, None] * np.expm1(u)
     sol = InnerSolution(
         securities=tuple(RandomVariable(market.space, c) for c in sec),
@@ -199,25 +189,34 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray) -> _Eva
         valuation=normalize_log_density(ad.pricing, -y),
     )
     values = np.array([cara_utility(a, c) for a, c in zip(market.agents, sol.securities)])
-    shortfall = ad.aggregate_gain - float(values.sum())
-    phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    q = sol.valuation.weights
-    prices = np.sum(sec * q, axis=1)
+    phi = values - np.asarray(ad.agent_gains) + market.lambdas * (ad.aggregate_gain - values.sum())
+    return _Evaluation(phi, phi - z, np.sum(sec * sol.valuation.weights, axis=1), sol, values)
 
+
+def _jacobians(market: Market, e: _Evaluation):
+    """Jacobians of ``F`` and of the prices of ``e`` in ``z[1:]`` (``z[0] = -sum(z[1:])``).
+
+    Differentiating the per-state system of :func:`_inner_log_ratios` gives
+    ``dy/dz_j = lambda_j/(D_j*s)`` and ``dC_i/dz_j = r_i*(delta_i*dy/dz_j + [i = j])``
+    with ``r_i = delta_minus_i*exp(u_i)/D_i``.  A value moves by ``E_{Q_i}[dC_i/dz_j]``,
+    with ``Q_i`` proportional to ``P_i*exp(-C_i/delta_i)``, and a price by
+    ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
+    """
+    deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
+    sec, q = e.sol.security_values(), e.sol.valuation.weights
     growth = sec + market.delta_minus[:, None]  # dC/du
     ratio = growth / (growth + deltas)
     dy = lambdas / ((growth + deltas) * np.sum(lambdas * ratio, axis=0))  # row j: dy/dz_j
-    n = market.n_agents
-    d_sec = ratio[:, None] * (deltas[:, None] * dy + np.eye(n)[:, :, None])  # [i, j]: dC_i/dz_j
     tilt = market.log_beliefs - sec / deltas
     big_q = np.exp(tilt - tilt.max(axis=1, keepdims=True))
-    big_q /= np.sum(big_q, axis=1, keepdims=True)
-    d_values = np.sum(big_q[:, None] * d_sec, axis=2)
-    d_f = d_values - lambdas * np.sum(d_values, axis=0) - np.eye(n)
-    cov = np.sum((q * (sec - prices[:, None]))[:, None] * dy, axis=2)
-    d_prices = np.sum(q * d_sec, axis=2) - cov
-    jac_prices = d_prices[:, 1:] - d_prices[:, :1]
-    return _Evaluation(phi, phi - z, prices, sol, values, d_f[:, 1:] - d_f[:, :1], jac_prices)
+    big_q *= ratio / np.sum(big_q, axis=1, keepdims=True)  # Q_i * r_i
+    # The [i = j] terms are summed apart, so no (n, n, S) array is formed.
+    d_values = deltas * np.einsum("is,js->ij", big_q, dy) + np.diag(np.sum(big_q, axis=1))
+    d_f = d_values - lambdas * np.sum(d_values, axis=0) - np.eye(market.n_agents)
+    q_r = q * ratio
+    d_prices = np.einsum("is,js->ij", deltas * q_r - q * (sec - e.prices[:, None]), dy)
+    d_prices += np.diag(np.sum(q_r, axis=1))
+    return d_f[:, 1:] - d_f[:, :1], d_prices[:, 1:] - d_prices[:, :1]
 
 
 def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
@@ -260,7 +259,7 @@ def _newton(market, ad, z, eps_target):
     """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the prices.
 
     Both residuals sum to zero, so a step solves for ``z[1:]`` with the
-    exact Jacobian that :func:`_evaluate` returns with them.  A step is
+    exact Jacobian :func:`_jacobians` gives at the accepted point.  A step is
     halved until ``max|F|`` falls; a trial point outside the individually
     rational box ``z_i >= -gain_i``, or whose inner solve fails, counts as
     no decrease.  ``F`` and the prices vanish together only up to the error
@@ -281,7 +280,8 @@ def _newton(market, ad, z, eps_target):
     def trial(z):
         return evaluate(z) if np.all(z >= floor) else None
 
-    def newton_step(residual, jac):
+    def newton_step(e, which):
+        residual, jac = (e.residual, e.prices)[which], _jacobians(market, e)[which]
         try:
             dy = np.linalg.solve(jac[1:], -residual[1:])
         except np.linalg.LinAlgError:
@@ -293,7 +293,7 @@ def _newton(market, ad, z, eps_target):
         return z, None, [float("inf")]
     trace = [float(np.max(np.abs(e.residual)))]
     for _ in range(40):
-        step = None if trace[-1] <= eps_target else newton_step(e.residual, e.jac_residual)
+        step = None if trace[-1] <= eps_target else newton_step(e, 0)
         if step is None:
             break
         for _ in range(25):
@@ -307,7 +307,7 @@ def _newton(market, ad, z, eps_target):
             break
     # Prices below 1e-3 * eps_target are float noise that no step lowers.
     if np.max(np.abs(e.prices)) > 1e-3 * eps_target:
-        step = newton_step(e.prices, e.jac_prices)
+        step = newton_step(e, 1)
         e_try = None if step is None else trial(z + step)
         if (
             e_try is not None
