@@ -27,8 +27,8 @@ CLEARING_TOL = 1e-9
 @dataclass(frozen=True)
 class ArrowDebreuEquilibrium:
     pricing: Measure
-    securities: tuple
-    agent_gains: tuple
+    securities: tuple[RandomVariable, ...]
+    agent_gains: tuple[float, ...]
     aggregate_gain: float
 
     def security_values(self) -> np.ndarray:

@@ -44,7 +44,7 @@ class BestResponse:
     valuation: Measure
     zeta: float
     response_value: float
-    log_ratio: np.ndarray = None
+    log_ratio: np.ndarray
 
 
 def _check_reports(market: Market, reports_others) -> list:

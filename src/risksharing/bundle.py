@@ -10,9 +10,11 @@ byte-identical across reruns except for the provenance timestamp.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 import os
+import typing
 
 import numpy as np
 
@@ -86,79 +88,43 @@ def market_from_dict(doc: dict) -> Market:
     return Market(agents)
 
 
-def ad_to_dict(ad: ArrowDebreuEquilibrium) -> dict:
-    return {
-        "pricing": ad.pricing.weights.tolist(),
-        "securities": [c.values.tolist() for c in ad.securities],
-        "agent_gains": list(ad.agent_gains),
-        "aggregate_gain": ad.aggregate_gain,
-    }
+def _encode(value):
+    """A field value as JSON data: a measure as its weights, a variable as its values."""
+    if isinstance(value, Measure):
+        return value.weights.tolist()
+    if isinstance(value, RandomVariable):
+        return value.values.tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def ad_from_dict(doc: dict, space: StateSpace) -> ArrowDebreuEquilibrium:
-    return ArrowDebreuEquilibrium(
-        pricing=Measure(space, doc["pricing"]),
-        securities=tuple(RandomVariable(space, v) for v in doc["securities"]),
-        agent_gains=tuple(float(g) for g in doc["agent_gains"]),
-        aggregate_gain=float(doc["aggregate_gain"]),
-    )
+def record_to_dict(record) -> dict:
+    """Every field of a dataclass record under its own name, as JSON data."""
+    return {f.name: _encode(getattr(record, f.name)) for f in dataclasses.fields(record)}
 
 
-def nash_to_dict(eq: NashEquilibrium) -> dict:
-    return {
-        "z": eq.z.tolist(),
-        "pricing": eq.pricing.weights.tolist(),
-        "securities": [c.values.tolist() for c in eq.securities],
-        "revealed": [m.weights.tolist() for m in eq.revealed],
-        "agent_values": list(eq.agent_values),
-        "aggregate_value": eq.aggregate_value,
-        "distance": eq.distance,
-        "log_ratios": np.asarray(eq.log_ratios).tolist(),
-        "all_roots": [np.asarray(r).tolist() for r in eq.all_roots],
-    }
+def _decoder(hint):
+    """The map ``(space, value) -> field value`` for a field annotated ``hint``."""
+    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
+        item = _decoder(typing.get_args(hint)[0])
+        return lambda space, value: tuple(item(space, v) for v in value)
+    if hint in (Measure, RandomVariable):
+        return hint
+    if hint is float:
+        return lambda space, value: float(value)
+    if hint is np.ndarray:
+        return lambda space, value: np.asarray(value, dtype=float)
+    raise TypeError(f"bundles cannot decode a field annotated {hint!r}")
 
 
-def nash_from_dict(doc: dict, space: StateSpace) -> NashEquilibrium:
-    return NashEquilibrium(
-        z=np.asarray(doc["z"], dtype=float),
-        securities=tuple(RandomVariable(space, v) for v in doc["securities"]),
-        pricing=Measure(space, doc["pricing"]),
-        revealed=tuple(Measure(space, w) for w in doc["revealed"]),
-        agent_values=tuple(float(v) for v in doc["agent_values"]),
-        aggregate_value=float(doc["aggregate_value"]),
-        distance=float(doc["distance"]),
-        log_ratios=np.asarray(doc["log_ratios"], dtype=float),
-        all_roots=tuple(np.asarray(r, dtype=float) for r in doc["all_roots"]),
-    )
-
-
-def br_to_dict(br: BestResponse, agent: int, others_mode: str, reports) -> dict:
-    return {
-        "agent": agent,
-        "others_mode": others_mode,
-        "others_reports": [m.weights.tolist() for m in reports],
-        "reported": br.reported.weights.tolist(),
-        "security": br.security.values.tolist(),
-        "valuation": br.valuation.weights.tolist(),
-        "zeta": br.zeta,
-        "response_value": br.response_value,
-        "log_ratio": np.asarray(br.log_ratio).tolist(),
-    }
-
-
-def br_from_dict(doc: dict, space: StateSpace):
-    """The stored response with its agent index and the reports it answers."""
-    br = BestResponse(
-        reported=Measure(space, doc["reported"]),
-        security=RandomVariable(space, doc["security"]),
-        valuation=Measure(space, doc["valuation"]),
-        zeta=float(doc["zeta"]),
-        response_value=float(doc["response_value"]),
-        log_ratio=np.asarray(doc["log_ratio"], dtype=float)
-        if doc.get("log_ratio") is not None
-        else None,
-    )
-    return int(doc["agent"]), br, [Measure(space, w) for w in doc["others_reports"]]
+def record_from_dict(cls, doc: dict, space: StateSpace):
+    """The record ``cls`` rebuilt from ``record_to_dict``'s output, by its annotations."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return cls(**{f.name: _decoder(hints[f.name])(space, doc[f.name]) for f in fields})
 
 
 def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
@@ -239,10 +205,7 @@ def br_ledger(market: Market, i: int, br, reports_others) -> list:
     others = [j for j in range(market.n_agents) if j != i]
     for j, rep in zip(others, reports_others):
         acc += market.lambdas[j] * (rep.log_weights() - log_pi)
-    if br.log_ratio is not None:
-        u = np.asarray(br.log_ratio, dtype=float)
-    else:
-        u = -br.reported.log_density(market.agents[i].beliefs)
+    u = br.log_ratio
     resid = c / market.deltas[i] + market.lambda_minus[i] * u + acc
     resid -= np.sum(q * resid)
     lower_slack = (
@@ -291,27 +254,19 @@ def limits_ledger(market: Market, payload: dict) -> list:
 
 
 def assemble_bundle(scenario, sections: dict, ledger: list, provenance_extra: dict) -> dict:
-    certified = all(e["pass"] for e in ledger)
     provenance = {
         "artifact_version": __version__,
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        **provenance_extra,
     }
-    provenance.update(provenance_extra)
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
-        "scenario": {
-            "name": scenario.name,
-            "states": scenario.states,
-            "agents": list(scenario.agents),
-            "solver": scenario.solver,
-            "limits": scenario.limits,
-        },
+        "scenario": record_to_dict(scenario),
         "provenance": provenance,
         "residual_ledger": ledger,
-        "certified": certified,
+        "certified": all(e["pass"] for e in ledger),
+        **sections,
     }
-    doc.update(sections)
-    return doc
 
 
 def write_bundle(doc: dict, path) -> None:
@@ -326,34 +281,45 @@ def write_bundle(doc: dict, path) -> None:
 
 def read_bundle(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"bundle schema {doc.get('schema_version')!r} is not supported"
-        )
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"bundle {path} is not JSON: {exc}") from exc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValidationError(f"bundle schema {version!r} is not supported")
     return doc
 
 
 def verify_bundle(doc: dict) -> list:
     """Re-run every applicable ledger check on a stored bundle.
 
-    Returns the freshly computed ledger; callers compare ``pass`` flags.
+    Returns the freshly computed ledger; callers compare ``pass`` flags.  A
+    section that does not decode is a :class:`ValidationError`.
     """
     if "market" not in doc:
         raise ValidationError("bundle has no market section to verify against")
-    market = market_from_dict(doc["market"])
-    space = market.space
-    ad = ad_from_dict(doc["ad"], space) if "ad" in doc else None
+    try:
+        market = market_from_dict(doc["market"])
+        space = market.space
+        ad = record_from_dict(ArrowDebreuEquilibrium, doc["ad"], space) if "ad" in doc else None
+        eq = record_from_dict(NashEquilibrium, doc["nash"], space) if "nash" in doc else None
+        if "best_response" in doc:
+            section = doc["best_response"]
+            response = (
+                int(section["agent"]),
+                record_from_dict(BestResponse, section, space),
+                [Measure(space, w) for w in section["others_reports"]],
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed bundle: {exc!r}") from exc
     ledger: list = []
-    if "nash" in doc:  # the game's ledger opens with the competitive entries
-        if ad is None:
-            ad = solve_arrow_debreu(market)
-        ledger.extend(nash_ledger(market, ad, nash_from_dict(doc["nash"], space)))
+    if eq is not None:  # the game's ledger opens with the competitive entries
+        ledger.extend(nash_ledger(market, ad or solve_arrow_debreu(market), eq))
     elif ad is not None:
         ledger.extend(ad_ledger(market, ad))
     if "best_response" in doc:
-        i, br, reports = br_from_dict(doc["best_response"], space)
-        ledger.extend(br_ledger(market, i, br, reports))
+        ledger.extend(br_ledger(market, *response))
     if "limits" in doc:
         ledger.extend(limits_ledger(market, doc["limits"]))
     return ledger

@@ -6,7 +6,8 @@ machine-readable JSON bundle; ``verify`` re-runs the residual ledger on a
 stored bundle.
 
 Exit codes: 0 solved and certified, 2 solved but some residual exceeded its
-tolerance, 3 validation error, 4 solver failure.
+tolerance, 3 validation error (scenario, bundle or arguments), 4 solver
+failure.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ from .arrow_debreu import solve_arrow_debreu
 from .best_response import solve_best_response
 from .bundle import (
     ad_ledger,
-    ad_to_dict,
     assemble_bundle,
     br_ledger,
-    br_to_dict,
     limit_residuals,
     limits_ledger,
     market_to_dict,
     nash_ledger,
-    nash_to_dict,
     read_bundle,
+    record_to_dict,
     verify_bundle,
     write_bundle,
 )
@@ -45,6 +44,7 @@ from .scenario import (
     _evaluate,
     build_market,
     builtin_scenario,
+    limit_grid,
     load_scenario,
 )
 
@@ -129,6 +129,15 @@ def _finish(args, scenario, sections, ledger, info, default_out):
     return EXIT_OK if doc["certified"] else EXIT_RESIDUALS
 
 
+def _response_section(br, agent: int, others_mode: str, reports) -> dict:
+    """The ``best_response`` section: the record, whose response it is, and to what."""
+    return record_to_dict(br) | {
+        "agent": agent,
+        "others_mode": others_mode,
+        "others_reports": [m.weights.tolist() for m in reports],
+    }
+
+
 def _measures_for(market, ad=None, eq=None, br=None, br_agent=None):
     measures = {"baseline": market.space.baseline_weights}
     for k, agent in enumerate(market.agents):
@@ -163,7 +172,7 @@ def run_ad(args, scenario: Scenario) -> int:
     )
     sections = {
         "market": market_to_dict(market),
-        "ad": ad_to_dict(ad),
+        "ad": record_to_dict(ad),
         "histograms": _histograms(args, market, variables, _measures_for(market, ad=ad)),
     }
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.ad.json")
@@ -190,22 +199,20 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
         rows.append((f"value_{i} (vs {ad.agent_gains[i]:.6g})", eq.agent_values[i]))
     if len(eq.all_roots) > 1:
         rows.append(("distinct_roots_found", len(eq.all_roots)))
+    diagnostics = record_to_dict(diag)
+    del diagnostics["marginal_measures"]
     sections = {
         "market": market_to_dict(market),
-        "ad": ad_to_dict(ad),
-        "nash": nash_to_dict(eq),
-        "diagnostics": {
-            f.name: getattr(diag, f.name)
-            for f in dataclasses.fields(diag)
-            if f.name != "marginal_measures"
-        },
+        "ad": record_to_dict(ad),
+        "nash": record_to_dict(eq),
+        "diagnostics": diagnostics,
     }
     br = None
     if br_agent is not None:
         reports = [a.beliefs for j, a in enumerate(market.agents) if j != br_agent]
         br = solve_best_response(market, br_agent, reports)
         ledger += br_ledger(market, br_agent, br, reports)
-        sections["best_response"] = br_to_dict(br, br_agent, "truthful", reports)
+        sections["best_response"] = _response_section(br, br_agent, "truthful", reports)
         rows.append((f"response_value_{br_agent}", br.response_value))
     _print_table(f"risk-sharing game equilibrium: {scenario.name}", rows)
     sections["histograms"] = _histograms(
@@ -241,7 +248,7 @@ def run_best_response(args, scenario: Scenario) -> int:
     )
     sections = {
         "market": market_to_dict(market),
-        "best_response": br_to_dict(br, i, mode, reports),
+        "best_response": _response_section(br, i, mode, reports),
         "histograms": _histograms(
             args, market, variables, _measures_for(market, br=br, br_agent=i)
         ),
@@ -254,7 +261,7 @@ def run_limits(args, scenario: Scenario) -> int:
     if market.n_agents != 2:
         raise ValidationError("limit analysis needs a two-agent scenario")
     cfg = dict(scenario.limits or {})
-    deltas = [float(d) for d in (args.deltas or cfg.get("deltas") or [1e2, 1e3, 1e4, 1e5])]
+    deltas = limit_grid(cfg, args.deltas or cfg.get("deltas") or [1e2, 1e3, 1e4, 1e5])
     mode = cfg.get("mode", "one-agent")
     if mode == "both":
         space = market.space
@@ -317,6 +324,17 @@ def run_replicate(args) -> int:
     return run_nash(args, scenario, br_agent=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def tolerance_grid(text: str) -> list:
+    return [float(x) for x in text.split(",")]
+
+
 def _add_common(p, scenario_arg=True):
     if scenario_arg:
         p.add_argument("scenario", help="path to a scenario YAML/JSON file")
@@ -338,7 +356,7 @@ def _add_common(p, scenario_arg=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risksharing",
         description="Competitive and game-theoretic risk-sharing equilibria for CARA agents",
     )
@@ -365,12 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="extreme-risk-tolerance limit analysis")
     _add_common(p)
     p.set_defaults(run=run_limits)
-    p.add_argument(
-        "--deltas",
-        type=lambda s: [float(x) for x in s.split(",")],
-        default=None,
-        help="comma-separated risk-tolerance grid",
-    )
+    p.add_argument("--deltas", type=tolerance_grid, help="comma-separated risk-tolerance grid")
 
     p = sub.add_parser("verify", help="re-run the residual ledger on a stored bundle")
     p.add_argument("bundle", help="path to a bundle JSON file")
@@ -379,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate", help="run a built-in scenario")
     p.add_argument("name", choices=list(BUILTIN_SCENARIOS))
     _add_common(p, scenario_arg=False)
-    p.add_argument("--deltas", type=lambda s: [float(x) for x in s.split(",")], default=None)
+    p.add_argument("--deltas", type=tolerance_grid, help="comma-separated risk-tolerance grid")
     p.set_defaults(run=run_replicate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if "scenario" in args:
             return args.run(args, _apply_overrides(load_scenario(args.scenario), args))
         return args.run(args)

@@ -60,14 +60,14 @@ class NashEquilibrium:
     """
 
     z: np.ndarray
-    securities: tuple
+    securities: tuple[RandomVariable, ...]
     pricing: Measure
-    revealed: tuple
-    agent_values: tuple
+    revealed: tuple[Measure, ...]
+    agent_values: tuple[float, ...]
     aggregate_value: float
     distance: float
     log_ratios: np.ndarray
-    all_roots: tuple
+    all_roots: tuple[np.ndarray, ...]
 
     def security_values(self) -> np.ndarray:
         return np.stack([c.values for c in self.securities])

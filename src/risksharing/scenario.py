@@ -20,8 +20,9 @@ A scenario is one YAML (or JSON) document with three sections:
     default.  No other key is accepted.
 
 ``limits`` (optional)
-    ``deltas`` grid plus, for the proportional-tolerance mode, ``mode:
-    both`` with ``xi0``/``xi1`` expressions and ``lambda0``.
+    ``mode``, ``one-agent`` (the default) or ``both``; a ``deltas`` grid of
+    positive numbers; and in mode ``both`` the ``xi0``/``xi1`` expressions
+    and ``lambda0`` in (0, 1).
 
 Gaussian grids are tensorised Gauss-Hermite rules over the factor space of
 the covariance (near-null directions are dropped), so states and weights
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .agents import Agent, Market, endowment_to_beliefs
+from .agents import DELTA_MAX, DELTA_MIN, Agent, Market, endowment_to_beliefs
 from .errors import ValidationError
 from .measures import Measure, RandomVariable, StateSpace, normalize_log_density
 
@@ -82,7 +83,10 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"scenario file {path} is not YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} does not contain a mapping")
     return Scenario.from_dict(doc)
@@ -91,6 +95,30 @@ def load_scenario(path) -> Scenario:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {value!r}") from None
+
+
+def limit_grid(limits: dict, deltas) -> list:
+    """The limit analysis' risk-tolerance grid ``deltas`` as floats.
+
+    Every agent tolerance the grid implies must lie in [DELTA_MIN,
+    DELTA_MAX]: each delta in mode ``one-agent``, and ``lambda0*delta`` and
+    ``(1 - lambda0)*delta`` in mode ``both``.
+    """
+    _require(isinstance(deltas, list) and deltas, f"limits deltas must be a list, got {deltas!r}")
+    grid = [_number(d, "limits delta") for d in deltas]
+    lam = float(limits.get("lambda0", 0.5))
+    shares = (lam, 1.0 - lam) if limits.get("mode") == "both" else (1.0,)
+    for d in grid:
+        ok = all(DELTA_MIN <= share * d <= DELTA_MAX for share in shares)
+        _require(ok, f"limits delta {d!r} puts a risk tolerance outside [{DELTA_MIN}, {DELTA_MAX}]")
+    return grid
 
 
 def _validate(doc: dict) -> Scenario:
@@ -115,7 +143,7 @@ def _validate(doc: dict) -> Scenario:
     _require(isinstance(agents, list) and len(agents) >= 2, "need at least 2 agents")
     for k, a in enumerate(agents):
         _require(isinstance(a, dict) and "delta" in a, f"agent {k} needs 'delta'")
-        _require(float(a["delta"]) > 0, f"agent {k} delta must be positive")
+        _require(_number(a["delta"], f"agent {k} delta") > 0, f"agent {k} delta must be positive")
         beliefs = a.get("beliefs", {})
         _require(isinstance(beliefs, dict), f"agent {k} beliefs must be a mapping")
         kinds = [key for key in ("weights", "log_density", "endowment") if key in beliefs]
@@ -128,6 +156,14 @@ def _validate(doc: dict) -> Scenario:
     limits = doc.get("limits")
     if limits is not None:
         _require(isinstance(limits, dict), "'limits' must be a mapping")
+        mode = limits.get("mode", "one-agent")
+        _require(mode in ("one-agent", "both"), f"limits mode {mode!r} is not one-agent or both")
+        if mode == "both":
+            _require("xi0" in limits and "xi1" in limits, "limits mode 'both' needs 'xi0', 'xi1'")
+            lam = _number(limits.get("lambda0", 0.5), "limits lambda0")
+            _require(0.0 < lam < 1.0, f"limits lambda0 must lie in (0, 1), got {lam!r}")
+        if limits.get("deltas") is not None:
+            limit_grid(limits, limits["deltas"])
     return Scenario(
         name=str(doc.get("name", "scenario")),
         states=dict(states),
@@ -288,7 +324,20 @@ def build_state_space(scenario: Scenario):
 
 
 def build_market(scenario: Scenario):
-    """Construct the market from a scenario; returns ``(market, variables, info)``."""
+    """Construct the market from a scenario; returns ``(market, variables, info)``.
+
+    Data that the state space, measure, agent or market constructors
+    refuse is a :class:`ValidationError`.
+    """
+    try:
+        return _build_market(scenario)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"scenario {scenario.name!r}: {exc}") from exc
+
+
+def _build_market(scenario: Scenario):
     space, variables, info = build_state_space(scenario)
     base = space.baseline()
     agents = []

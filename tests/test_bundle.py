@@ -1,0 +1,94 @@
+"""Bundle sections written from, and read back into, the solved records."""
+
+import dataclasses
+import json
+import typing
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import random_market
+from risksharing.arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
+from risksharing.best_response import BestResponse, solve_best_response
+from risksharing.bundle import _decoder, record_from_dict, record_to_dict
+from risksharing.cli import main as cli_main
+from risksharing.measures import Measure, RandomVariable
+from risksharing.nash import NashEquilibrium, solve_nash
+
+RECORDS = (ArrowDebreuEquilibrium, NashEquilibrium, BestResponse)
+BUNDLE_FORMAT = Path(__file__).resolve().parents[1] / "docs" / "bundle-format.md"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_every_field_annotation_decodes(cls):
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        assert callable(_decoder(hints[f.name])), f.name
+
+
+def test_unknown_annotation_is_a_type_error():
+    @dataclasses.dataclass(frozen=True)
+    class Loose:
+        values: tuple
+
+    with pytest.raises(TypeError, match="cannot decode"):
+        record_from_dict(Loose, {"values": [1.0]}, None)
+
+
+def _bits(value):
+    """A field value as nested tuples of exact bytes, for bitwise comparison."""
+    if isinstance(value, Measure):
+        return ("Measure", _bits(value.weights))
+    if isinstance(value, RandomVariable):
+        return ("RandomVariable", _bits(value.values))
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return ("float", float(value).hex())
+
+
+@pytest.fixture(scope="module")
+def records():
+    market = random_market(np.random.default_rng(9), n_agents=3, n_states=40)
+    ad = solve_arrow_debreu(market)
+    eq = solve_nash(market, ad=ad)
+    br = solve_best_response(market, 1, [eq.revealed[0], eq.revealed[2]])
+    return market, (ad, eq, br)
+
+
+def test_round_trip_is_bit_exact(records):
+    market, solved = records
+    for record in solved:
+        doc = json.loads(json.dumps(record_to_dict(record)))
+        again = record_from_dict(type(record), doc, market.space)
+        for f in dataclasses.fields(record):
+            assert _bits(getattr(again, f.name)) == _bits(getattr(record, f.name)), f.name
+            if isinstance(getattr(again, f.name), (Measure, RandomVariable)):
+                assert getattr(again, f.name).space is market.space
+
+
+def _documented_layout() -> dict:
+    """Section name -> documented keys, from the layout block of the format doc."""
+    block = BUNDLE_FORMAT.read_text().split("```")[1]
+    sections, name = {}, None
+    for line in block.strip().splitlines():
+        if not line.startswith(" "):
+            name, line = line.split(None, 1)
+            sections[name] = ""
+        sections[name] += " " + line.strip()
+    return {k: {key.strip() for key in v.split(",")} for k, v in sections.items()}
+
+
+def test_section_keys_match_the_documented_layout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["replicate", "example-2.7", "--quadrature-order", "4"]) == 0
+    doc = json.loads((tmp_path / "example-2.7.nash.json").read_text())
+    layout = _documented_layout()
+    for section in ("market", "ad", "nash", "diagnostics", "best_response"):
+        assert set(doc[section]) == layout[section], section
+    assert set(doc["ad"]) == {f.name for f in dataclasses.fields(ArrowDebreuEquilibrium)}
+    assert set(doc["nash"]) == {f.name for f in dataclasses.fields(NashEquilibrium)}
+    extra = {"agent", "others_mode", "others_reports"}
+    assert set(doc["best_response"]) == {f.name for f in dataclasses.fields(BestResponse)} | extra

@@ -256,6 +256,86 @@ class TestCli:
         bad.write_text("states: {model: nowhere}\n")
         assert cli_main(["nash", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "command, change",
+        [
+            ("nash", lambda d: d["agents"][0].update(delta="abc")),
+            ("nash", lambda d: d["agents"][0].update(delta=1.0e13)),
+            ("nash", lambda d: d["states"].update(weights=[0.3, 0.3, 0.2, 0.3])),
+            ("nash", lambda d: d["agents"][0].update(beliefs={"weights": [0.2] * 4})),
+            ("limits", lambda d: d.update(limits={"mode": "both", "xi0": "X", "xi1": "-X",
+                                                  "lambda0": 1.5})),
+            ("limits", lambda d: d.update(limits={"deltas": ["abc"]})),
+            ("limits", lambda d: d.update(limits={"deltas": [-10, 100]})),
+            ("limits", lambda d: d.update(limits={"mode": "bogus"})),
+        ],
+        ids=[
+            "delta-abc", "delta-too-large", "state-weights", "belief-weights",
+            "lambda0", "deltas-abc", "deltas-negative", "mode-bogus",
+        ],
+    )
+    def test_malformed_scenario_values_exit_3(self, tmp_path, capsys, command, change):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        change(doc)
+        path = write_yaml(tmp_path, doc)
+        assert cli_main([command, str(path), "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [["nash"], ["nash", "{path}", "--tol", "abc"], ["limits", "{path}", "--deltas", "abc"],
+         ["limits", "{path}", "--deltas=-10,100"], ["nash", "{path}", "--no-such-flag"]],
+        ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag"],
+    )
+    def test_argument_errors_exit_3(self, tmp_path, capsys, args):
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        argv = [a.format(path=path) for a in args] + ["--out", str(tmp_path / "o.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["nash", "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("market", "baseline_weights", [0.3, 0.3, 0.3, 0.3]),
+         ("best_response", "log_ratio", None),
+         ("nash", "securities", 5)],
+        ids=["baseline-weights", "no-log-ratio", "securities-not-a-list"],
+    )
+    def test_malformed_bundle_exits_3(self, tmp_path, capsys, section, key, value):
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        out = tmp_path / "out.json"
+        solve = ["best-response", "--agent", "0"] if section == "best_response" else ["nash"]
+        assert cli_main(solve + [str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        if value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["verify", str(bad)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: malformed bundle")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_bundle_that_is_not_a_json_object_exits_3(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli_main(["verify", str(bad)]) == 3
+
+    def test_scenario_that_is_not_yaml_exits_3(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("states: [unclosed\n")
+        assert cli_main(["nash", str(bad)]) == 3
+
     def test_solver_failure_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["agents"][0]["beliefs"] = {"log_density": "2*X"}
