@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .measures import Measure, RandomVariable, normalize_log_density
+from .errors import ContractError
+from .measures import Measure, RandomVariable, _same_space, normalize_log_density
 
 DELTA_MIN = 1e-9
 DELTA_MAX = 1e12
@@ -45,12 +45,10 @@ class Market:
         agents = tuple(agents)
         if len(agents) < 2:
             raise ContractError("a market needs at least 2 agents")
-        space = agents[0].beliefs.space
         for a in agents[1:]:
-            if a.beliefs.space is not space and a.beliefs.space != space:
-                raise DimensionError("all agents must share one state space")
+            _same_space(agents[0].beliefs, a.beliefs)
         self.agents = agents
-        self.space = space
+        self.space = agents[0].beliefs.space
         self.deltas = np.array([a.delta for a in agents], dtype=float)
         self.delta_total = float(self.deltas.sum())
         self.lambdas = self.deltas / self.delta_total
@@ -74,8 +72,7 @@ def cara_utility(agent: Agent, x: RandomVariable) -> float:
     overflow.  Cash-invariant: adding a constant to ``x`` adds it to the
     result.
     """
-    if x.space is not agent.beliefs.space and x.space != agent.beliefs.space:
-        raise DimensionError("payoff and beliefs live on different state spaces")
+    _same_space(x, agent.beliefs)
     a = -x.values / agent.delta
     m = a.max()
     # A plain sum, not np.dot: the game solver calls this at every step, and

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Market, cara_utility
+from .agents import Agent, Market, cara_utility
 from .errors import SolverError
 from .measures import (
     Measure,
@@ -83,9 +83,6 @@ def utility_gain_vs_ad(
     Bounded above by the price of ``c``, with equality only when ``c``
     differs from the equilibrium security by a constant.
     """
-    delta = market.agents[i].delta
-    diff = -(c.values - ad.securities[i].values) / delta
-    m = diff.max()
-    return float(-delta * (m + np.log(np.sum(ad.pricing.weights * np.exp(diff - m)))))
+    return cara_utility(Agent(market.agents[i].delta, ad.pricing), c - ad.securities[i])
 
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import Market, cara_utility
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .measures import (
     Measure,
     RandomVariable,
+    _same_space,
     geometric_mean_measure,
     normalize_log_density,
     relative_entropy,
@@ -54,8 +55,7 @@ def _check_reports(market: Market, reports_others) -> list:
             f"expected {market.n_agents - 1} counterparty reports, got {len(reports)}"
         )
     for r in reports:
-        if r.space is not market.space and r.space != market.space:
-            raise DimensionError("reports must live on the market's state space")
+        _same_space(r, market)
     return reports
 
 
@@ -82,8 +82,7 @@ def response_value(market: Market, i: int, reported_i: Measure, reports_others) 
     the implicit-equation solver.
     """
     reports = _check_reports(market, reports_others)
-    if reported_i.space is not market.space and reported_i.space != market.space:
-        raise DimensionError("report must live on the market's state space")
+    _same_space(reported_i, market)
     full = list(reports)
     full.insert(i, reported_i)
     valuation = geometric_mean_measure(full, market.lambdas)
@@ -92,19 +91,6 @@ def response_value(market: Market, i: int, reported_i: Measure, reports_others) 
         valuation, reported_i
     )
     return cara_utility(market.agents[i], RandomVariable(market.space, contract))
-
-
-def solve_inner_D(market: Market, i: int, z: float, r_minus: RandomVariable) -> RandomVariable:
-    """Per-state density ratio of the optimal report, at outer level ``z``.
-
-    Solves ``(D - 1)/lambda_i + log D = z - r_minus`` per state.  The
-    solution is strictly positive, increasing in ``z``, and sandwiched
-    between ``1`` and ``exp(z - r_minus)``.
-    """
-    if not np.isfinite(z):
-        raise ContractError("outer level must be finite")
-    u = solve_exp_linear(1.0 / market.lambdas[i], 1.0, z - r_minus.values)
-    return RandomVariable(market.space, np.exp(u))
 
 
 def _log_valuation(market: Market, i: int, u: np.ndarray, r_agg: np.ndarray) -> np.ndarray:
@@ -116,10 +102,14 @@ def _log_valuation(market: Market, i: int, u: np.ndarray, r_agg: np.ndarray) -> 
 def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
     """Unique optimal report of agent ``i`` against the others' reports.
 
-    The outer scalar ``zeta`` is the root of the strictly increasing log
-    valuation-weighted mean density ratio ``h``, found by
+    At outer level ``zeta`` the report's density ratio ``D = exp(u)``
+    solves ``(D - 1)/lambda_i + log D = zeta - r`` per state, where ``r``
+    is the counterparty log-density of :func:`_aggregated_log_reports`;
+    ``D`` is increasing in ``zeta`` and lies between ``1`` and
+    ``exp(zeta - r)``.  The outer scalar is the root of the strictly
+    increasing log valuation-weighted mean density ratio ``h``, found by
     :func:`~risksharing.roots.increasing_root`; each evaluation solves the
-    per-state equation of :func:`solve_inner_D` once.  With
+    per-state equation once.  With
     ``u' = 1/(1 + exp(u)/lambda_i)`` the slope of ``zeta -> u`` and ``q``
     the valuation, ``h'(zeta) = (1 - lambda_i) E_A[u'] + lambda_i E_q[u']``
     where ``A`` is proportional to ``q exp(u)``.
@@ -152,11 +142,3 @@ def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
         response_value=float(value),
         log_ratio=u,
     )
-
-
-def no_trade_report(market: Market, i: int, reports_others) -> Measure:
-    """The report that makes agent ``i``'s resulting security identically zero."""
-    reports = _check_reports(market, reports_others)
-    r_agg = _aggregated_log_reports(market, i, reports)
-    return normalize_log_density(market.agents[i].beliefs, r_agg)
-

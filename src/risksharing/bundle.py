@@ -291,16 +291,45 @@ def read_bundle(path) -> dict:
     return doc
 
 
+def _check_fit(doc: dict, market: Market) -> None:
+    """Raise ``ValueError`` where a stored array does not fit ``market``.
+
+    Checks the agent and state counts of the arrays the ledger reads
+    (``None``: any count); the measures and random variables of a record
+    already check their state count as they decode.
+    """
+    n, s = market.n_agents, market.space.n_states
+    shapes = {
+        "ad": {"securities": (n, s), "agent_gains": (n,)},
+        "nash": {
+            "z": (n,), "securities": (n, s), "revealed": (n, s),
+            "agent_values": (n,), "log_ratios": (n, s),
+        },
+        "best_response": {"others_reports": (n - 1, s), "log_ratio": (s,)},
+        "limits": {"ad_security": (s,), "nash_security": (s,), "pricing": (s,), "table": (None, 3)},
+    }
+    for section, fields in shapes.items():
+        for key, shape in fields.items():
+            if key in doc.get(section, ()):
+                got = np.asarray(doc[section][key], dtype=float).shape
+                if len(got) != len(shape) or any(e not in (None, g) for g, e in zip(got, shape)):
+                    raise ValueError(f"{section}.{key} has shape {got}, not {shape}")
+    if "best_response" in doc and not 0 <= int(doc["best_response"]["agent"]) < n:
+        raise ValueError(f"best_response.agent is not one of the market's {n} agents")
+
+
 def verify_bundle(doc: dict) -> list:
     """Re-run every applicable ledger check on a stored bundle.
 
     Returns the freshly computed ledger; callers compare ``pass`` flags.  A
-    section that does not decode is a :class:`ValidationError`.
+    section that does not decode, or does not fit the market, is a
+    :class:`ValidationError`.
     """
     if "market" not in doc:
         raise ValidationError("bundle has no market section to verify against")
     try:
         market = market_from_dict(doc["market"])
+        _check_fit(doc, market)
         space = market.space
         ad = record_from_dict(ArrowDebreuEquilibrium, doc["ad"], space) if "ad" in doc else None
         eq = record_from_dict(NashEquilibrium, doc["nash"], space) if "nash" in doc else None

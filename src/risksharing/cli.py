@@ -24,7 +24,6 @@ from .bundle import (
     ad_ledger,
     assemble_bundle,
     br_ledger,
-    limit_residuals,
     limits_ledger,
     market_to_dict,
     nash_ledger,
@@ -288,9 +287,6 @@ def run_limits(args, scenario: Scenario) -> int:
             "loss_agent1": loss1,
             "table": [list(r) for r in report.convergence_table],
         }
-        payload["root_residual"], payload["accounting_residual"] = limit_residuals(
-            market, payload
-        )
         rows = [("z_infinity", report.z_infinity), ("gain_agent0", gain0), ("loss_agent1", loss1)]
         rows += [
             (f"delta0={d:>10.4g}", f"dist_ad={a:.3e}  dist_game={b:.3e}")
@@ -315,6 +311,8 @@ def run_replicate(args) -> int:
     scenario = _apply_overrides(builtin_scenario(args.name), args)
     if scenario.limits is not None:
         return run_limits(args, scenario)
+    if args.deltas is not None:
+        raise ValidationError(f"--deltas needs a limit scenario; {args.name} has no limits section")
     if scenario.name != "example-2.7":
         return run_nash(args, scenario)
     # Figure data: the densities of the endowments and of the post-trade

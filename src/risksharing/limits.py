@@ -15,10 +15,10 @@ import numpy as np
 
 from .agents import Agent, Market
 from .arrow_debreu import solve_arrow_debreu
-from .errors import DimensionError
 from .measures import (
     Measure,
     RandomVariable,
+    _same_space,
     expect,
     normalize_log_density,
     relative_entropy,
@@ -39,11 +39,6 @@ class LimitReport:
     convergence_table: tuple
 
 
-def _check_pair(p0: Measure, agent1: Agent) -> None:
-    if p0.space is not agent1.beliefs.space and p0.space != agent1.beliefs.space:
-        raise DimensionError("the two agents must share one state space")
-
-
 def limiting_arrow_debreu(p0: Measure, agent1: Agent):
     """Competitive limit when agent 0 becomes risk neutral.
 
@@ -51,8 +46,8 @@ def limiting_arrow_debreu(p0: Measure, agent1: Agent):
     gains of the two agents (zero for the risk-neutral side, the scaled
     belief divergence for the other).
     """
-    _check_pair(p0, agent1)
     d1 = agent1.delta
+    # log_density also checks that the two agents share one state space.
     log_ratio = p0.log_density(agent1.beliefs)
     gap = relative_entropy(p0, agent1.beliefs)
     security = RandomVariable(p0.space, d1 * log_ratio - d1 * gap)
@@ -70,7 +65,6 @@ def limiting_nash(p0: Measure, agent1: Agent):
     ``f'(z) = E_B[u']`` where ``B`` is proportional to ``p0 exp(-u)``.
     Returns ``(z_infinity, security, valuation)``.
     """
-    _check_pair(p0, agent1)
     ad_security, _, _ = limiting_arrow_debreu(p0, agent1)
     d1 = agent1.delta
     logp0 = p0.log_weights()
@@ -105,6 +99,20 @@ def limiting_gains(p0: Measure, agent1: Agent):
     return _gains(p0, agent1.delta, security, valuation)
 
 
+def _convergence_table(delta_grid, agents_at, ad_limit, nash_limit) -> tuple:
+    """Rows ``(delta, dist_competitive, dist_game)``: the sup-norm distances of
+    agent 0's securities in the solved market ``agents_at(delta)`` from the limits."""
+    rows = []
+    for delta in map(float, delta_grid):
+        market = Market(agents_at(delta))
+        ad = solve_arrow_debreu(market)
+        eq = solve_nash(market, ad=ad)
+        dist_ad = float(np.max(np.abs(ad.securities[0].values - ad_limit)))
+        dist_nash = float(np.max(np.abs(eq.securities[0].values - nash_limit)))
+        rows.append((delta, dist_ad, dist_nash))
+    return tuple(rows)
+
+
 def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitReport:
     """Limit objects plus a finite-tolerance convergence table.
 
@@ -112,20 +120,12 @@ def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitRepor
     exactly and the sup-norm distances of agent 0's competitive and game
     securities from their limits are tabulated.
     """
-    _check_pair(p0, agent1)
     ad_security, gain0_ad, gain1_ad = limiting_arrow_debreu(p0, agent1)
     z_inf, nash_security, valuation = limiting_nash(p0, agent1)
     gain0, loss1 = _gains(p0, agent1.delta, nash_security, valuation)
-    rows = []
-    for d0 in delta_grid:
-        market = Market([Agent(float(d0), p0), agent1])
-        ad = solve_arrow_debreu(market)
-        eq = solve_nash(market, ad=ad)
-        dist_ad = float(np.max(np.abs(ad.securities[0].values - ad_security.values)))
-        dist_nash = float(
-            np.max(np.abs(eq.securities[0].values - nash_security.values))
-        )
-        rows.append((float(d0), dist_ad, dist_nash))
+    table = _convergence_table(
+        delta_grid, lambda d0: [Agent(d0, p0), agent1], ad_security.values, nash_security.values
+    )
     return LimitReport(
         limiting_ad_security=ad_security,
         limiting_nash_security=nash_security,
@@ -133,7 +133,7 @@ def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitRepor
         limiting_pricing=valuation,
         gain_agent0=gain0,
         loss_agent1=loss1,
-        convergence_table=tuple(rows),
+        convergence_table=table,
     )
 
 
@@ -149,28 +149,17 @@ def both_limit_check(
     securities from the limiting competitive security and from half of it
     are tabulated as rows ``(delta, dist_competitive, dist_game)``.
     """
-    if xi0.space is not xi1.space and xi0.space != xi1.space:
-        raise DimensionError("tilts must share one state space")
+    space = _same_space(xi0, xi1)
     if not (0.0 < lambda0 < 1.0):
         raise ValueError("lambda0 must lie strictly between 0 and 1")
-    space = xi0.space
     base = space.baseline()
     x0 = xi0.values - expect(base, xi0)
     x1 = xi1.values - expect(base, xi1)
     lam1 = 1.0 - lambda0
     ad_limit = lam1 * x0 - lambda0 * x1
-    nash_limit = 0.5 * ad_limit
-    rows = []
-    for delta in delta_sequence:
-        d0, d1 = lambda0 * float(delta), lam1 * float(delta)
-        agents = [
-            Agent(d0, normalize_log_density(base, x0 / d0)),
-            Agent(d1, normalize_log_density(base, x1 / d1)),
-        ]
-        market = Market(agents)
-        ad = solve_arrow_debreu(market)
-        eq = solve_nash(market, ad=ad)
-        dist_ad = float(np.max(np.abs(ad.securities[0].values - ad_limit)))
-        dist_nash = float(np.max(np.abs(eq.securities[0].values - nash_limit)))
-        rows.append((float(delta), dist_ad, dist_nash))
-    return tuple(rows)
+
+    def agents_at(delta: float) -> list:
+        tilted = ((lambda0 * delta, x0), (lam1 * delta, x1))
+        return [Agent(d, normalize_log_density(base, x / d)) for d, x in tilted]
+
+    return _convergence_table(delta_sequence, agents_at, ad_limit, 0.5 * ad_limit)

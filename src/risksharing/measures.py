@@ -207,12 +207,10 @@ def geometric_mean_measure(measures, weights) -> Measure:
         raise ContractError("geometric-mean weights must be nonnegative")
     if abs(lam.sum() - 1.0) > 1e-10:
         raise ContractError(f"geometric-mean weights sum to {lam.sum()!r}, not 1")
-    space = measures[0].space
     for m in measures[1:]:
-        if m.space is not space and m.space != space:
-            raise DimensionError("all measures must share one state space")
+        _same_space(measures[0], m)
     logw = sum(l * np.log(m.weights) for l, m in zip(lam, measures))
-    return weights_from_logs(space, logw)
+    return weights_from_logs(measures[0].space, logw)
 
 
 def relative_entropy(q2: Measure, q1: Measure) -> float:

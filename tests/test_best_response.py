@@ -20,7 +20,8 @@ from risksharing import (
     response_value,
     solve_best_response,
 )
-from risksharing.best_response import no_trade_report, solve_inner_D
+from risksharing.best_response import _aggregated_log_reports
+from risksharing.roots import solve_exp_linear
 
 
 def small_market():
@@ -34,27 +35,34 @@ def small_market():
     ), space
 
 
+def inner_ratio(m, i, z, r_minus):
+    """Density ratio D of agent i's report at outer level z: the per-state
+    root of (D - 1)/lambda_i + log D = z - r_minus that the best response
+    solves."""
+    return np.exp(solve_exp_linear(1.0 / m.lambdas[i], 1.0, z - r_minus.values))
+
+
 class TestInnerSolve:
     def test_unit_ratio_at_zero_gap(self):
         m, space = small_market()
         r_minus = RandomVariable(space, [0.0, 0.0])
-        d = solve_inner_D(m, 0, 0.0, r_minus)
-        np.testing.assert_allclose(d.values, 1.0, atol=1e-14)
+        d = inner_ratio(m, 0, 0.0, r_minus)
+        np.testing.assert_allclose(d, 1.0, atol=1e-14)
 
     def test_constructed_inverse_point(self):
         """With equal tolerances, gap 2 + log 2 inverts to a ratio of 2."""
         space = StateSpace([0.5, 0.5])
         m = Market([Agent(1.0, space.baseline()), Agent(1.0, space.baseline())])
         gap = 2.0 + math.log(2.0)
-        d = solve_inner_D(m, 0, gap, RandomVariable(space, [0.0, 0.0]))
-        np.testing.assert_allclose(d.values, 2.0, atol=1e-13)
+        d = inner_ratio(m, 0, gap, RandomVariable(space, [0.0, 0.0]))
+        np.testing.assert_allclose(d, 2.0, atol=1e-13)
 
     def test_monotone_in_level(self):
         m, space = small_market()
         r_minus = RandomVariable(space, [0.3, -0.2])
-        prev = solve_inner_D(m, 0, -2.0, r_minus).values
+        prev = inner_ratio(m, 0, -2.0, r_minus)
         for z in (-1.0, 0.0, 0.5, 2.0):
-            cur = solve_inner_D(m, 0, z, r_minus).values
+            cur = inner_ratio(m, 0, z, r_minus)
             assert np.all(cur > prev)
             prev = cur
 
@@ -62,7 +70,7 @@ class TestInnerSolve:
         m, space = small_market()
         r_minus = RandomVariable(space, [1.5, -2.5])
         for z in (-3.0, 0.0, 4.0):
-            d = solve_inner_D(m, 0, z, r_minus).values
+            d = inner_ratio(m, 0, z, r_minus)
             gap = z - r_minus.values
             lo = np.minimum(1.0, np.exp(gap))
             hi = np.maximum(1.0, np.exp(gap))
@@ -72,15 +80,18 @@ class TestInnerSolve:
         m, space = small_market()
         r_minus = RandomVariable(space, [4.0, -3.0])
         z = 1.7
-        d = solve_inner_D(m, 0, z, r_minus).values
+        d = inner_ratio(m, 0, z, r_minus)
         resid = (d - 1.0) / m.lambdas[0] + np.log(d) - (z - r_minus.values)
         assert np.all(np.abs(resid) <= 1e-12 * (1.0 + np.abs(z - r_minus.values)))
 
 
 class TestResponseValue:
     def test_zero_contract_report_gives_zero(self):
+        """The report whose density against own beliefs is the aggregated
+        counterparty log report makes the agent's security identically zero."""
         m, _ = small_market()
-        r0 = no_trade_report(m, 0, [m.agents[1].beliefs])
+        r_agg = _aggregated_log_reports(m, 0, [m.agents[1].beliefs])
+        r0 = normalize_log_density(m.agents[0].beliefs, r_agg)
         assert response_value(m, 0, r0, [m.agents[1].beliefs]) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -171,8 +182,6 @@ class TestSolveBestResponse:
         assert float(np.max(np.abs(resid))) <= 1e-9
 
     def test_zero_price_map_is_increasing(self):
-        from risksharing.best_response import _aggregated_log_reports
-        from risksharing.roots import solve_exp_linear
         from scipy.special import logsumexp
 
         m, space = small_market()

@@ -92,3 +92,9 @@ def test_section_keys_match_the_documented_layout(tmp_path, monkeypatch):
     assert set(doc["nash"]) == {f.name for f in dataclasses.fields(NashEquilibrium)}
     extra = {"agent", "others_mode", "others_reports"}
     assert set(doc["best_response"]) == {f.name for f in dataclasses.fields(BestResponse)} | extra
+    # The limit scenarios: mode one-agent writes every documented key, and
+    # mode both only its mode and table.
+    for name, keys in (("limit-one-agent", layout["limits"]), ("limit-both", {"mode", "table"})):
+        assert cli_main(["replicate", name]) == 0
+        limits = json.loads((tmp_path / f"{name}.limits.json").read_text())["limits"]
+        assert set(limits) == keys, name

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risksharing as rs
 from risksharing import (
+    Agent,
     ContractError,
     DimensionError,
+    Market,
     Measure,
     RandomVariable,
     StateSpace,
@@ -55,6 +58,43 @@ class TestValidation:
     def test_random_variable_must_be_finite(self):
         with pytest.raises(ContractError):
             RandomVariable(SPACE2, [1.0, np.inf])
+
+
+# A space of the same size as SPACE2 that is not SPACE2, so that only the
+# state-space check, and no length check, can refuse a mix of the two.
+FOREIGN2 = StateSpace([0.4, 0.6])
+P2, Q2 = Measure(SPACE2, [0.3, 0.7]), Measure(FOREIGN2, [0.6, 0.4])
+MARKET2 = Market([Agent(1.0, P2), Agent(2.0, BASE2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Market([Agent(1.0, P2), Agent(1.0, Q2)]),
+        lambda: rs.cara_utility(Agent(1.0, P2), RandomVariable(FOREIGN2, [1.0, -1.0])),
+        lambda: rs.solve_best_response(MARKET2, 0, [Q2]),
+        lambda: rs.response_value(MARKET2, 0, Q2, [BASE2]),
+        lambda: rs.limiting_arrow_debreu(P2, Agent(1.0, Q2)),
+        lambda: rs.limiting_nash(P2, Agent(1.0, Q2)),
+        lambda: rs.limiting_gains(P2, Agent(1.0, Q2)),
+        lambda: rs.one_agent_limit_report(P2, Agent(1.0, Q2), [10.0]),
+        lambda: rs.both_limit_check(
+            RandomVariable(SPACE2, [1.0, -1.0]), RandomVariable(FOREIGN2, [1.0, -1.0]), 0.5, [10.0]
+        ),
+        lambda: geometric_mean_measure([P2, Q2], [0.5, 0.5]),
+        lambda: rs.utility_gain_vs_ad(
+            MARKET2, rs.solve_arrow_debreu(MARKET2), 0, RandomVariable(FOREIGN2, [1.0, -1.0])
+        ),
+    ],
+    ids=[
+        "Market", "cara_utility", "solve_best_response", "response_value",
+        "limiting_arrow_debreu", "limiting_nash", "limiting_gains", "one_agent_limit_report",
+        "both_limit_check", "geometric_mean_measure", "utility_gain_vs_ad",
+    ],
+)
+def test_foreign_state_space_is_refused(call):
+    with pytest.raises(DimensionError, match="different state spaces"):
+        call()
 
 
 class TestNormalizeLogDensity:

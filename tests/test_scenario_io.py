@@ -285,8 +285,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [["nash"], ["nash", "{path}", "--tol", "abc"], ["limits", "{path}", "--deltas", "abc"],
-         ["limits", "{path}", "--deltas=-10,100"], ["nash", "{path}", "--no-such-flag"]],
-        ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag"],
+         ["limits", "{path}", "--deltas=-10,100"], ["nash", "{path}", "--no-such-flag"],
+         ["replicate", "beta-symmetric", "--deltas", "1,2"]],
+        ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag",
+             "deltas-without-limits"],
     )
     def test_argument_errors_exit_3(self, tmp_path, capsys, args):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
@@ -301,21 +303,33 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    # A callable value maps the stored value to the malformed one.
     @pytest.mark.parametrize(
         "section, key, value",
         [("market", "baseline_weights", [0.3, 0.3, 0.3, 0.3]),
          ("best_response", "log_ratio", None),
-         ("nash", "securities", 5)],
-        ids=["baseline-weights", "no-log-ratio", "securities-not-a-list"],
+         ("nash", "securities", 5),
+         ("nash", "z", lambda z: z[:1]),
+         ("nash", "securities", lambda sec: sec[:1]),
+         ("best_response", "agent", 7),
+         ("limits", "pricing", [1.0]),
+         ("limits", "table", lambda rows: [rows[0], rows[1][:2]] + rows[2:])],
+        ids=["baseline-weights", "no-log-ratio", "securities-not-a-list", "z-too-short",
+             "securities-cut", "agent-out-of-range", "limit-pricing-short", "limit-table-ragged"],
     )
     def test_malformed_bundle_exits_3(self, tmp_path, capsys, section, key, value):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         out = tmp_path / "out.json"
-        solve = ["best-response", "--agent", "0"] if section == "best_response" else ["nash"]
-        assert cli_main(solve + [str(path), "--out", str(out)]) == 0
+        solve = {
+            "best_response": ["best-response", str(path), "--agent", "0"],
+            "limits": ["replicate", "limit-one-agent"],
+        }.get(section, ["nash", str(path)])
+        assert cli_main(solve + ["--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         if value is None:
             del doc[section][key]
+        elif callable(value):
+            doc[section][key] = value(doc[section][key])
         else:
             doc[section][key] = value
         bad = tmp_path / "bad.json"
