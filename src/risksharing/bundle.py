@@ -24,6 +24,7 @@ from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
 from .errors import ValidationError
+from .limits import LimitReport, Table
 from .measures import Measure, RandomVariable, StateSpace, relative_entropy, variance
 from .nash import NashEquilibrium
 
@@ -220,36 +221,39 @@ def br_ledger(market: Market, i: int, br, reports_others) -> list:
     ]
 
 
-def limit_residuals(market: Market, payload: dict) -> tuple:
-    """Root and accounting residuals of a stored one-agent limit.
+def limit_residuals(market: Market, report: LimitReport) -> tuple:
+    """Root and accounting residuals of a one-agent limit report.
 
-    Recomputed from the stored ``nash_security``, ``pricing`` and
-    ``z_infinity`` and the market's agent-0 beliefs and agent-1 tolerance:
-    the root condition ``E_p0[1/(1 + C/d1)] = 1`` and the accounting
-    ``z_infinity = Var_q(C)/d1 + d1*H(p0|q)``.
+    Recomputed from the report's fields and the market's beliefs and agent-1
+    tolerance: the root condition ``E_p0[1/(1 + C/d1)] = 1`` with the
+    competitive limit ``d1*log(dp0/dp1) - d1*H(p0|p1)``, and, with
+    ``V = Var_q(C)/d1``, the accounting ``gain_agent0 = V`` and
+    ``z_infinity = -loss_agent1 = V + d1*H(p0|q)``.
     """
-    p0 = market.agents[0].beliefs
+    p0, p1 = market.agents[0].beliefs, market.agents[1].beliefs
     d1 = float(market.deltas[1])
-    security = RandomVariable(market.space, payload["nash_security"])
-    pricing = Measure(market.space, payload["pricing"])
-    root = abs(float(np.sum(p0.weights / (1.0 + security.values / d1))) - 1.0)
-    gain0 = variance(pricing, security) / d1
-    accounting = abs(payload["z_infinity"] - (gain0 + d1 * relative_entropy(p0, pricing)))
-    return root, float(accounting)
+    c, q = report.nash_security, report.pricing
+    ad_limit = d1 * p0.log_density(p1) - d1 * relative_entropy(p0, p1)
+    root = max(abs(float(np.sum(p0.weights / (1.0 + c.values / d1))) - 1.0),
+               float(np.max(np.abs(report.ad_security.values - ad_limit))))
+    gain0 = variance(q, c) / d1
+    cost = gain0 + d1 * relative_entropy(p0, q)
+    gaps = (report.z_infinity - cost, report.gain_agent0 - gain0, report.loss_agent1 + cost)
+    return root, float(max(map(abs, gaps)))
 
 
-def limits_ledger(market: Market, payload: dict) -> list:
-    entries = []
-    if payload.get("mode") == "one-agent":
-        root, accounting = limit_residuals(market, payload)
+def limits_ledger(market: Market, limit: LimitReport | Table) -> list:
+    """The limit entries of a one-agent report, or of a mode-``both`` table alone."""
+    entries, table = [], limit
+    if isinstance(limit, LimitReport):
+        root, accounting = limit_residuals(market, limit)
         entries += [_entry("limit_root", root), _entry("limit_accounting", accounting)]
-    table = payload.get("table", [])
-    mono = np.inf
+        table = limit.table
+    mono = 0.0
     for prev, cur in zip(table, table[1:]):
         mono = min(mono, prev[1] - cur[1], prev[2] - cur[2])
-    if table:
-        entries.append(_entry("limit_monotone", float(min(mono, 0.0) if mono != np.inf else 0.0)))
-        entries.append(_entry("limit_distance", float(max(table[-1][1], table[-1][2]))))
+    entries.append(_entry("limit_monotone", mono))
+    entries.append(_entry("limit_distance", max(table[-1][1], table[-1][2])))
     return entries
 
 
@@ -306,7 +310,7 @@ def _check_fit(doc: dict, market: Market) -> None:
             "agent_values": (n,), "log_ratios": (n, s),
         },
         "best_response": {"others_reports": (n - 1, s), "log_ratio": (s,)},
-        "limits": {"ad_security": (s,), "nash_security": (s,), "pricing": (s,), "table": (None, 3)},
+        "limits": {"table": (None, 3)},
     }
     for section, fields in shapes.items():
         for key, shape in fields.items():
@@ -340,6 +344,14 @@ def verify_bundle(doc: dict) -> list:
                 record_from_dict(BestResponse, section, space),
                 [Measure(space, w) for w in section["others_reports"]],
             )
+        if "limits" in doc:
+            limit = doc["limits"]
+            if limit["mode"] == "one-agent":
+                limit = record_from_dict(LimitReport, limit, space)
+            elif limit["mode"] == "both" and set(limit) == {"mode", "table"}:
+                limit = _decoder(Table)(space, limit["table"])
+            else:
+                raise ValueError(f"limits in mode {limit['mode']!r} with keys {sorted(limit)}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed bundle: {exc!r}") from exc
     ledger: list = []
@@ -350,5 +362,5 @@ def verify_bundle(doc: dict) -> list:
     if "best_response" in doc:
         ledger.extend(br_ledger(market, *response))
     if "limits" in doc:
-        ledger.extend(limits_ledger(market, doc["limits"]))
+        ledger.extend(limits_ledger(market, limit))
     return ledger

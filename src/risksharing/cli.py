@@ -266,33 +266,24 @@ def run_limits(args, scenario: Scenario) -> int:
         space = market.space
         xi0 = RandomVariable(space, _evaluate(cfg["xi0"], variables, space.n_states))
         xi1 = RandomVariable(space, _evaluate(cfg["xi1"], variables, space.n_states))
-        table = both_limit_check(xi0, xi1, float(cfg.get("lambda0", 0.5)), deltas)
-        payload = {"mode": "both", "table": [list(r) for r in table]}
+        limit = both_limit_check(xi0, xi1, float(cfg.get("lambda0", 0.5)), deltas)
+        payload = {"mode": "both", "table": [list(r) for r in limit]}
         rows = [("delta  dist_competitive  dist_half_law", "")]
-        rows += [(f"{d:>10.4g}", f"{a:.3e}  {b:.3e}") for d, a, b in table]
+        rows += [(f"{d:>10.4g}", f"{a:.3e}  {b:.3e}") for d, a, b in limit]
     else:
         p0 = market.agents[0].beliefs
         agent1 = market.agents[1]
-        report = one_agent_limit_report(p0, agent1, deltas)
+        limit = one_agent_limit_report(p0, agent1, deltas)
         # The report holds the same gains; this second solve of the limit
         # stays while perfbench/spans.py traces cli.limiting_gains.
         gain0, loss1 = limiting_gains(p0, agent1)
-        payload = {
-            "mode": "one-agent",
-            "z_infinity": report.z_infinity,
-            "ad_security": report.limiting_ad_security.values.tolist(),
-            "nash_security": report.limiting_nash_security.values.tolist(),
-            "pricing": report.limiting_pricing.weights.tolist(),
-            "gain_agent0": gain0,
-            "loss_agent1": loss1,
-            "table": [list(r) for r in report.convergence_table],
-        }
-        rows = [("z_infinity", report.z_infinity), ("gain_agent0", gain0), ("loss_agent1", loss1)]
+        payload = record_to_dict(limit) | {"mode": "one-agent"}
+        rows = [("z_infinity", limit.z_infinity), ("gain_agent0", gain0), ("loss_agent1", loss1)]
         rows += [
             (f"delta0={d:>10.4g}", f"dist_ad={a:.3e}  dist_game={b:.3e}")
-            for d, a, b in report.convergence_table
+            for d, a, b in limit.table
         ]
-    ledger = limits_ledger(market, payload)
+    ledger = limits_ledger(market, limit)
     _print_table(f"extreme-risk-tolerance analysis: {scenario.name}", rows)
     sections = {"market": market_to_dict(market), "limits": payload}
     return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.limits.json")

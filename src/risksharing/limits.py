@@ -28,15 +28,19 @@ from .nash import solve_nash
 from .roots import increasing_root, logsumexp, solve_exp_linear
 
 
+# Convergence rows ``(delta, dist_competitive, dist_game)``.
+Table = tuple[tuple[float, ...], ...]
+
+
 @dataclass(frozen=True)
 class LimitReport:
-    limiting_ad_security: RandomVariable
-    limiting_nash_security: RandomVariable
+    ad_security: RandomVariable
+    nash_security: RandomVariable
     z_infinity: float
-    limiting_pricing: Measure
+    pricing: Measure
     gain_agent0: float
     loss_agent1: float
-    convergence_table: tuple
+    table: Table
 
 
 def limiting_arrow_debreu(p0: Measure, agent1: Agent):
@@ -99,7 +103,7 @@ def limiting_gains(p0: Measure, agent1: Agent):
     return _gains(p0, agent1.delta, security, valuation)
 
 
-def _convergence_table(delta_grid, agents_at, ad_limit, nash_limit) -> tuple:
+def _convergence_table(delta_grid, agents_at, ad_limit, nash_limit) -> Table:
     """Rows ``(delta, dist_competitive, dist_game)``: the sup-norm distances of
     agent 0's securities in the solved market ``agents_at(delta)`` from the limits."""
     rows = []
@@ -120,26 +124,18 @@ def one_agent_limit_report(p0: Measure, agent1: Agent, delta_grid) -> LimitRepor
     exactly and the sup-norm distances of agent 0's competitive and game
     securities from their limits are tabulated.
     """
-    ad_security, gain0_ad, gain1_ad = limiting_arrow_debreu(p0, agent1)
+    ad_security, _, _ = limiting_arrow_debreu(p0, agent1)
     z_inf, nash_security, valuation = limiting_nash(p0, agent1)
     gain0, loss1 = _gains(p0, agent1.delta, nash_security, valuation)
     table = _convergence_table(
         delta_grid, lambda d0: [Agent(d0, p0), agent1], ad_security.values, nash_security.values
     )
-    return LimitReport(
-        limiting_ad_security=ad_security,
-        limiting_nash_security=nash_security,
-        z_infinity=z_inf,
-        limiting_pricing=valuation,
-        gain_agent0=gain0,
-        loss_agent1=loss1,
-        convergence_table=table,
-    )
+    return LimitReport(ad_security, nash_security, z_inf, valuation, gain0, loss1, table)
 
 
 def both_limit_check(
     xi0: RandomVariable, xi1: RandomVariable, lambda0: float, delta_sequence
-):
+) -> Table:
     """Convergence table for the proportional-tolerance limit.
 
     Belief tilts ``xi_i`` are normalised to zero baseline mean at ingestion.

@@ -278,7 +278,7 @@ def test_criterion_7_extreme_tolerance_limits():
     agent1 = Agent(1.0, Measure(space, [0.5, 0.5]))
 
     rep = one_agent_limit_report(p0, agent1, [1e2, 1e3, 1e4, 1e5])
-    table = rep.convergence_table
+    table = rep.table
     monotone = all(
         a1 < a0 and n1 < n0 for (_, a0, n0), (_, a1, n1) in zip(table, table[1:])
     )
@@ -444,7 +444,7 @@ def test_criterion_9_determinism():
             Agent(1.0, Measure(space, [0.5, 0.5])),
             [1e2, 1e3],
         )
-        h.update(np.asarray(rep.convergence_table).tobytes())
+        h.update(np.asarray(rep.table).tobytes())
         return h.hexdigest()
 
     first, second = digest(), digest()

@@ -13,10 +13,11 @@ from risksharing.arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from risksharing.best_response import BestResponse, solve_best_response
 from risksharing.bundle import _decoder, record_from_dict, record_to_dict
 from risksharing.cli import main as cli_main
+from risksharing.limits import LimitReport, one_agent_limit_report
 from risksharing.measures import Measure, RandomVariable
 from risksharing.nash import NashEquilibrium, solve_nash
 
-RECORDS = (ArrowDebreuEquilibrium, NashEquilibrium, BestResponse)
+RECORDS = (ArrowDebreuEquilibrium, NashEquilibrium, BestResponse, LimitReport)
 BUNDLE_FORMAT = Path(__file__).resolve().parents[1] / "docs" / "bundle-format.md"
 
 
@@ -55,7 +56,8 @@ def records():
     ad = solve_arrow_debreu(market)
     eq = solve_nash(market, ad=ad)
     br = solve_best_response(market, 1, [eq.revealed[0], eq.revealed[2]])
-    return market, (ad, eq, br)
+    limit = one_agent_limit_report(market.agents[0].beliefs, market.agents[1], [1e2, 1e3])
+    return market, (ad, eq, br, limit)
 
 
 def test_round_trip_is_bit_exact(records):
@@ -92,9 +94,11 @@ def test_section_keys_match_the_documented_layout(tmp_path, monkeypatch):
     assert set(doc["nash"]) == {f.name for f in dataclasses.fields(NashEquilibrium)}
     extra = {"agent", "others_mode", "others_reports"}
     assert set(doc["best_response"]) == {f.name for f in dataclasses.fields(BestResponse)} | extra
-    # The limit scenarios: mode one-agent writes every documented key, and
-    # mode both only its mode and table.
-    for name, keys in (("limit-one-agent", layout["limits"]), ("limit-both", {"mode", "table"})):
+    # The limit scenarios: mode one-agent writes every documented key, which
+    # are the report's fields and its mode, and mode both only its mode and table.
+    one_agent = {f.name for f in dataclasses.fields(LimitReport)} | {"mode"}
+    assert layout["limits"] == one_agent
+    for name, keys in (("limit-one-agent", one_agent), ("limit-both", {"mode", "table"})):
         assert cli_main(["replicate", name]) == 0
         limits = json.loads((tmp_path / f"{name}.limits.json").read_text())["limits"]
         assert set(limits) == keys, name

@@ -114,7 +114,7 @@ class TestLimitingGains:
 class TestConvergenceReport:
     def test_monotone_convergence(self):
         rep = one_agent_limit_report(P0, AGENT1, [1e2, 1e3, 1e4, 1e5])
-        table = rep.convergence_table
+        table = rep.table
         for (_, a0, n0), (_, a1, n1) in zip(table, table[1:]):
             assert a1 < a0 and n1 < n0
         assert table[-1][1] <= 1e-3 and table[-1][2] <= 1e-3

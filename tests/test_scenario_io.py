@@ -303,7 +303,8 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
-    # A callable value maps the stored value to the malformed one.
+    # A callable value maps the stored value to the malformed one; a key of
+    # None stands for the whole section.
     @pytest.mark.parametrize(
         "section, key, value",
         [("market", "baseline_weights", [0.3, 0.3, 0.3, 0.3]),
@@ -313,9 +314,14 @@ class TestCli:
          ("nash", "securities", lambda sec: sec[:1]),
          ("best_response", "agent", 7),
          ("limits", "pricing", [1.0]),
-         ("limits", "table", lambda rows: [rows[0], rows[1][:2]] + rows[2:])],
+         ("limits", "table", lambda rows: [rows[0], rows[1][:2]] + rows[2:]),
+         ("limits", None, lambda lim: list(lim.values())),
+         ("limits", "z_infinity", "abc"),
+         ("limits", "mode", "both"),
+         ("limits", "gain_agent0", None)],
         ids=["baseline-weights", "no-log-ratio", "securities-not-a-list", "z-too-short",
-             "securities-cut", "agent-out-of-range", "limit-pricing-short", "limit-table-ragged"],
+             "securities-cut", "agent-out-of-range", "limit-pricing-short", "limit-table-ragged",
+             "limits-a-list", "limit-z-not-a-number", "limit-mode-both", "no-limit-gain"],
     )
     def test_malformed_bundle_exits_3(self, tmp_path, capsys, section, key, value):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
@@ -326,7 +332,9 @@ class TestCli:
         }.get(section, ["nash", str(path)])
         assert cli_main(solve + ["--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        if value is None:
+        if key is None:
+            doc[section] = value(doc[section])
+        elif value is None:
             del doc[section][key]
         elif callable(value):
             doc[section][key] = value(doc[section][key])
@@ -418,6 +426,13 @@ class TestCli:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         assert cli_main(["verify", str(tampered)]) == 2
+        # Each stored gain and the competitive limit is checked on its own.
+        for key, change in (("gain_agent0", lambda g: g + 7.0), ("loss_agent1", lambda _: 123.0),
+                            ("ad_security", lambda _: [5.0, -9.0])):
+            doc = json.loads(self.LIMIT_BUNDLE.read_text())
+            doc["limits"][key] = change(doc["limits"][key])
+            tampered.write_text(json.dumps(doc))
+            assert cli_main(["verify", str(tampered)]) == 2, key
 
     def test_replicate_names_exist(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
