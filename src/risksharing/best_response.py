@@ -99,7 +99,7 @@ def _log_valuation(market: Market, i: int, u: np.ndarray, r_agg: np.ndarray) -> 
     return logq - logsumexp(logq)
 
 
-def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
+def solve_best_response(market: Market, i: int, reports_others, start=None) -> BestResponse:
     """Unique optimal report of agent ``i`` against the others' reports.
 
     At outer level ``zeta`` the report's density ratio ``D = exp(u)``
@@ -113,6 +113,13 @@ def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
     ``u' = 1/(1 + exp(u)/lambda_i)`` the slope of ``zeta -> u`` and ``q``
     the valuation, ``h'(zeta) = (1 - lambda_i) E_A[u'] + lambda_i E_q[u']``
     where ``A`` is proportional to ``q exp(u)``.
+
+    ``start``, the log ratio ``u`` the caller expects per state (such as an
+    equilibrium's ``log_ratios[i]``), moves where the search begins: it
+    starts at the middle value over states of ``expm1(u)/lambda_i + u + r``,
+    or at 0 where that is not finite or not inside ``ZETA_BOUND``.  The root
+    returned is the same, since ``h`` is strictly increasing and only its
+    own converged root is accepted.
     """
     reports = _check_reports(market, reports_others)
     r_agg = _aggregated_log_reports(market, i, reports)
@@ -124,11 +131,18 @@ def solve_best_response(market: Market, i: int, reports_others) -> BestResponse:
         h = float(logsumexp(logq + u))
         du = lam / (lam + np.exp(u))
         slope = np.sum(((1.0 - lam) * np.exp(logq + u - h) + lam * np.exp(logq)) * du)
-        return h, slope, u
+        return h, slope, (u, logq)
 
-    zeta, u = increasing_root(log_mean_ratio, 0.0, ZETA_BOUND)
+    zeta0 = 0.0
+    if start is not None:
+        with np.errstate(all="ignore"):  # an absurd start overflows and is dropped
+            guesses = np.expm1(start) / lam + start + r_agg
+        # np.partition, not np.median, which imports numpy.ma (1.4 MB of peak memory).
+        guess = float(np.partition(guesses, guesses.size // 2)[guesses.size // 2])
+        if np.isfinite(guess) and abs(guess) < ZETA_BOUND:
+            zeta0 = guess
+    zeta, (u, logq) = increasing_root(log_mean_ratio, zeta0, ZETA_BOUND)
     security = RandomVariable(market.space, market.delta_minus[i] * np.expm1(u))
-    logq = _log_valuation(market, i, u, r_agg)
     valuation = weights_from_logs(market.space, logq)
     reported = normalize_log_density(market.agents[i].beliefs, -u)
     value = cara_utility(market.agents[i], security)

@@ -190,7 +190,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
     gap = 0.0
     for i in range(market.n_agents):
         others = [eq.revealed[j] for j in range(market.n_agents) if j != i]
-        br = solve_best_response(market, i, others)
+        br = solve_best_response(market, i, others, eq.log_ratios[i])
         gap = max(gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights))))
     entries.append(_entry("fixed_point_gap", gap))
     return entries
@@ -299,8 +299,9 @@ def _check_fit(doc: dict, market: Market) -> None:
     """Raise ``ValueError`` where a stored array does not fit ``market``.
 
     Checks the agent and state counts of the arrays the ledger reads
-    (``None``: any count); the measures and random variables of a record
-    already check their state count as they decode.
+    (``None``: any count), and that none of them holds a NaN; the measures
+    and random variables of a record already check their state count as
+    they decode.  A ``limits`` section needs a market of two agents.
     """
     n, s = market.n_agents, market.space.n_states
     shapes = {
@@ -315,11 +316,16 @@ def _check_fit(doc: dict, market: Market) -> None:
     for section, fields in shapes.items():
         for key, shape in fields.items():
             if key in doc.get(section, ()):
-                got = np.asarray(doc[section][key], dtype=float).shape
+                values = np.asarray(doc[section][key], dtype=float)
+                got = values.shape
                 if len(got) != len(shape) or any(e not in (None, g) for g, e in zip(got, shape)):
                     raise ValueError(f"{section}.{key} has shape {got}, not {shape}")
+                if np.isnan(values).any():
+                    raise ValueError(f"{section}.{key} holds a NaN")
     if "best_response" in doc and not 0 <= int(doc["best_response"]["agent"]) < n:
         raise ValueError(f"best_response.agent is not one of the market's {n} agents")
+    if "limits" in doc and n != 2:
+        raise ValueError(f"limits on a market of {n} agents, not 2")
 
 
 def verify_bundle(doc: dict) -> list:

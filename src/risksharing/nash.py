@@ -5,13 +5,16 @@ collection of candidate securities solving a coupled per-state system; the
 equilibria are exactly the ``z`` at which every candidate security has zero
 price under the induced valuation.  The per-state system is convex with an
 M-matrix Jacobian, so one joint Newton iteration per state, started at a
-super-solution, decreases monotonically to its root.  The zero-price
-condition is met at the fixed points of the certainty-equivalent update map
-``phi``, found for every agent count by one backtracking Newton iteration on
-``phi(z) - z`` and a last Newton step on the prices, both with exact
-Jacobians: from the centre of the individually rational box for two agents,
-where the root is unique, and also from its corners for three or more, where
-all distinct roots found are reported.
+super-solution, decreases monotonically to its root; one Newton step from
+any point lands on a super-solution.  So each outer Newton start solves
+its first point cold and every later trial point warm, from the last
+accepted point's solution, redone cold where the warm solve fails.  The
+zero-price condition is met at the fixed points of the certainty-equivalent
+update map ``phi``, found for every agent count by one backtracking Newton
+iteration on ``phi(z) - z`` and a last Newton step on the prices, both with
+exact Jacobians: from the centre of the individually rational box for two
+agents, where the root is unique, and also from its corners for three or
+more, where all distinct roots found are reported.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def _check_z(market: Market, z) -> np.ndarray:
     return z
 
 
-def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray):
+def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None):
     """Per-state solve of the coupled security system.
 
     Returns ``(u, y)``: ``u[i]`` is log(1 + C_i/delta_minus_i) per state and
@@ -95,11 +98,16 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
 
     The system is convex and its Jacobian ``[[diag(D), -delta], [-lambda^T, 1]]``
     is an M-matrix, so Newton started where ``G, W >= 0`` decreases
-    monotonically to the root (Ortega & Rheinboldt, 1970, 13.3).  A step is
-    one pass over the states through the Schur complement
-    ``s = 1 - sum_i lambda_i * delta_i / D_i``.  It starts at
+    monotonically to the root, and one Newton step from any point lands
+    where ``G, W >= 0`` (Ortega & Rheinboldt, 1970, 13.3).  A step is one
+    pass over the states through the Schur complement
+    ``s = 1 - sum_i lambda_i * delta_i / D_i``.  The cold start is
     ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
-    at the root lies below its cap, so ``W(y0) > 0``.  An agent holding
+    at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
+    ``(u, y)`` solved at a nearby ``z``, is a warm start instead; if its
+    first step does not land where ``G, W`` are at least minus their
+    tolerances (float rounding or overflow on a far start), or it does not
+    converge, the solve is redone from the cold start.  An agent holding
     over half the total tolerance is carried as ``v = u - y``: its ``u`` is
     close to ``y``, and ``y`` amplifies an error in ``v`` by
     ``1/lambda_minus``.
@@ -120,6 +128,66 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
     # the projection is of the same order as the solve tolerance.
     n_others = market.n_agents - 1
     caps = np.log(n_others * market.delta_total / market.delta_minus)
+    projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
+    # Tolerances scale with the terms, y's among them through dG/dy, not with
+    # their sum, which cancels; the step from a point within them lands on
+    # the rounding floor.
+    a_scale = 1.0 + np.abs(a)
+
+    def newton(u, y, warm):
+        """Joint Newton from ``(u, y)``; None where a warm start fails."""
+        v = u[dom] - y
+        for k in range(INNER_MAX_ITER):
+            em1 = np.expm1(u)
+            growth = dminus * (em1 + 1.0)
+            d = growth + deltas
+            spread = deltas * (u - y)
+            spread[dom] = deltas[dom] * v
+            g = dminus * em1 + spread - a
+            lam_u = lambdas * u
+            lam_u[dom] = lambdas[dom] * v
+            w = rest * y - np.sum(lam_u, axis=0)
+            abs_y = np.abs(y)
+            w_tol = 1e-14 * (1.0 + rest * abs_y + np.sum(np.abs(lam_u), axis=0))
+            done = np.all(np.abs(w) <= w_tol)
+            check = warm and k == 1  # the first warm step must land on a super-solution
+            # G is checked only once W is within its tolerance, or for that check.
+            if done or check:
+                g_tol = a_scale + deltas * abs_y
+                g_tol[dom] = a_scale[dom] + np.abs(spread[dom]) + growth[dom] * abs_y
+                g_tol *= 1e-14
+                if check and not (np.all(g >= -g_tol) and np.all(w >= -w_tol)):
+                    return None
+                done = done and np.all(np.abs(g) <= g_tol)
+            # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
+            lam_d = lambdas / d
+            s = np.sum(lam_d * growth, axis=0)
+            dy = -(w + np.sum(lam_d * g, axis=0)) / s
+            du = (deltas * dy - g) / d
+            y += dy
+            v += du[dom] - dy
+            u += du
+            u[dom] = v + y
+            if done:
+                return np.minimum(u, projected), y
+        if warm:
+            return None
+        idx = int(np.argmax(np.max(np.abs(g), axis=0) + np.abs(w)))
+        raise SolverError(
+            "per-state security system did not converge",
+            diagnostics={
+                "state": idx,
+                "residual": float(np.max(np.abs(g[:, idx]))),
+                "coupling_residual": float(w[idx]),
+                "iterations": INNER_MAX_ITER,
+            },
+        )
+
+    if start is not None:
+        with np.errstate(all="ignore"):  # a far start may overflow; it then falls back
+            solved = newton(np.array(start[0], dtype=float), np.array(start[1], dtype=float), True)
+        if solved is not None:
+            return solved
     y = np.full(a.shape[1], float(market.lambdas @ caps))
     u = solve_exp_linear(dminus, deltas, a + deltas * y)
     w = y - np.sum(lambdas * u, axis=0)
@@ -129,57 +197,19 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray)
             "per-state start is not a super-solution",
             diagnostics={"state": idx, "residual": float(w[idx])},
         )
-    v = u[dom] - y
-    caps = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
-    # Tolerances scale with the terms, y's among them through dG/dy, not with
-    # their sum, which cancels; the step from a point within them lands on
-    # the rounding floor.
-    a_scale = 1.0 + np.abs(a)
-    for _ in range(INNER_MAX_ITER):
-        em1 = np.expm1(u)
-        growth = dminus * (em1 + 1.0)
-        d = growth + deltas
-        spread = deltas * (u - y)
-        spread[dom] = deltas[dom] * v
-        g = dminus * em1 + spread - a
-        lam_u = lambdas * u
-        lam_u[dom] = lambdas[dom] * v
-        w = rest * y - np.sum(lam_u, axis=0)
-        abs_y = np.abs(y)
-        done = np.all(np.abs(w) <= 1e-14 * (1.0 + rest * abs_y + np.sum(np.abs(lam_u), axis=0)))
-        if done:  # G is checked only once W is within its tolerance
-            g_scale = a_scale + deltas * abs_y
-            g_scale[dom] = a_scale[dom] + np.abs(spread[dom]) + growth[dom] * abs_y
-            done = np.all(np.abs(g) <= 1e-14 * g_scale)
-        # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
-        lam_d = lambdas / d
-        s = np.sum(lam_d * growth, axis=0)
-        dy = -(w + np.sum(lam_d * g, axis=0)) / s
-        du = (deltas * dy - g) / d
-        y += dy
-        v += du[dom] - dy
-        u += du
-        u[dom] = v + y
-        if done:
-            return np.minimum(u, caps), y
-    idx = int(np.argmax(np.max(np.abs(g), axis=0) + np.abs(w)))
-    raise SolverError(
-        "per-state security system did not converge",
-        diagnostics={
-            "state": idx,
-            "residual": float(np.max(np.abs(g[:, idx]))),
-            "coupling_residual": float(w[idx]),
-            "iterations": INNER_MAX_ITER,
-        },
-    )
+    return newton(u, y, False)
 
 
 _Evaluation = namedtuple("_Evaluation", "phi residual prices sol values")
 
 
-def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray) -> _Evaluation:
-    """``phi``, ``F = phi - z``, the prices, the inner solution and the values at ``z``."""
-    u, y = _inner_log_ratios(market, ad, z)
+def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None) -> _Evaluation:
+    """``phi``, ``F = phi - z``, the prices, the inner solution and the values at ``z``.
+
+    ``near``, an evaluation at a nearby point, warm-starts the inner solve.
+    """
+    start = None if near is None else (near.sol.log_ratios, near.sol.log_tilt.values)
+    u, y = _inner_log_ratios(market, ad, z, start)
     u.setflags(write=False)
     sec = market.delta_minus[:, None] * np.expm1(u)
     sol = InnerSolution(
@@ -266,19 +296,20 @@ def _newton(market, ad, z, eps_target):
     of the competitive gains and the per-state solve divided by
     ``lambda_i``, so a last Newton step on the prices is kept if it lowers
     ``max|price|`` and keeps ``max|F|`` within ``eps_target`` or its last
-    value.  Returns the point, its evaluation (None if the start cannot be
+    value.  Every trial's inner solve is warm-started from the last accepted
+    point's.  Returns the point, its evaluation (None if the start cannot be
     solved) and ``max|F|`` at every accepted point.
     """
     floor = -np.asarray(ad.agent_gains)
 
-    def evaluate(z):
+    def evaluate(z, near=None):
         try:
-            return _evaluate(market, ad, z)
+            return _evaluate(market, ad, z, near)
         except SolverError:
             return None
 
-    def trial(z):
-        return evaluate(z) if np.all(z >= floor) else None
+    def trial(z, near):
+        return evaluate(z, near) if np.all(z >= floor) else None
 
     def newton_step(e, which):
         residual, jac = (e.residual, e.prices)[which], _jacobians(market, e)[which]
@@ -297,7 +328,7 @@ def _newton(market, ad, z, eps_target):
         if step is None:
             break
         for _ in range(25):
-            e_try = trial(z + step)
+            e_try = trial(z + step, e)
             if e_try is not None and np.max(np.abs(e_try.residual)) < trace[-1]:
                 z, e = z + step, e_try
                 trace.append(float(np.max(np.abs(e.residual))))
@@ -308,7 +339,7 @@ def _newton(market, ad, z, eps_target):
     # Prices below 1e-3 * eps_target are float noise that no step lowers.
     if np.max(np.abs(e.prices)) > 1e-3 * eps_target:
         step = newton_step(e, 1)
-        e_try = None if step is None else trial(z + step)
+        e_try = None if step is None else trial(z + step, e)
         if (
             e_try is not None
             and np.max(np.abs(e_try.prices)) < np.max(np.abs(e.prices))

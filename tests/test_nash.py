@@ -1,9 +1,13 @@
 """Game equilibrium solver: inner system, distance, update map, full solves."""
 
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import beta_market, common_beliefs_market, random_market
 from risksharing import (
@@ -21,7 +25,7 @@ from risksharing import (
     solve_best_response,
     solve_nash,
 )
-from risksharing import nash
+from risksharing import best_response, nash
 from risksharing.bundle import nash_ledger
 from risksharing.diagnostics import compute_diagnostics
 from risksharing.nash import _distance_from_prices, _evaluate, _jacobians
@@ -395,3 +399,111 @@ class TestExactJacobian:
         m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
         solve_nash(m)
         assert 0 < len(calls) <= 12 * (m.n_agents + 1)
+
+
+def _ir_point(ad, shares):
+    """The point of the individually rational box ``z_i >= -gain_i`` that
+    splits the aggregate gain by ``shares``."""
+    gains = np.asarray(ad.agent_gains)
+    shares = np.asarray(shares, dtype=float)
+    return -gains + gains.sum() * shares / shares.sum()
+
+
+@st.composite
+def warm_cases(draw):
+    """A random market (2 to 8 agents, up to 300 states) and two shares of its aggregate gain."""
+    n = draw(st.integers(2, 8))
+    market = random_market(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        n_agents=n,
+        n_states=draw(st.integers(2, 300)),
+        tilt_scale=draw(st.sampled_from([0.3, 1.0, 3.0])),
+    )
+    share = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0.0)
+    return market, draw(share), draw(share)
+
+
+def _kernel_calls(module):
+    """Patch ``module.solve_exp_linear`` with a wrapper that counts its calls."""
+    return mock.patch.object(module, "solve_exp_linear", wraps=module.solve_exp_linear)
+
+
+class TestWarmStarts:
+    @given(case=warm_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_warm_inner_solve_matches_cold(self, case):
+        """Started from the solution at another point of the box, the inner
+        solve reaches the cold solve's ``(u, y)`` without a cold start."""
+        m, shares, near_shares = case
+        ad = solve_arrow_debreu(m)
+        z = _ir_point(ad, shares)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, y = nash._inner_log_ratios(m, ad, z)
+            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares))
+            with _kernel_calls(nash) as kernel:
+                u_warm, y_warm = nash._inner_log_ratios(m, ad, z, start)
+        assert kernel.call_count == 0
+        assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
+        assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
+
+    @pytest.mark.parametrize("level", [1e3, 300.0], ids=["overflows", "too-slow"])
+    def test_far_start_falls_back_to_cold(self, level):
+        """A start whose first step overflows, or from which Newton descends
+        too slowly to converge, is redone cold without a warning."""
+        m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
+        ad = solve_arrow_debreu(m)
+        z = _ir_point(ad, np.ones(4))
+        u, y = nash._inner_log_ratios(m, ad, z)
+        far = (np.full_like(u, level), np.full_like(y, level))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _kernel_calls(nash) as kernel:
+                u_far, y_far = nash._inner_log_ratios(m, ad, z, far)
+        assert kernel.call_count == 1
+        assert np.array_equal(u_far, u) and np.array_equal(y_far, y)
+
+    @pytest.mark.parametrize("n_agents, n_states", [(2, 2000), (8, 500)])
+    def test_one_kernel_call_per_newton_start(self, n_agents, n_states):
+        """Every trial point is solved warm: only the first point of each
+        Newton start (the centre, and the corners for three or more agents)
+        calls the kernel."""
+        m = random_market(np.random.default_rng(0), n_agents=n_agents, n_states=n_states)
+        ad = solve_arrow_debreu(m)
+        with _kernel_calls(nash) as kernel:
+            solve_nash(m, ad=ad)
+        assert kernel.call_count == (1 if n_agents == 2 else n_agents + 1)
+
+    @pytest.mark.parametrize("n_agents", [2, 3])
+    def test_ledger_best_responses_start_at_the_equilibrium(self, n_agents):
+        """Seeded from the equilibrium's ratios, each best response of the
+        fixed-point check needs one kernel call."""
+        m = random_market(np.random.default_rng(0), n_agents=n_agents, n_states=2000)
+        ad = solve_arrow_debreu(m)
+        eq = solve_nash(m, ad=ad)
+        with _kernel_calls(best_response) as kernel:
+            ledger = nash_ledger(m, ad, eq)
+        assert all(e["pass"] for e in ledger)
+        assert kernel.call_count == n_agents
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_fixed_point_gap_fails_a_tilted_report(self, seeded):
+        """A revealed belief tilted by a relative 1e-4 fails the gap, whether
+        the best responses start at the equilibrium or at zero."""
+        rng = np.random.default_rng(21)
+        m = random_market(rng, n_agents=3, n_states=300)
+        ad = solve_arrow_debreu(m)
+        eq = solve_nash(m, ad=ad)
+        revealed = list(eq.revealed)
+        revealed[1] = normalize_log_density(revealed[1], 1e-4 * rng.choice([-1.0, 1.0], 300))
+        eq = dataclasses.replace(eq, revealed=tuple(revealed))
+        if seeded:
+            gap = next(e for e in nash_ledger(m, ad, eq) if e["name"] == "fixed_point_gap")
+            assert not gap["pass"]
+            return
+        gap = 0.0
+        for i in range(m.n_agents):
+            others = [eq.revealed[j] for j in range(m.n_agents) if j != i]
+            br = solve_best_response(m, i, others, start=None)
+            gap = max(gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights))))
+        assert gap > 1e-8

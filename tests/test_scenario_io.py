@@ -231,6 +231,18 @@ class TestCli:
         tampered.write_text(json.dumps(doc))
         assert cli_main(["verify", str(tampered)]) == 2
 
+    def test_verify_fails_a_far_log_ratio(self, tmp_path):
+        """A stored ratio far from any equilibrium fails the ledger, without
+        steering the ledger's best response outside its bound."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "cli-nash.yaml"
+        out = tmp_path / "out.json"
+        assert cli_main(["nash", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["nash"]["log_ratios"][0] = [1e300] * len(doc["nash"]["log_ratios"][0])
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(tampered)]) == 2
+
     def test_bundle_round_trip_is_bit_exact(self, tmp_path):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         out = tmp_path / "out.json"
@@ -303,6 +315,8 @@ class TestCli:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
+    # The bundle is written by the command that writes ``section``; a section
+    # given as "market limits" is edited in the bundle that writes ``limits``.
     # A callable value maps the stored value to the malformed one; a key of
     # None stands for the whole section.
     @pytest.mark.parametrize(
@@ -318,18 +332,24 @@ class TestCli:
          ("limits", None, lambda lim: list(lim.values())),
          ("limits", "z_infinity", "abc"),
          ("limits", "mode", "both"),
-         ("limits", "gain_agent0", None)],
+         ("limits", "gain_agent0", None),
+         ("nash", "log_ratios", lambda u: [[float("nan")] * len(u[0])] + u[1:]),
+         ("market limits", None, lambda m: m | {"deltas": m["deltas"] + [1.0],
+                                               "belief_weights": m["belief_weights"]
+                                               + m["belief_weights"][:1]})],
         ids=["baseline-weights", "no-log-ratio", "securities-not-a-list", "z-too-short",
              "securities-cut", "agent-out-of-range", "limit-pricing-short", "limit-table-ragged",
-             "limits-a-list", "limit-z-not-a-number", "limit-mode-both", "no-limit-gain"],
+             "limits-a-list", "limit-z-not-a-number", "limit-mode-both", "no-limit-gain",
+             "log-ratios-nan", "limits-on-three-agents"],
     )
     def test_malformed_bundle_exits_3(self, tmp_path, capsys, section, key, value):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         out = tmp_path / "out.json"
+        section, _, command = section.partition(" ")
         solve = {
             "best_response": ["best-response", str(path), "--agent", "0"],
             "limits": ["replicate", "limit-one-agent"],
-        }.get(section, ["nash", str(path)])
+        }.get(command or section, ["nash", str(path)])
         assert cli_main(solve + ["--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         if key is None:
