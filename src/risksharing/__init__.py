@@ -39,7 +39,7 @@ from .measures import (
     relative_entropy,
     variance,
 )
-from .nash import NashEquilibrium, inner_solve, nash_distance, phi_map, solve_nash
+from .nash import NashEquilibrium, nash_distance, phi_map, solve_nash
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "endowment_to_beliefs",
     "expect",
     "geometric_mean_measure",
-    "inner_solve",
     "limiting_arrow_debreu",
     "limiting_gains",
     "limiting_nash",

@@ -53,19 +53,31 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
 
+def _refuse(args, flags, reader: str) -> None:
+    """Refuse the first of ``flags`` given on the command line: ``reader`` does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag.replace('_', '-')} is not read by {reader}")
+
+
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     states = dict(scenario.states)
     solver = dict(scenario.solver)
+    if states["model"] == "explicit":
+        _refuse(args, ("quadrature_order", "samples"), "an explicit state model")
     if args.quadrature_order is not None:
+        _refuse(args, ("samples",), "the quadrature rule --quadrature-order sets")
         states["quadrature_order"] = args.quadrature_order
         states.pop("samples", None)
     if args.samples is not None:
         states["samples"] = args.samples
+    if "samples" not in states:
+        _refuse(args, ("seed",), "a state model without samples")
     if args.seed is not None:
         states["seed"] = args.seed
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         solver["tol"] = args.tol
-    if args.bins is not None and args.bins < 1:
+    if getattr(args, "bins", None) is not None and args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     return dataclasses.replace(scenario, states=states, solver=solver)
 
@@ -226,6 +238,7 @@ def run_best_response(args, scenario: Scenario) -> int:
     if not (0 <= i < market.n_agents):
         raise ValidationError(f"agent index {i} out of range")
     if args.truthful_others:
+        _refuse(args, ("tol",), "best-response with --truthful-others, which solves no game")
         reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != i]
         mode = "truthful"
     else:
@@ -301,9 +314,9 @@ def run_verify(args) -> int:
 def run_replicate(args) -> int:
     scenario = _apply_overrides(builtin_scenario(args.name), args)
     if scenario.limits is not None:
+        _refuse(args, ("tol", "hist", "bins"), f"the limit scenario {args.name}")
         return run_limits(args, scenario)
-    if args.deltas is not None:
-        raise ValidationError(f"--deltas needs a limit scenario; {args.name} has no limits section")
+    _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
     if scenario.name != "example-2.7":
         return run_nash(args, scenario)
     # Figure data: the densities of the endowments and of the post-trade
@@ -324,23 +337,26 @@ def tolerance_grid(text: str) -> list:
     return [float(x) for x in text.split(",")]
 
 
-def _add_common(p, scenario_arg=True):
+def _add_common(p, scenario_arg=True, tol=True, hist=True):
+    """The state-model and output flags, and ``--tol`` and ``--hist``/``--bins`` where read."""
     if scenario_arg:
         p.add_argument("scenario", help="path to a scenario YAML/JSON file")
-    p.add_argument("--tol", type=float, default=None, help="equilibrium distance tolerance")
+    if tol:
+        p.add_argument("--tol", type=float, default=None, help="equilibrium distance tolerance")
     p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     p.add_argument(
         "--quadrature-order", type=int, default=None, dest="quadrature_order"
     )
     p.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument(
-        "--hist",
-        action="append",
-        default=None,
-        metavar="EXPR",
-        help="emit binned pdf data for this state expression (repeatable)",
-    )
-    p.add_argument("--bins", type=int, default=None, help="histogram bin count")
+    if hist:
+        p.add_argument(
+            "--hist",
+            action="append",
+            default=None,
+            metavar="EXPR",
+            help="emit binned pdf data for this state expression (repeatable)",
+        )
+        p.add_argument("--bins", type=int, default=None, help="histogram bin count")
     p.add_argument("--out", default=None, help="bundle output path")
 
 
@@ -352,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ad", help="solve the competitive (price-taking) equilibrium")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(run=run_ad)
 
     p = sub.add_parser("nash", help="solve the risk-sharing game and run diagnostics")
@@ -370,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("limits", help="extreme-risk-tolerance limit analysis")
-    _add_common(p)
+    _add_common(p, tol=False, hist=False)
     p.set_defaults(run=run_limits)
     p.add_argument("--deltas", type=tolerance_grid, help="comma-separated risk-tolerance grid")
 

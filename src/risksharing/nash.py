@@ -14,7 +14,9 @@ update map ``phi``, found for every agent count by one backtracking Newton
 iteration on ``phi(z) - z`` and a last Newton step on the prices, both with
 exact Jacobians: from the centre of the individually rational box for two
 agents, where the root is unique, and also from its corners for three or
-more, where all distinct roots found are reported.
+more, where all distinct roots found are reported.  A trial point's
+evaluation is one record of plain arrays (:func:`_evaluate`); only the
+root's becomes measures and random variables, in :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -35,31 +37,14 @@ Z_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class InnerSolution:
-    """Candidate securities and valuation for one zero-sum vector.
+class NashEquilibrium:
+    """Solved game: transfers, securities, valuation, revealed beliefs.
 
     ``log_ratios[i]`` holds log(1 + C_i/delta_minus_i) per state in solution
     space; securities satisfy C_i = delta_minus_i * expm1(log_ratios[i]).
     Residual checks should use ``log_ratios`` directly: recomputing the log
     from float security values loses precision where a security sits within
     ~1e-12 of its endogenous bound.
-    """
-
-    securities: tuple
-    log_ratios: np.ndarray
-    log_tilt: RandomVariable
-    valuation: Measure
-
-    def security_values(self) -> np.ndarray:
-        return np.stack([c.values for c in self.securities])
-
-
-@dataclass(frozen=True)
-class NashEquilibrium:
-    """Solved game: transfers, securities, valuation, revealed beliefs.
-
-    ``log_ratios`` carries log(1 + C_i/delta_minus_i) in solution space; see
-    :class:`InnerSolution` for why residuals should be evaluated with it.
     """
 
     z: np.ndarray
@@ -200,27 +185,24 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     return newton(u, y, False)
 
 
-_Evaluation = namedtuple("_Evaluation", "phi residual prices sol values")
+_Evaluation = namedtuple("_Evaluation", "phi residual prices u y sec q values")
 
 
 def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None) -> _Evaluation:
-    """``phi``, ``F = phi - z``, the prices, the inner solution and the values at ``z``.
+    """``phi``, ``F = phi - z``, the prices, ``(u, y)``, the securities, the valuation's
+    weights ``q`` and the agents' values at ``z``: one inner solve, as plain arrays.
 
     ``near``, an evaluation at a nearby point, warm-starts the inner solve.
     """
-    start = None if near is None else (near.sol.log_ratios, near.sol.log_tilt.values)
-    u, y = _inner_log_ratios(market, ad, z, start)
+    u, y = _inner_log_ratios(market, ad, z, None if near is None else (near.u, near.y))
     u.setflags(write=False)
     sec = market.delta_minus[:, None] * np.expm1(u)
-    sol = InnerSolution(
-        securities=tuple(RandomVariable(market.space, c) for c in sec),
-        log_ratios=u,
-        log_tilt=RandomVariable(market.space, y),
-        valuation=normalize_log_density(ad.pricing, -y),
+    q = normalize_log_density(ad.pricing, -y).weights
+    values = np.array(
+        [cara_utility(a, RandomVariable(market.space, c)) for a, c in zip(market.agents, sec)]
     )
-    values = np.array([cara_utility(a, c) for a, c in zip(market.agents, sol.securities)])
     phi = values - np.asarray(ad.agent_gains) + market.lambdas * (ad.aggregate_gain - values.sum())
-    return _Evaluation(phi, phi - z, np.sum(sec * sol.valuation.weights, axis=1), sol, values)
+    return _Evaluation(phi, phi - z, np.sum(sec * q, axis=1), u, y, sec, q, values)
 
 
 def _jacobians(market: Market, e: _Evaluation):
@@ -233,7 +215,7 @@ def _jacobians(market: Market, e: _Evaluation):
     ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
     """
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
-    sec, q = e.sol.security_values(), e.sol.valuation.weights
+    sec, q = e.sec, e.q
     growth = sec + market.delta_minus[:, None]  # dC/du
     ratio = growth / (growth + deltas)
     dy = lambdas / ((growth + deltas) * np.sum(lambdas * ratio, axis=0))  # row j: dy/dz_j
@@ -247,11 +229,6 @@ def _jacobians(market: Market, e: _Evaluation):
     d_prices = np.einsum("is,js->ij", deltas * q_r - q * (sec - e.prices[:, None]), dy)
     d_prices += np.diag(np.sum(q_r, axis=1))
     return d_f[:, 1:] - d_f[:, :1], d_prices[:, 1:] - d_prices[:, :1]
-
-
-def inner_solve(market: Market, ad: ArrowDebreuEquilibrium, z) -> InnerSolution:
-    """Unique candidate securities, log tilt, and valuation at ``z``."""
-    return _evaluate(market, ad, _check_z(market, z)).sol
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
@@ -352,19 +329,18 @@ def _newton(market, ad, z, eps_target):
 def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
     """The equilibrium at ``z`` from its evaluation ``e``."""
     revealed = tuple(
-        normalize_log_density(agent.beliefs, -logr)
-        for agent, logr in zip(market.agents, e.sol.log_ratios)
+        normalize_log_density(agent.beliefs, -logr) for agent, logr in zip(market.agents, e.u)
     )
     values = tuple(e.values.tolist())
     return NashEquilibrium(
         z=z,
-        securities=e.sol.securities,
-        pricing=e.sol.valuation,
+        securities=tuple(RandomVariable(market.space, c) for c in e.sec),
+        pricing=Measure(market.space, e.q),
         revealed=revealed,
         agent_values=values,
         aggregate_value=float(sum(values)),
         distance=_distance_from_prices(market, e.prices),
-        log_ratios=e.sol.log_ratios,
+        log_ratios=e.u,
         all_roots=tuple(np.array(r) for r in all_roots),
     )
 

@@ -17,7 +17,6 @@ from risksharing import (
     SolverError,
     StateSpace,
     expect,
-    inner_solve,
     nash_distance,
     normalize_log_density,
     phi_map,
@@ -60,19 +59,19 @@ class TestInnerSolve:
         rng = np.random.default_rng(1)
         m = common_beliefs_market(rng, n_agents=3, n_states=40)
         ad = solve_arrow_debreu(m)
-        sol = inner_solve(m, ad, np.zeros(3))
-        assert float(np.max(np.abs(sol.security_values()))) <= 1e-12
-        assert float(np.max(np.abs(sol.log_tilt.values))) <= 1e-12
-        np.testing.assert_allclose(sol.valuation.weights, ad.pricing.weights, atol=1e-13)
+        e = _evaluate(m, ad, np.zeros(3))
+        assert float(np.max(np.abs(e.sec))) <= 1e-12
+        assert float(np.max(np.abs(e.y))) <= 1e-12
+        np.testing.assert_allclose(e.q, ad.pricing.weights, atol=1e-13)
 
     def test_matches_independent_two_agent_bisection(self):
         rng = np.random.default_rng(2)
         m = random_market(rng, n_agents=2, n_states=30)
         ad = solve_arrow_debreu(m)
         for z0 in (-0.2, 0.0, 0.35):
-            sol = inner_solve(m, ad, np.array([z0, -z0]))
+            e = _evaluate(m, ad, np.array([z0, -z0]))
             reference = scalar_two_agent_security(m, ad, z0)
-            np.testing.assert_allclose(sol.securities[0].values, reference, atol=1e-10)
+            np.testing.assert_allclose(e.sec[0], reference, atol=1e-10)
 
     def test_clearing_and_bounds(self):
         rng = np.random.default_rng(3)
@@ -80,23 +79,22 @@ class TestInnerSolve:
         ad = solve_arrow_debreu(m)
         z = rng.normal(0, 0.1, 4)
         z -= z.mean()
-        sol = inner_solve(m, ad, z)
-        sec = sol.security_values()
-        assert float(np.max(np.abs(sec.sum(axis=0)))) <= 1e-9
+        e = _evaluate(m, ad, z)
+        assert float(np.max(np.abs(e.sec.sum(axis=0)))) <= 1e-9
         caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)
-        assert np.all(np.isfinite(sol.log_ratios))
-        assert np.all(sol.log_ratios < caps[:, None])
+        assert np.all(np.isfinite(e.u))
+        assert np.all(e.u < caps[:, None])
 
     def test_system_residual(self):
         rng = np.random.default_rng(4)
         m = random_market(rng, n_agents=3, n_states=30)
         ad = solve_arrow_debreu(m)
         z = np.array([0.1, -0.25, 0.15])
-        sol = inner_solve(m, ad, z)
-        u = sol.log_ratios
+        e = _evaluate(m, ad, z)
+        u = e.u
         coupling = m.lambdas @ u
         resid = (
-            sol.security_values()
+            e.sec
             + m.deltas[:, None] * u
             - (z[:, None] + ad.security_values() + m.deltas[:, None] * coupling)
         )
@@ -107,8 +105,8 @@ class TestInnerSolve:
         for _ in range(5):
             m = random_market(rng, n_agents=2, n_states=20)
             ad = solve_arrow_debreu(m)
-            base = inner_solve(m, ad, np.array([0.0, 0.0])).securities[0].values
-            bumped = inner_solve(m, ad, np.array([0.05, -0.05])).securities[0].values
+            base = _evaluate(m, ad, np.array([0.0, 0.0])).sec[0]
+            bumped = _evaluate(m, ad, np.array([0.05, -0.05])).sec[0]
             assert np.all(bumped > base)
 
     def test_rejects_nonzero_sum(self):
@@ -116,7 +114,7 @@ class TestInnerSolve:
         m = random_market(rng, n_agents=2, n_states=10)
         ad = solve_arrow_debreu(m)
         with pytest.raises(ContractError):
-            inner_solve(m, ad, np.array([0.1, 0.1]))
+            phi_map(m, ad, np.array([0.1, 0.1]))
 
 
 class TestDistanceAndMap:
@@ -383,9 +381,9 @@ class TestExactJacobian:
         assert dominant_market(4).lambdas[0] > 0.5
         m, z = jacobian_case("extreme-89")
         caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)
-        assert np.min(caps[:, None] - inner_solve(m, solve_arrow_debreu(m), z).log_ratios) <= 1e-12
+        assert np.min(caps[:, None] - _evaluate(m, solve_arrow_debreu(m), z).u) <= 1e-12
         m, z = jacobian_case("extreme-104")
-        assert np.min(inner_solve(m, solve_arrow_debreu(m), z).log_ratios) <= -50.0
+        assert np.min(_evaluate(m, solve_arrow_debreu(m), z).u) <= -50.0
 
     def test_inner_solves_per_equilibrium(self, monkeypatch):
         """Guards against Jacobian columns bought with inner solves.
@@ -462,6 +460,26 @@ class TestWarmStarts:
                 u_far, y_far = nash._inner_log_ratios(m, ad, z, far)
         assert kernel.call_count == 1
         assert np.array_equal(u_far, u) and np.array_equal(y_far, y)
+
+    def test_first_step_check_redoes_a_far_start_cold(self, monkeypatch):
+        """Extreme-sweep trial 64's first Newton step moves ``z`` by about 1400,
+        so the centre's solution, its warm start, lies 79 in ``u`` from the new
+        root.  Its first step is finite but lands outside the super-solution
+        set, and the check redoes it cold at once: one kernel call, the cold
+        result.  Without the check the warm solve creeps there in 86 passes."""
+        m = extreme_market(64)
+        ad = solve_arrow_debreu(m)
+        calls = []
+        inner = nash._inner_log_ratios
+        monkeypatch.setattr(nash, "_inner_log_ratios", lambda *a: calls.append(a) or inner(*a))
+        solve_nash(m, ad=ad)
+        monkeypatch.undo()
+        _, _, z, start = calls[1]  # the first trial point, warm from the centre
+        with _kernel_calls(nash) as kernel:
+            u, y = inner(m, ad, z, start)
+        u_cold, y_cold = inner(m, ad, z)
+        assert kernel.call_count == 1
+        assert np.array_equal(u, u_cold) and np.array_equal(y, y_cold)
 
     @pytest.mark.parametrize("n_agents, n_states", [(2, 2000), (8, 500)])
     def test_one_kernel_call_per_newton_start(self, n_agents, n_states):

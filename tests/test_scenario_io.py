@@ -298,9 +298,23 @@ class TestCli:
         "args",
         [["nash"], ["nash", "{path}", "--tol", "abc"], ["limits", "{path}", "--deltas", "abc"],
          ["limits", "{path}", "--deltas=-10,100"], ["nash", "{path}", "--no-such-flag"],
-         ["replicate", "beta-symmetric", "--deltas", "1,2"]],
+         ["replicate", "beta-symmetric", "--deltas", "1,2"],
+         # Flags that the command, or the command on this input, never reads.
+         ["ad", "{path}", "--tol", "-1"], ["limits", "{path}", "--tol", "-1"],
+         ["limits", "{path}", "--hist", "X"],
+         ["best-response", "{path}", "--agent", "0", "--truthful-others", "--tol", "-1"],
+         ["replicate", "limit-one-agent", "--tol", "-1"],
+         ["replicate", "limit-one-agent", "--hist", "X", "--bins", "3"],
+         ["replicate", "limit-both", "--hist", "XI0"],
+         ["replicate", "limit-one-agent", "--quadrature-order", "8"],
+         ["replicate", "limit-both", "--samples", "10"],
+         ["replicate", "example-2.7", "--seed", "3"],
+         ["replicate", "example-2.7", "--quadrature-order", "8", "--samples", "10", "--seed", "1"]],
         ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag",
-             "deltas-without-limits"],
+             "deltas-without-limits", "ad-tol", "limits-tol", "limits-hist",
+             "truthful-others-tol", "limit-tol", "limit-hist-bins", "limit-both-hist",
+             "explicit-quadrature-order", "explicit-samples", "quadrature-seed",
+             "quadrature-order-and-samples"],
     )
     def test_argument_errors_exit_3(self, tmp_path, capsys, args):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
