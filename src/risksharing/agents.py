@@ -60,6 +60,11 @@ class Market:
         return len(self.agents)
 
     @cached_property
+    def belief_weights(self) -> np.ndarray:
+        """(n_agents, n_states) array of belief weights."""
+        return np.stack([a.beliefs.weights for a in self.agents])
+
+    @cached_property
     def log_beliefs(self) -> np.ndarray:
         """(n_agents, n_states) array of log belief weights."""
         return np.stack([a.beliefs.log_weights() for a in self.agents])

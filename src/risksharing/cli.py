@@ -75,10 +75,15 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         _refuse(args, ("seed",), "a state model without samples")
     if args.seed is not None:
         states["seed"] = args.seed
+    if "samples" in states and "seed" not in states:
+        raise ValidationError("--samples needs a sampling seed: give --seed")
     if getattr(args, "tol", None) is not None:
         solver["tol"] = args.tol
-    if getattr(args, "bins", None) is not None and args.bins < 1:
-        raise ValidationError(f"--bins must be at least 1, got {args.bins}")
+    if getattr(args, "bins", None) is not None:
+        if not args.hist:
+            raise ValidationError("--bins is not read without --hist")
+        if args.bins < 1:
+            raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     return dataclasses.replace(scenario, states=states, solver=solver)
 
 
@@ -312,6 +317,11 @@ def run_verify(args) -> int:
 
 
 def run_replicate(args) -> int:
+    if args.name == "example-2.7":
+        # Figure data: the densities of the endowments and of the post-trade
+        # positions under the competitive equilibrium, the game and agent 0's
+        # response to truthful reports.
+        args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
     scenario = _apply_overrides(builtin_scenario(args.name), args)
     if scenario.limits is not None:
         _refuse(args, ("tol", "hist", "bins"), f"the limit scenario {args.name}")
@@ -319,10 +329,6 @@ def run_replicate(args) -> int:
     _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
     if scenario.name != "example-2.7":
         return run_nash(args, scenario)
-    # Figure data: the densities of the endowments and of the post-trade
-    # positions under the competitive equilibrium, the game and agent 0's
-    # response to truthful reports.
-    args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
     return run_nash(args, scenario, br_agent=0)
 
 

@@ -14,9 +14,17 @@ update map ``phi``, found for every agent count by one backtracking Newton
 iteration on ``phi(z) - z`` and a last Newton step on the prices, both with
 exact Jacobians: from the centre of the individually rational box for two
 agents, where the root is unique, and also from its corners for three or
-more, where all distinct roots found are reported.  A trial point's
-evaluation is one record of plain arrays (:func:`_evaluate`); only the
-root's becomes measures and random variables, in :func:`_assemble`.
+more, where all distinct roots found are reported.
+
+The starts run in lockstep along a leading start axis of length ``K`` (1
+for two agents, up to ``n + 1`` otherwise): each round evaluates one trial
+point of every start still searching in one stacked inner solve, and the
+starts at a new point take their steps from one stacked Jacobian and one
+batched linear solve.  Every start keeps its own step, halvings, trace and
+warm start, and leaves the stack once it is done, so it reaches bit for
+bit the point it reaches searched alone.  A trial point's evaluation is
+one record of plain arrays (:func:`_evaluate`); only the root's becomes
+measures and random variables, in :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -26,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Market, cara_utility
+from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
-from .measures import Measure, RandomVariable, normalize_log_density
+from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
 from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
@@ -71,11 +79,17 @@ def _check_z(market: Market, z) -> np.ndarray:
     return z
 
 
-def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None):
-    """Per-state solve of the coupled security system.
+def _stacked(arrays) -> np.ndarray:
+    """``arrays`` stacked on a new first axis; a single one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    Returns ``(u, y)``: ``u[i]`` is log(1 + C_i/delta_minus_i) per state and
-    ``y`` the lambda-weighted mean of the ``u[i]``.  With ``a = z + C*`` and
+
+def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None):
+    """Per-state solve of the coupled security system at a ``(K, n)`` stack of transfers.
+
+    Returns ``(u, y)``: ``u[k, i]`` is log(1 + C_i/delta_minus_i) per state
+    at ``z[k]`` and ``y[k]`` the lambda-weighted mean of the ``u[k, i]``; the
+    rows of an entry whose solve fails are NaN.  With ``a = z + C*`` and
     ``D_i = delta_minus_i * exp(u_i) + delta_i``, each state solves
 
         G_i = delta_minus_i * expm1(u_i) + delta_i * (u_i - y) - a_i = 0,
@@ -89,16 +103,18 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     ``s = 1 - sum_i lambda_i * delta_i / D_i``.  The cold start is
     ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
     at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
-    ``(u, y)`` solved at a nearby ``z``, is a warm start instead; if its
-    first step does not land where ``G, W`` are at least minus their
-    tolerances (float rounding or overflow on a far start), or it does not
-    converge, the solve is redone from the cold start.  An agent holding
-    over half the total tolerance is carried as ``v = u - y``: its ``u`` is
-    close to ``y``, and ``y`` amplifies an error in ``v`` by
-    ``1/lambda_minus``.
+    ``(u, y)`` stacks solved at nearby points, is a warm start instead; an
+    entry whose first step does not land where ``G, W`` are at least minus
+    their tolerances (float rounding or overflow on a far start), or that
+    does not converge, is redone from the cold start, all such entries in
+    one kernel call.  A cold solve fails where ``W(y0) < 0`` or it does not
+    converge; the kernel's own failure fails every entry of its call.  An
+    entry leaves the stack once it converges, so its passes are those of a
+    solve of it alone.  An agent holding over half the total tolerance is
+    carried as ``v = u - y``: its ``u`` is close to ``y``, and ``y``
+    amplifies an error in ``v`` by ``1/lambda_minus``.
     """
-    cstar = ad.security_values()
-    a = z[:, None] + cstar  # (n, S)
+    a = z[:, :, None] + ad.security_values()  # (K, n, S)
     deltas = market.deltas[:, None]
     dminus = market.delta_minus[:, None]
     lambdas = market.lambdas[:, None]
@@ -114,99 +130,145 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     n_others = market.n_agents - 1
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
-    # Tolerances scale with the terms, y's among them through dG/dy, not with
-    # their sum, which cancels; the step from a point within them lands on
-    # the rounding floor.
-    a_scale = 1.0 + np.abs(a)
+    solved = [None] * len(a)  # (u, y) per entry
 
-    def newton(u, y, warm):
-        """Joint Newton from ``(u, y)``; None where a warm start fails."""
-        v = u[dom] - y
+    def take(x, rows):
+        return x if len(rows) == len(x) else x[rows]
+
+    def newton(rows, u, y, warm):
+        """Joint Newton for the entries ``rows`` from ``(u, y)``; returns those that fail."""
+        a_rows = take(a, rows)
+        # Tolerances scale with the terms, y's among them through dG/dy, not
+        # with their sum, which cancels; the step from a point within them
+        # lands on the rounding floor.
+        a_scale = 1.0 + np.abs(a_rows)
+        v = u[:, dom] - y
+        failed = []
+        # Each pass updates its (K, n, S) arrays in place where it can: a
+        # fresh array of that size costs page faults as well as its writes.
         for k in range(INNER_MAX_ITER):
             em1 = np.expm1(u)
-            growth = dminus * (em1 + 1.0)
+            growth = em1 + 1.0
+            growth *= dminus
             d = growth + deltas
-            spread = deltas * (u - y)
-            spread[dom] = deltas[dom] * v
-            g = dminus * em1 + spread - a
+            spread_dom = deltas[dom] * v
+            g = u - y
+            g *= deltas
+            g[:, dom] = spread_dom
+            em1 *= dminus
+            g += em1
+            g -= a_rows
             lam_u = lambdas * u
-            lam_u[dom] = lambdas[dom] * v
-            w = rest * y - np.sum(lam_u, axis=0)
+            lam_u[:, dom] = lambdas[dom] * v
+            w = rest * y - np.sum(lam_u, axis=1, keepdims=True)
             abs_y = np.abs(y)
-            w_tol = 1e-14 * (1.0 + rest * abs_y + np.sum(np.abs(lam_u), axis=0))
-            done = np.all(np.abs(w) <= w_tol)
+            abs_sum = np.sum(np.abs(lam_u, out=lam_u), axis=1, keepdims=True)
+            w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
+            done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
+            bad = np.zeros_like(done)
             check = warm and k == 1  # the first warm step must land on a super-solution
             # G is checked only once W is within its tolerance, or for that check.
-            if done or check:
+            if check or done.any():
                 g_tol = a_scale + deltas * abs_y
-                g_tol[dom] = a_scale[dom] + np.abs(spread[dom]) + growth[dom] * abs_y
+                g_tol[:, dom] = a_scale[:, dom] + np.abs(spread_dom) + growth[:, dom] * abs_y
                 g_tol *= 1e-14
-                if check and not (np.all(g >= -g_tol) and np.all(w >= -w_tol)):
-                    return None
-                done = done and np.all(np.abs(g) <= g_tol)
+                if check:
+                    bad = ~(np.all(g >= -g_tol, axis=(1, 2)) & np.all(w >= -w_tol, axis=(1, 2)))
+                done &= ~bad & np.all(np.abs(g) <= g_tol, axis=(1, 2))
             # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
-            lam_d = lambdas / d
-            s = np.sum(lam_d * growth, axis=0)
-            dy = -(w + np.sum(lam_d * g, axis=0)) / s
-            du = (deltas * dy - g) / d
+            lam_d = np.divide(lambdas, d, out=lam_u)
+            s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
+            dy = -(w + np.sum(np.multiply(lam_d, g, out=em1), axis=1, keepdims=True)) / s
+            du = deltas * dy
+            du -= g
+            du /= d
             y += dy
-            v += du[dom] - dy
+            v += du[:, dom] - dy
             u += du
-            u[dom] = v + y
-            if done:
-                return np.minimum(u, projected), y
-        if warm:
-            return None
-        idx = int(np.argmax(np.max(np.abs(g), axis=0) + np.abs(w)))
-        raise SolverError(
-            "per-state security system did not converge",
-            diagnostics={
-                "state": idx,
-                "residual": float(np.max(np.abs(g[:, idx]))),
-                "coupling_residual": float(w[idx]),
-                "iterations": INNER_MAX_ITER,
-            },
-        )
+            u[:, dom] = v + y
+            if done.any() or bad.any():
+                for j in np.flatnonzero(done):
+                    solved[rows[j]] = np.minimum(u[j], projected), y[j, 0]
+                failed += rows[bad].tolist()
+                keep = ~(done | bad)
+                if not keep.any():
+                    return failed
+                rows, u, y, v, a_rows, a_scale = (x[keep] for x in (rows, u, y, v, a_rows, a_scale))
+        return failed + rows.tolist()
 
+    rows = np.arange(len(a))
     if start is not None:
         with np.errstate(all="ignore"):  # a far start may overflow; it then falls back
-            solved = newton(np.array(start[0], dtype=float), np.array(start[1], dtype=float), True)
-        if solved is not None:
-            return solved
-    y = np.full(a.shape[1], float(market.lambdas @ caps))
-    u = solve_exp_linear(dminus, deltas, a + deltas * y)
-    w = y - np.sum(lambdas * u, axis=0)
-    if np.any(w < 0.0):
-        idx = int(np.argmin(w))
-        raise SolverError(
-            "per-state start is not a super-solution",
-            diagnostics={"state": idx, "residual": float(w[idx])},
-        )
-    return newton(u, y, False)
+            u, y = np.array(start[0], dtype=float), np.array(start[1], dtype=float)[:, None]
+            rows = np.array(sorted(newton(rows, u, y, True)), dtype=int)
+    if len(rows):
+        y = np.full((len(rows), 1, a.shape[2]), float(market.lambdas @ caps))
+        try:
+            u = solve_exp_linear(dminus, deltas, take(a, rows) + deltas * y)
+        except SolverError:
+            failed = rows
+        else:
+            sound = np.all(y - np.sum(lambdas * u, axis=1, keepdims=True) >= 0.0, axis=(1, 2))
+            sound_rows = np.flatnonzero(sound)
+            failed = rows[~sound].tolist()
+            if len(sound_rows):
+                failed += newton(rows[sound], take(u, sound_rows), take(y, sound_rows), False)
+        for k in failed:
+            solved[k] = np.full(a.shape[1:], np.nan), np.full(a.shape[2], np.nan)
+    u, y = zip(*solved)
+    return _stacked(u), _stacked(y)
 
 
 _Evaluation = namedtuple("_Evaluation", "phi residual prices u y sec q values")
 
 
-def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None) -> _Evaluation:
+def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None) -> list:
     """``phi``, ``F = phi - z``, the prices, ``(u, y)``, the securities, the valuation's
-    weights ``q`` and the agents' values at ``z``: one inner solve, as plain arrays.
+    weights ``q`` and the agents' values at each of a ``(K, n)`` stack of transfers.
 
-    ``near``, an evaluation at a nearby point, warm-starts the inner solve.
+    One stacked inner solve; ``near``, one evaluation at a nearby point per
+    entry, warm-starts it.  Returns one record of plain arrays per entry,
+    views of the stacked arrays, or None where its inner solve fails.
     """
-    u, y = _inner_log_ratios(market, ad, z, None if near is None else (near.u, near.y))
+    start = None if near is None else (_stacked([e.u for e in near]), _stacked([e.y for e in near]))
+    u, y = _inner_log_ratios(market, ad, z, start)
+    ok = ~np.isnan(y[:, 0])
+    if not ok.all():
+        z, u, y = z[ok], u[ok], y[ok]
     u.setflags(write=False)
-    sec = market.delta_minus[:, None] * np.expm1(u)
-    q = normalize_log_density(ad.pricing, -y).weights
-    values = np.array(
-        [cara_utility(a, RandomVariable(market.space, c)) for a, c in zip(market.agents, sec)]
-    )
-    phi = values - np.asarray(ad.agent_gains) + market.lambdas * (ad.aggregate_gain - values.sum())
-    return _Evaluation(phi, phi - z, np.sum(sec * q, axis=1), u, y, sec, q, values)
+    sec = np.expm1(u)
+    sec *= market.delta_minus[:, None]
+    # normalize_log_density(ad.pricing, -y) and cara_utility per agent, stacked.
+    logw = np.log(ad.pricing.weights) + -y
+    logw -= logw.max(axis=1, keepdims=True)
+    q = np.maximum(np.exp(logw), MIN_WEIGHT)
+    q /= q.sum(axis=1, keepdims=True)
+    work = np.negative(sec)
+    work /= market.deltas[:, None]
+    top = work.max(axis=2, keepdims=True)
+    work -= top
+    np.exp(work, out=work)
+    work *= market.belief_weights
+    values = -market.deltas * (top[:, :, 0] + np.log(np.sum(work, axis=2)))
+    shortfall = ad.aggregate_gain - values.sum(axis=1, keepdims=True)
+    phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
+    prices = np.sum(np.multiply(sec, q[:, None], out=work), axis=2)
+    rows = iter(map(_Evaluation, phi, phi - z, prices, u, y, sec, q, values))
+    return [next(rows) if solved else None for solved in ok]
 
 
-def _jacobians(market: Market, e: _Evaluation):
-    """Jacobians of ``F`` and of the prices of ``e`` in ``z[1:]`` (``z[0] = -sum(z[1:])``).
+def _evaluate_one(market: Market, ad: ArrowDebreuEquilibrium, z) -> _Evaluation:
+    """The evaluation at one transfer vector; SolverError if its inner solve fails."""
+    z = _check_z(market, z)
+    (e,) = _evaluate(market, ad, z[None])
+    if e is None:
+        raise SolverError("per-state security system failed", diagnostics={"z": z.tolist()})
+    return e
+
+
+def _jacobians(market: Market, evaluations: list):
+    """Jacobians of ``F`` and of the prices in ``z[1:]`` (``z[0] = -sum(z[1:])``),
+    stacked: one ``(n, n - 1)`` matrix of each per evaluation.
 
     Differentiating the per-state system of :func:`_inner_log_ratios` gives
     ``dy/dz_j = lambda_j/(D_j*s)`` and ``dC_i/dz_j = r_i*(delta_i*dy/dz_j + [i = j])``
@@ -215,20 +277,29 @@ def _jacobians(market: Market, e: _Evaluation):
     ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
     """
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
-    sec, q = e.sec, e.q
-    growth = sec + market.delta_minus[:, None]  # dC/du
-    ratio = growth / (growth + deltas)
-    dy = lambdas / ((growth + deltas) * np.sum(lambdas * ratio, axis=0))  # row j: dy/dz_j
-    tilt = market.log_beliefs - sec / deltas
-    big_q = np.exp(tilt - tilt.max(axis=1, keepdims=True))
-    big_q *= ratio / np.sum(big_q, axis=1, keepdims=True)  # Q_i * r_i
-    # The [i = j] terms are summed apart, so no (n, n, S) array is formed.
-    d_values = deltas * np.einsum("is,js->ij", big_q, dy) + np.diag(np.sum(big_q, axis=1))
-    d_f = d_values - lambdas * np.sum(d_values, axis=0) - np.eye(market.n_agents)
-    q_r = q * ratio
-    d_prices = np.einsum("is,js->ij", deltas * q_r - q * (sec - e.prices[:, None]), dy)
-    d_prices += np.diag(np.sum(q_r, axis=1))
-    return d_f[:, 1:] - d_f[:, :1], d_prices[:, 1:] - d_prices[:, :1]
+    sec, q = _stacked([e.sec for e in evaluations]), _stacked([e.q for e in evaluations])[:, None]
+    prices = _stacked([e.prices for e in evaluations])
+    diag = np.arange(market.n_agents)
+    # (K, n, S) arrays are updated in place where they can, as in the inner solve.
+    work = sec + market.delta_minus[:, None]  # dC/du
+    d = work + deltas
+    ratio = work / d
+    d *= np.sum(np.multiply(lambdas, ratio, out=work), axis=1, keepdims=True)
+    dy = np.divide(lambdas, d, out=d)  # row j: dy/dz_j
+    tilt = np.subtract(market.log_beliefs, np.divide(sec, deltas, out=work), out=work)
+    tilt -= tilt.max(axis=2, keepdims=True)
+    big_q = np.exp(tilt, out=tilt)
+    big_q *= ratio / np.sum(big_q, axis=2, keepdims=True)  # Q_i * r_i
+    # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
+    d_values = deltas * np.einsum("kis,kjs->kij", big_q, dy)
+    d_values[:, diag, diag] += np.sum(big_q, axis=2)
+    d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
+    q_r = np.multiply(q, ratio, out=ratio)
+    spread = sec - prices[:, :, None]
+    spread *= q
+    d_prices = np.einsum("kis,kjs->kij", np.subtract(deltas * q_r, spread, out=spread), dy)
+    d_prices[:, diag, diag] += np.sum(q_r, axis=2)
+    return d_f[:, :, 1:] - d_f[:, :, :1], d_prices[:, :, 1:] - d_prices[:, :, :1]
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:
@@ -249,7 +320,7 @@ def nash_distance(market: Market, ad: ArrowDebreuEquilibrium, z) -> float:
     Reported raw: at a solved root the value is float noise around zero and
     may print as a tiny negative.
     """
-    return _distance_from_prices(market, _evaluate(market, ad, _check_z(market, z)).prices)
+    return _distance_from_prices(market, _evaluate_one(market, ad, z).prices)
 
 
 def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
@@ -259,71 +330,120 @@ def phi_map(market: Market, ad: ArrowDebreuEquilibrium, z) -> np.ndarray:
     competitive gain, plus their share of the aggregate shortfall; the
     output sums to zero by construction.
     """
-    return _evaluate(market, ad, _check_z(market, z)).phi
+    return _evaluate_one(market, ad, z).phi
+
+
+def _steps(jac, rhs) -> list:
+    """Per entry, the zero-sum step ``dz`` whose ``dz[1:]`` solves
+    ``jac[k][1:] @ dz[1:] = -rhs[k][1:]``; None where ``jac[k][1:]`` is singular."""
+    try:
+        dz = np.linalg.solve(jac[:, 1:], -rhs[:, 1:, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(jac) == 1:
+            return [None]
+        return [step for j, r in zip(jac, rhs) for step in _steps(j[None], r[None])]
+    return [np.concatenate(([-d.sum()], d)) for d in dz]
 
 
 def _newton(market, ad, z, eps_target):
-    """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the prices.
+    """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the
+    prices, from every start of the ``(K, n)`` stack ``z`` in lockstep.
 
     Both residuals sum to zero, so a step solves for ``z[1:]`` with the
     exact Jacobian :func:`_jacobians` gives at the accepted point.  A step is
-    halved until ``max|F|`` falls; a trial point outside the individually
-    rational box ``z_i >= -gain_i``, or whose inner solve fails, counts as
-    no decrease.  ``F`` and the prices vanish together only up to the error
-    of the competitive gains and the per-state solve divided by
-    ``lambda_i``, so a last Newton step on the prices is kept if it lowers
-    ``max|price|`` and keeps ``max|F|`` within ``eps_target`` or its last
-    value.  Every trial's inner solve is warm-started from the last accepted
-    point's.  Returns the point, its evaluation (None if the start cannot be
-    solved) and ``max|F|`` at every accepted point.
+    halved, at most 24 times, until ``max|F|`` falls; a trial point outside
+    the individually rational box ``z_i >= -gain_i``, or whose inner solve
+    fails, counts as no decrease.  After 40 accepted steps, or once
+    ``max|F| <= eps_target`` or no step is left, the start ends its search.
+    ``F`` and the prices vanish together only up to the error of the
+    competitive gains and the per-state solve divided by ``lambda_i``, so a
+    last Newton step on the prices is kept if it lowers ``max|price|`` and
+    keeps ``max|F|`` within ``eps_target`` or its last value.
+
+    Each round evaluates one trial point of every start still searching in
+    one stacked :func:`_evaluate`, each warm-started from that start's last
+    accepted point, and takes the steps of the starts at a new point from
+    one stacked :func:`_jacobians` and one batched solve.  A start's points,
+    steps and trace are those of a search from it alone.  Returns per start
+    the point, its evaluation (None if the start cannot be solved) and
+    ``max|F|`` at every accepted point.
     """
     floor = -np.asarray(ad.agent_gains)
+    z = list(z)
+    e = _evaluate(market, ad, np.stack(z))
+    traces = [[float("inf") if x is None else float(np.max(np.abs(x.residual)))] for x in e]
+    pricing = [False] * len(z)  # the search on F has ended; the price step comes next
+    fresh = [k for k, x in enumerate(e) if x is not None]  # at a point with no step yet
+    trials = {}  # start -> (step, halvings left); None left for the price step
+    while fresh or trials:
+        for k in fresh:
+            pricing[k] = pricing[k] or len(traces[k]) > 40 or traces[k][-1] <= eps_target
+        # Prices below 1e-3 * eps_target are float noise that no step lowers.
+        noise = 1e-3 * eps_target
+        fresh = [k for k in fresh if not pricing[k] or np.max(np.abs(e[k].prices)) > noise]
+        if fresh:
+            d_f, d_prices = _jacobians(market, [e[k] for k in fresh])
+            price = np.array([pricing[k] for k in fresh])
+            rhs = np.stack([e[k].prices if pricing[k] else e[k].residual for k in fresh])
+            steps = _steps(np.where(price[:, None, None], d_prices, d_f), rhs)
+            for k, step in zip(fresh, steps):
+                if step is not None:
+                    trials[k] = (step, None if pricing[k] else 24)
+            # A start with no step on F takes its price step next round.
+            fresh = [k for k, step in zip(fresh, steps) if step is None and not pricing[k]]
+            for k in fresh:
+                pricing[k] = True
+        for k, (step, left) in list(trials.items()):
+            while not np.all(z[k] + step >= floor):  # outside the box: no decrease
+                if not left:
+                    del trials[k]
+                    if left is not None:  # out of halvings: the price step comes next
+                        pricing[k] = True
+                        fresh.append(k)
+                    break
+                step, left = step * 0.5, left - 1
+            else:
+                trials[k] = (step, left)
+        live = sorted(trials)
+        if not live:
+            continue
+        points = np.stack([z[k] + trials[k][0] for k in live])
+        tried = _evaluate(market, ad, points, [e[k] for k in live])
+        for k, point, e_try in zip(live, points, tried):
+            step, left = trials.pop(k)
+            if left is None:  # the price step, kept only where it helps
+                if (
+                    e_try is not None
+                    and np.max(np.abs(e_try.prices)) < np.max(np.abs(e[k].prices))
+                    and np.max(np.abs(e_try.residual)) <= max(eps_target, traces[k][-1])
+                ):
+                    z[k], e[k] = point, e_try
+            elif e_try is not None and np.max(np.abs(e_try.residual)) < traces[k][-1]:
+                z[k], e[k] = point, e_try
+                traces[k].append(float(np.max(np.abs(e_try.residual))))
+                fresh.append(k)
+            elif left:
+                trials[k] = (step * 0.5, left - 1)
+            else:
+                pricing[k] = True
+                fresh.append(k)
+    return list(zip(z, e, traces))
 
-    def evaluate(z, near=None):
-        try:
-            return _evaluate(market, ad, z, near)
-        except SolverError:
-            return None
 
-    def trial(z, near):
-        return evaluate(z, near) if np.all(z >= floor) else None
-
-    def newton_step(e, which):
-        residual, jac = (e.residual, e.prices)[which], _jacobians(market, e)[which]
-        try:
-            dy = np.linalg.solve(jac[1:], -residual[1:])
-        except np.linalg.LinAlgError:
-            return None
-        return np.concatenate(([-dy.sum()], dy))
-
-    e = evaluate(z)
-    if e is None:
-        return z, None, [float("inf")]
-    trace = [float(np.max(np.abs(e.residual)))]
-    for _ in range(40):
-        step = None if trace[-1] <= eps_target else newton_step(e, 0)
-        if step is None:
-            break
-        for _ in range(25):
-            e_try = trial(z + step, e)
-            if e_try is not None and np.max(np.abs(e_try.residual)) < trace[-1]:
-                z, e = z + step, e_try
-                trace.append(float(np.max(np.abs(e.residual))))
-                break
-            step *= 0.5
-        else:
-            break
-    # Prices below 1e-3 * eps_target are float noise that no step lowers.
-    if np.max(np.abs(e.prices)) > 1e-3 * eps_target:
-        step = newton_step(e, 1)
-        e_try = None if step is None else trial(z + step, e)
-        if (
-            e_try is not None
-            and np.max(np.abs(e_try.prices)) < np.max(np.abs(e.prices))
-            and np.max(np.abs(e_try.residual)) <= max(eps_target, trace[-1])
-        ):
-            z, e = z + step, e_try
-    return z, e, trace
+def _starts(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
+    """The Newton starts: the centre of the individually rational box, and for
+    three or more agents also its distinct corners, as a ``(K, n)`` stack."""
+    gains = np.asarray(ad.agent_gains)
+    n = market.n_agents
+    starts = [np.zeros(n)]
+    if n > 2:
+        for k in range(n):
+            corner = -gains.copy()
+            corner[k] = gains.sum() - gains[k]
+            if any(np.max(np.abs(corner - s)) < 1e-12 for s in starts):
+                continue
+            starts.append(corner)
+    return np.stack(starts)
 
 
 def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
@@ -369,20 +489,8 @@ def solve_nash(
         tol = 1e-10 * market.delta_total
     eps_target = 1e-12 * max(1.0, market.delta_total)
 
-    gains = np.asarray(ad.agent_gains)
-    n = market.n_agents
-    starts = [np.zeros(n)]
-    if n > 2:
-        for k in range(n):
-            corner = -gains.copy()
-            corner[k] = gains.sum() - gains[k]
-            if any(np.max(np.abs(corner - s)) < 1e-12 for s in starts):
-                continue
-            starts.append(corner)
-
     ends = []  # (distance, max|price|, z, trace, evaluation) per start
-    for z_start in starts:
-        z, e, trace = _newton(market, ad, z_start, eps_target)
+    for z, e, trace in _newton(market, ad, _starts(market, ad), eps_target):
         dist = price = float("inf")
         if e is not None:
             dist, price = _distance_from_prices(market, e.prices), float(np.max(np.abs(e.prices)))

@@ -14,8 +14,10 @@ from risksharing import (
     Agent,
     ContractError,
     Market,
+    RandomVariable,
     SolverError,
     StateSpace,
+    cara_utility,
     expect,
     nash_distance,
     normalize_log_density,
@@ -27,7 +29,7 @@ from risksharing import (
 from risksharing import best_response, nash
 from risksharing.bundle import nash_ledger
 from risksharing.diagnostics import compute_diagnostics
-from risksharing.nash import _distance_from_prices, _evaluate, _jacobians
+from risksharing.nash import _distance_from_prices, _evaluate_one, _jacobians
 
 
 def scalar_two_agent_security(market, ad, z0, tol=1e-14):
@@ -59,7 +61,7 @@ class TestInnerSolve:
         rng = np.random.default_rng(1)
         m = common_beliefs_market(rng, n_agents=3, n_states=40)
         ad = solve_arrow_debreu(m)
-        e = _evaluate(m, ad, np.zeros(3))
+        e = _evaluate_one(m, ad, np.zeros(3))
         assert float(np.max(np.abs(e.sec))) <= 1e-12
         assert float(np.max(np.abs(e.y))) <= 1e-12
         np.testing.assert_allclose(e.q, ad.pricing.weights, atol=1e-13)
@@ -69,7 +71,7 @@ class TestInnerSolve:
         m = random_market(rng, n_agents=2, n_states=30)
         ad = solve_arrow_debreu(m)
         for z0 in (-0.2, 0.0, 0.35):
-            e = _evaluate(m, ad, np.array([z0, -z0]))
+            e = _evaluate_one(m, ad, np.array([z0, -z0]))
             reference = scalar_two_agent_security(m, ad, z0)
             np.testing.assert_allclose(e.sec[0], reference, atol=1e-10)
 
@@ -79,7 +81,7 @@ class TestInnerSolve:
         ad = solve_arrow_debreu(m)
         z = rng.normal(0, 0.1, 4)
         z -= z.mean()
-        e = _evaluate(m, ad, z)
+        e = _evaluate_one(m, ad, z)
         assert float(np.max(np.abs(e.sec.sum(axis=0)))) <= 1e-9
         caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)
         assert np.all(np.isfinite(e.u))
@@ -90,7 +92,7 @@ class TestInnerSolve:
         m = random_market(rng, n_agents=3, n_states=30)
         ad = solve_arrow_debreu(m)
         z = np.array([0.1, -0.25, 0.15])
-        e = _evaluate(m, ad, z)
+        e = _evaluate_one(m, ad, z)
         u = e.u
         coupling = m.lambdas @ u
         resid = (
@@ -105,8 +107,8 @@ class TestInnerSolve:
         for _ in range(5):
             m = random_market(rng, n_agents=2, n_states=20)
             ad = solve_arrow_debreu(m)
-            base = _evaluate(m, ad, np.array([0.0, 0.0])).sec[0]
-            bumped = _evaluate(m, ad, np.array([0.05, -0.05])).sec[0]
+            base = _evaluate_one(m, ad, np.array([0.0, 0.0])).sec[0]
+            bumped = _evaluate_one(m, ad, np.array([0.05, -0.05])).sec[0]
             assert np.all(bumped > base)
 
     def test_rejects_nonzero_sum(self):
@@ -361,17 +363,17 @@ class TestExactJacobian:
     def test_matches_central_differences(self, case):
         m, z = jacobian_case(case)
         ad = solve_arrow_debreu(m)
-        e = _evaluate(m, ad, z)
+        e = _evaluate_one(m, ad, z)
         n = m.n_agents
         fd_residual, fd_prices = np.empty((n, n - 1)), np.empty((n, n - 1))
         for k in range(n - 1):
             h = 1e-5 * (1.0 + abs(z[k + 1]))
             dz = np.zeros(n)
             dz[0], dz[k + 1] = -h, h
-            up, down = _evaluate(m, ad, z + dz), _evaluate(m, ad, z - dz)
+            up, down = _evaluate_one(m, ad, z + dz), _evaluate_one(m, ad, z - dz)
             fd_residual[:, k] = (up.residual - down.residual) / (2.0 * h)
             fd_prices[:, k] = (up.prices - down.prices) / (2.0 * h)
-        for exact, fd in zip(_jacobians(m, e), (fd_residual, fd_prices)):
+        for (exact,), fd in zip(_jacobians(m, [e]), (fd_residual, fd_prices)):
             assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_cases_reach_the_edges(self):
@@ -381,9 +383,9 @@ class TestExactJacobian:
         assert dominant_market(4).lambdas[0] > 0.5
         m, z = jacobian_case("extreme-89")
         caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)
-        assert np.min(caps[:, None] - _evaluate(m, solve_arrow_debreu(m), z).u) <= 1e-12
+        assert np.min(caps[:, None] - _evaluate_one(m, solve_arrow_debreu(m), z).u) <= 1e-12
         m, z = jacobian_case("extreme-104")
-        assert np.min(_evaluate(m, solve_arrow_debreu(m), z).u) <= -50.0
+        assert np.min(_evaluate_one(m, solve_arrow_debreu(m), z).u) <= -50.0
 
     def test_inner_solves_per_equilibrium(self, monkeypatch):
         """Guards against Jacobian columns bought with inner solves.
@@ -437,10 +439,10 @@ class TestWarmStarts:
         z = _ir_point(ad, shares)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, y = nash._inner_log_ratios(m, ad, z)
-            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares))
+            u, y = nash._inner_log_ratios(m, ad, z[None])
+            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares)[None])
             with _kernel_calls(nash) as kernel:
-                u_warm, y_warm = nash._inner_log_ratios(m, ad, z, start)
+                u_warm, y_warm = nash._inner_log_ratios(m, ad, z[None], start)
         assert kernel.call_count == 0
         assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
         assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
@@ -451,7 +453,7 @@ class TestWarmStarts:
         too slowly to converge, is redone cold without a warning."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
         ad = solve_arrow_debreu(m)
-        z = _ir_point(ad, np.ones(4))
+        z = _ir_point(ad, np.ones(4))[None]
         u, y = nash._inner_log_ratios(m, ad, z)
         far = (np.full_like(u, level), np.full_like(y, level))
         with warnings.catch_warnings():
@@ -482,15 +484,15 @@ class TestWarmStarts:
         assert np.array_equal(u, u_cold) and np.array_equal(y, y_cold)
 
     @pytest.mark.parametrize("n_agents, n_states", [(2, 2000), (8, 500)])
-    def test_one_kernel_call_per_newton_start(self, n_agents, n_states):
-        """Every trial point is solved warm: only the first point of each
-        Newton start (the centre, and the corners for three or more agents)
-        calls the kernel."""
+    def test_one_kernel_call_for_all_newton_starts(self, n_agents, n_states):
+        """Every trial point is solved warm, and the first points of all
+        Newton starts (the centre, and the corners for three or more agents)
+        are solved together: one kernel call per equilibrium."""
         m = random_market(np.random.default_rng(0), n_agents=n_agents, n_states=n_states)
         ad = solve_arrow_debreu(m)
         with _kernel_calls(nash) as kernel:
             solve_nash(m, ad=ad)
-        assert kernel.call_count == (1 if n_agents == 2 else n_agents + 1)
+        assert kernel.call_count == 1
 
     @pytest.mark.parametrize("n_agents", [2, 3])
     def test_ledger_best_responses_start_at_the_equilibrium(self, n_agents):
@@ -525,3 +527,50 @@ class TestWarmStarts:
             br = solve_best_response(m, i, others, start=None)
             gap = max(gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights))))
         assert gap > 1e-8
+
+
+@st.composite
+def lockstep_markets(draw):
+    """A random market with 3 to 6 agents, so that Newton starts from the
+    centre and the corners of the individually rational box."""
+    return random_market(
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        n_agents=draw(st.integers(3, 6)),
+        n_states=draw(st.integers(2, 300)),
+        tilt_scale=draw(st.sampled_from([0.3, 1.0, 3.0])),
+    )
+
+
+def assert_lockstep_matches_alone(m):
+    """Every Newton start solved in the stack reaches the point, the trace and
+    the ``(u, y)`` it reaches solved alone, bit for bit, and the stacked
+    agent values and valuation weights are ``cara_utility``'s and
+    ``normalize_log_density``'s."""
+    ad = solve_arrow_debreu(m)
+    starts = nash._starts(m, ad)
+    eps_target = 1e-12 * max(1.0, m.delta_total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = nash._newton(m, ad, starts, eps_target)
+        for k, (z, e, trace) in enumerate(stacked):
+            ((z_alone, e_alone, trace_alone),) = nash._newton(m, ad, starts[k : k + 1], eps_target)
+            assert np.array_equal(z, z_alone) and trace == trace_alone
+            assert np.array_equal(e.u, e_alone.u) and np.array_equal(e.y, e_alone.y)
+            for i, agent in enumerate(m.agents):
+                assert e.values[i] == cara_utility(agent, RandomVariable(m.space, e.sec[i]))
+            assert np.array_equal(e.q, normalize_log_density(ad.pricing, -e.y).weights)
+
+
+class TestLockstepStarts:
+    @given(market=lockstep_markets())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_stack_matches_each_start_alone(self, market):
+        assert_lockstep_matches_alone(market)
+
+    @pytest.mark.parametrize("trial", [(7, 9, 0), (7, 9, 3), (7, 9, 53), (2026, 7, 12)])
+    def test_stress_markets(self, trial):
+        assert_lockstep_matches_alone(stress_market(*trial))
+
+    @pytest.mark.parametrize("trial", [2, 8, 21, 28, 46])
+    def test_extreme_markets(self, trial):
+        assert_lockstep_matches_alone(extreme_market(trial))

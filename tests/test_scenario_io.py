@@ -295,33 +295,44 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation error: ")
 
     @pytest.mark.parametrize(
-        "args",
-        [["nash"], ["nash", "{path}", "--tol", "abc"], ["limits", "{path}", "--deltas", "abc"],
-         ["limits", "{path}", "--deltas=-10,100"], ["nash", "{path}", "--no-such-flag"],
-         ["replicate", "beta-symmetric", "--deltas", "1,2"],
+        "args, message",
+        [(["nash"], None), (["nash", "{path}", "--tol", "abc"], None),
+         (["limits", "{path}", "--deltas", "abc"], None),
+         (["limits", "{path}", "--deltas=-10,100"], None),
+         (["nash", "{path}", "--no-such-flag"], None),
+         (["replicate", "beta-symmetric", "--deltas", "1,2"], None),
          # Flags that the command, or the command on this input, never reads.
-         ["ad", "{path}", "--tol", "-1"], ["limits", "{path}", "--tol", "-1"],
-         ["limits", "{path}", "--hist", "X"],
-         ["best-response", "{path}", "--agent", "0", "--truthful-others", "--tol", "-1"],
-         ["replicate", "limit-one-agent", "--tol", "-1"],
-         ["replicate", "limit-one-agent", "--hist", "X", "--bins", "3"],
-         ["replicate", "limit-both", "--hist", "XI0"],
-         ["replicate", "limit-one-agent", "--quadrature-order", "8"],
-         ["replicate", "limit-both", "--samples", "10"],
-         ["replicate", "example-2.7", "--seed", "3"],
-         ["replicate", "example-2.7", "--quadrature-order", "8", "--samples", "10", "--seed", "1"]],
+         (["ad", "{path}", "--tol", "-1"], None), (["limits", "{path}", "--tol", "-1"], None),
+         (["limits", "{path}", "--hist", "X"], None),
+         (["best-response", "{path}", "--agent", "0", "--truthful-others", "--tol", "-1"], None),
+         (["replicate", "limit-one-agent", "--tol", "-1"], None),
+         (["replicate", "limit-one-agent", "--hist", "X", "--bins", "3"], None),
+         (["replicate", "limit-both", "--hist", "XI0"], None),
+         (["replicate", "limit-one-agent", "--quadrature-order", "8"], None),
+         (["replicate", "limit-both", "--samples", "10"], None),
+         (["replicate", "example-2.7", "--seed", "3"], None),
+         (["replicate", "example-2.7", "--quadrature-order", "8", "--samples", "10", "--seed", "1"],
+          None),
+         # Flags that need another flag; the message names it.
+         (["replicate", "example-2.7", "--samples", "10"],
+          "--samples needs a sampling seed: give --seed"),
+         (["nash", "{path}", "--bins", "3"], "--bins is not read without --hist"),
+         (["replicate", "beta-symmetric", "--bins", "3"], "--bins is not read without --hist")],
         ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag",
              "deltas-without-limits", "ad-tol", "limits-tol", "limits-hist",
              "truthful-others-tol", "limit-tol", "limit-hist-bins", "limit-both-hist",
              "explicit-quadrature-order", "explicit-samples", "quadrature-seed",
-             "quadrature-order-and-samples"],
+             "quadrature-order-and-samples", "samples-without-seed", "bins-without-hist",
+             "replicate-bins-without-hist"],
     )
-    def test_argument_errors_exit_3(self, tmp_path, capsys, args):
+    def test_argument_errors_exit_3(self, tmp_path, capsys, args, message):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         argv = [a.format(path=path) for a in args] + ["--out", str(tmp_path / "o.json")]
         assert cli_main(argv) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: ")
+        if message is not None:
+            assert err[0] == f"validation error: {message}"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -484,6 +495,13 @@ class TestCli:
         }
         assert "E0 + CR0" in doc["histograms"]
         assert cli_main(["verify", "example-2.7.nash.json"]) == 0
+
+    def test_replicate_figure_reads_bins(self, tmp_path, monkeypatch):
+        """The figure's default --hist expressions read --bins."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["replicate", "example-2.7", "--quadrature-order", "8", "--bins", "3"]) == 0
+        doc = json.loads((tmp_path / "example-2.7.nash.json").read_text())
+        assert len(doc["histograms"]["E0"]["edges"]) == 4
 
     def test_replicate_figure_honours_tol(self, tmp_path):
         out = tmp_path / "f.json"
