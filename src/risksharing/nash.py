@@ -16,15 +16,10 @@ exact Jacobians: from the centre of the individually rational box for two
 agents, where the root is unique, and also from its corners for three or
 more, where all distinct roots found are reported.
 
-The starts run in lockstep along a leading start axis of length ``K`` (1
-for two agents, up to ``n + 1`` otherwise): each round evaluates one trial
-point of every start still searching in one stacked inner solve, and the
-starts at a new point take their steps from one stacked Jacobian and one
-batched linear solve.  Every start keeps its own step, halvings, trace and
-warm start, and leaves the stack once it is done, so it reaches bit for
-bit the point it reaches searched alone.  A trial point's evaluation is
-one record of plain arrays (:func:`_evaluate`); only the root's becomes
-measures and random variables, in :func:`_assemble`.
+The starts run in lockstep along a leading start axis, each one record of
+its own point, step, trace and phase (:func:`_newton`).  A trial point's
+evaluation is one record of plain arrays (:func:`_evaluate`); only the
+root's becomes measures and random variables, in :func:`_assemble`.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
 Z_SUM_TOL = 1e-9
+_SEARCH, _PRICE, _DONE = range(3)  # the phases of a Newton start, in order
 
 
 @dataclass(frozen=True)
@@ -73,10 +69,13 @@ def _check_z(market: Market, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (market.n_agents,):
         raise ContractError(f"z must have one coordinate per agent, got shape {z.shape}")
-    scale = max(1.0, float(np.max(np.abs(z))))
-    if abs(float(z.sum())) > Z_SUM_TOL * scale:
-        raise ContractError(f"z must sum to zero, got sum {z.sum()!r}")
+    if not np.all(np.isfinite(z)) or abs(float(z.sum())) > Z_SUM_TOL * max(1.0, _peak(z)):
+        raise ContractError(f"z must be finite and sum to zero, got {z.tolist()!r}")
     return z
+
+
+def _peak(x) -> float:
+    return float(np.max(np.abs(x)))
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -345,89 +344,92 @@ def _steps(jac, rhs) -> list:
     return [np.concatenate(([-d.sum()], d)) for d in dz]
 
 
+@dataclass(slots=True)
+class _Start:
+    """A Newton start: accepted point, its evaluation (None if unsolvable),
+    ``max|F|`` trace, phase, and step (None at a new point) with halvings left."""
+
+    z: np.ndarray
+    e: _Evaluation | None
+    trace: list
+    phase: int = _SEARCH
+    step: np.ndarray | None = None
+    left: int = 0
+
+    def back_off(self):
+        """Halve the step or, with no step or no halving left, go on to the next phase."""
+        if self.step is not None and self.left:
+            self.step, self.left = self.step * 0.5, self.left - 1
+        else:
+            self.phase, self.step = self.phase + 1, None
+
+
 def _newton(market, ad, z, eps_target):
     """Backtracking Newton on ``F(z) = phi(z) - z``, then one step on the
     prices, from every start of the ``(K, n)`` stack ``z`` in lockstep.
 
-    Both residuals sum to zero, so a step solves for ``z[1:]`` with the
-    exact Jacobian :func:`_jacobians` gives at the accepted point.  A step is
-    halved, at most 24 times, until ``max|F|`` falls; a trial point outside
-    the individually rational box ``z_i >= -gain_i``, or whose inner solve
-    fails, counts as no decrease.  After 40 accepted steps, or once
-    ``max|F| <= eps_target`` or no step is left, the start ends its search.
+    A start searches on ``F``, takes the price step, and is done; no step,
+    or no halving left, moves it on to its next phase.  Steps solve for
+    ``z[1:]`` (both residuals sum to zero) with the exact Jacobian at the
+    accepted point.  A search step is halved, at most 24 times, until
+    ``max|F|`` falls; a trial point outside the individually rational box
+    ``z_i >= -gain_i``, or whose inner solve fails, counts as no decrease.
+    The search ends after 40 accepted steps or at ``max|F| <= eps_target``.
     ``F`` and the prices vanish together only up to the error of the
-    competitive gains and the per-state solve divided by ``lambda_i``, so a
-    last Newton step on the prices is kept if it lowers ``max|price|`` and
+    competitive gains and the per-state solve divided by ``lambda_i``, so
+    the price step, never halved, is kept if it lowers ``max|price|`` and
     keeps ``max|F|`` within ``eps_target`` or its last value.
 
-    Each round evaluates one trial point of every start still searching in
-    one stacked :func:`_evaluate`, each warm-started from that start's last
-    accepted point, and takes the steps of the starts at a new point from
-    one stacked :func:`_jacobians` and one batched solve.  A start's points,
-    steps and trace are those of a search from it alone.  Returns per start
-    the point, its evaluation (None if the start cannot be solved) and
-    ``max|F|`` at every accepted point.
+    Each round the starts at a new point step from one stacked
+    :func:`_jacobians` and :func:`_steps`, and all trial points are solved
+    in one stacked :func:`_evaluate`, warm from their starts' points, so
+    each start searches as it would alone.  Returns ``(z, e, trace)`` per
+    start, ``e`` None if it cannot be solved.
     """
     floor = -np.asarray(ad.agent_gains)
-    z = list(z)
-    e = _evaluate(market, ad, np.stack(z))
-    traces = [[float("inf") if x is None else float(np.max(np.abs(x.residual)))] for x in e]
-    pricing = [False] * len(z)  # the search on F has ended; the price step comes next
-    fresh = [k for k, x in enumerate(e) if x is not None]  # at a point with no step yet
-    trials = {}  # start -> (step, halvings left); None left for the price step
-    while fresh or trials:
-        for k in fresh:
-            pricing[k] = pricing[k] or len(traces[k]) > 40 or traces[k][-1] <= eps_target
-        # Prices below 1e-3 * eps_target are float noise that no step lowers.
-        noise = 1e-3 * eps_target
-        fresh = [k for k in fresh if not pricing[k] or np.max(np.abs(e[k].prices)) > noise]
+    starts = [
+        _Start(p, e, [np.inf], _DONE) if e is None else _Start(p, e, [_peak(e.residual)])
+        for p, e in zip(z, _evaluate(market, ad, z))
+    ]
+    while any(s.phase != _DONE for s in starts):
+        # The stopping rules, which a start trying a step did not meet at its
+        # point; prices below 1e-3 * eps_target are noise that no step lowers.
+        for s in starts:
+            if s.phase == _SEARCH and (len(s.trace) > 40 or s.trace[-1] <= eps_target):
+                s.phase = _PRICE
+            if s.phase == _PRICE and _peak(s.e.prices) <= 1e-3 * eps_target:
+                s.phase = _DONE
+        fresh = [s for s in starts if s.step is None and s.phase != _DONE]
         if fresh:
-            d_f, d_prices = _jacobians(market, [e[k] for k in fresh])
-            price = np.array([pricing[k] for k in fresh])
-            rhs = np.stack([e[k].prices if pricing[k] else e[k].residual for k in fresh])
-            steps = _steps(np.where(price[:, None, None], d_prices, d_f), rhs)
-            for k, step in zip(fresh, steps):
-                if step is not None:
-                    trials[k] = (step, None if pricing[k] else 24)
-            # A start with no step on F takes its price step next round.
-            fresh = [k for k, step in zip(fresh, steps) if step is None and not pricing[k]]
-            for k in fresh:
-                pricing[k] = True
-        for k, (step, left) in list(trials.items()):
-            while not np.all(z[k] + step >= floor):  # outside the box: no decrease
-                if not left:
-                    del trials[k]
-                    if left is not None:  # out of halvings: the price step comes next
-                        pricing[k] = True
-                        fresh.append(k)
-                    break
-                step, left = step * 0.5, left - 1
-            else:
-                trials[k] = (step, left)
-        live = sorted(trials)
-        if not live:
-            continue
-        points = np.stack([z[k] + trials[k][0] for k in live])
-        tried = _evaluate(market, ad, points, [e[k] for k in live])
-        for k, point, e_try in zip(live, points, tried):
-            step, left = trials.pop(k)
-            if left is None:  # the price step, kept only where it helps
-                if (
-                    e_try is not None
-                    and np.max(np.abs(e_try.prices)) < np.max(np.abs(e[k].prices))
-                    and np.max(np.abs(e_try.residual)) <= max(eps_target, traces[k][-1])
+            pricing = np.array([s.phase == _PRICE for s in fresh])
+            d_f, d_prices = _jacobians(market, [s.e for s in fresh])
+            rhs = np.stack([s.e.prices if p else s.e.residual for s, p in zip(fresh, pricing)])
+            steps = _steps(np.where(pricing[:, None, None], d_prices, d_f), rhs)
+            for s, p, step in zip(fresh, pricing, steps):
+                s.step, s.left = step, 0 if p else 24
+                if step is None:
+                    s.back_off()
+        for s in starts:
+            while s.step is not None and not np.all(s.z + s.step >= floor):  # outside the box
+                s.back_off()
+        live = [s for s in starts if s.step is not None]
+        if live:
+            points = np.stack([s.z + s.step for s in live])
+            tried = _evaluate(market, ad, points, [s.e for s in live])
+            for s, point, e in zip(live, points, tried):
+                if e is not None and (
+                    _peak(e.residual) < s.trace[-1]
+                    if s.phase == _SEARCH
+                    else _peak(e.prices) < _peak(s.e.prices)
+                    and _peak(e.residual) <= max(eps_target, s.trace[-1])
                 ):
-                    z[k], e[k] = point, e_try
-            elif e_try is not None and np.max(np.abs(e_try.residual)) < traces[k][-1]:
-                z[k], e[k] = point, e_try
-                traces[k].append(float(np.max(np.abs(e_try.residual))))
-                fresh.append(k)
-            elif left:
-                trials[k] = (step * 0.5, left - 1)
-            else:
-                pricing[k] = True
-                fresh.append(k)
-    return list(zip(z, e, traces))
+                    s.z, s.e = point, e
+                    if s.phase == _SEARCH:
+                        s.trace.append(_peak(e.residual))
+                        s.step = None
+                        continue
+                s.back_off()  # the price step is never halved: kept or not, it was the last
+    return [(s.z, s.e, s.trace) for s in starts]
 
 
 def _starts(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
@@ -440,9 +442,8 @@ def _starts(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
         for k in range(n):
             corner = -gains.copy()
             corner[k] = gains.sum() - gains[k]
-            if any(np.max(np.abs(corner - s)) < 1e-12 for s in starts):
-                continue
-            starts.append(corner)
+            if all(_peak(corner - s) >= 1e-12 for s in starts):
+                starts.append(corner)
     return np.stack(starts)
 
 
@@ -493,15 +494,13 @@ def solve_nash(
     for z, e, trace in _newton(market, ad, _starts(market, ad), eps_target):
         dist = price = float("inf")
         if e is not None:
-            dist, price = _distance_from_prices(market, e.prices), float(np.max(np.abs(e.prices)))
+            dist, price = _distance_from_prices(market, e.prices), _peak(e.prices)
         ends.append((dist, price, z, trace, e))
     found = []  # (z, evaluation) per distinct root
     # At a root the distance is float noise around zero; of several ends at
     # one root, the one with the smallest prices is kept.
     for dist, _, z, _, e in sorted(ends, key=lambda end: end[1]):
-        if dist <= tol and not any(
-            np.max(np.abs(z - root)) <= 1e-7 * (1.0 + np.max(np.abs(root))) for root, _ in found
-        ):
+        if dist <= tol and not any(_peak(z - r) <= 1e-7 * (1.0 + _peak(r)) for r, _ in found):
             found.append((z, e))
     if not found:
         best = min(ends, key=lambda end: end[0])

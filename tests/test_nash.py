@@ -112,11 +112,16 @@ class TestInnerSolve:
             assert np.all(bumped > base)
 
     def test_rejects_nonzero_sum(self):
+        """A ``z`` that does not sum to zero, or holds NaN or an infinity, is
+        refused before any inner solve."""
         rng = np.random.default_rng(6)
         m = random_market(rng, n_agents=2, n_states=10)
         ad = solve_arrow_debreu(m)
-        with pytest.raises(ContractError):
-            phi_map(m, ad, np.array([0.1, 0.1]))
+        bad = [[0.1, 0.1], [np.nan, np.nan], [np.inf, -np.inf], [np.inf, np.inf], [0.1, np.nan]]
+        for call in (phi_map, nash_distance):
+            for z in bad:
+                with pytest.raises(ContractError):
+                    call(m, ad, np.array(z))
 
 
 class TestDistanceAndMap:
@@ -388,17 +393,23 @@ class TestExactJacobian:
         assert np.min(_evaluate_one(m, solve_arrow_debreu(m), z).u) <= -50.0
 
     def test_inner_solves_per_equilibrium(self, monkeypatch):
-        """Guards against Jacobian columns bought with inner solves.
+        """Guards against Jacobian columns bought with inner solves, and
+        against rounds that solve the starts' trial points apart.
 
-        The search makes one inner solve per trial point.  Forward-difference
-        columns add n - 1 more per Newton step: 353 on this market.
+        Each round solves one trial point per start still searching, all in
+        one stacked inner solve, so the stack size of every call is pinned:
+        52 trial points on the 8-agent market, 20 on the 3-agent one.
+        Forward-difference columns would add n - 1 more per Newton step.
         """
-        calls = []
+        sizes = []
         inner = nash._inner_log_ratios
-        monkeypatch.setattr(nash, "_inner_log_ratios", lambda *a: calls.append(1) or inner(*a))
-        m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
-        solve_nash(m)
-        assert 0 < len(calls) <= 12 * (m.n_agents + 1)
+        monkeypatch.setattr(
+            nash, "_inner_log_ratios", lambda *a: sizes.append(len(a[2])) or inner(*a)
+        )
+        for n_agents, stacks in ((8, [9, 9, 9, 9, 8, 8]), (3, [4, 4, 4, 4, 4])):
+            sizes.clear()
+            solve_nash(random_market(np.random.default_rng(0), n_agents=n_agents, n_states=500))
+            assert sizes == stacks
 
 
 def _ir_point(ad, shares):
@@ -574,3 +585,115 @@ class TestLockstepStarts:
     @pytest.mark.parametrize("trial", [2, 8, 21, 28, 46])
     def test_extreme_markets(self, trial):
         assert_lockstep_matches_alone(extreme_market(trial))
+
+
+class TestRootBookkeeping:
+    def test_merges_near_ends_keeps_distinct_roots_and_skips_failed_starts(self, monkeypatch):
+        """Fabricated ends beside the real ones: one 1e-9 from the root merges
+        into it, an evaluated point off the root within a raised ``tol`` is the
+        second root, and a start that could not be solved is skipped."""
+        m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
+        ad = solve_arrow_debreu(m)
+        ends = nash._newton(m, ad, nash._starts(m, ad), 1e-12 * max(1.0, m.delta_total))
+        root = solve_nash(m, ad=ad).z
+        _, e_root, trace = ends[0]
+        z_off = root + np.array([0.02, -0.01, -0.01])
+        e_off = _evaluate_one(m, ad, z_off)
+        off_distance = _distance_from_prices(m, e_off.prices)
+        assert 1e-10 * m.delta_total < off_distance < np.inf
+        fabricated = [
+            (root + np.array([1e-9, -1e-9, 0.0]), e_root, trace),
+            (z_off, e_off, [float(np.max(np.abs(e_off.residual)))]),
+            (np.zeros(3), None, [np.inf]),
+        ]
+        monkeypatch.setattr(nash, "_newton", lambda *a: ends + fabricated)
+        eq = solve_nash(m, ad=ad, tol=2.0 * off_distance)
+        assert len(eq.all_roots) == 2
+        assert np.array_equal(eq.z, root) and np.array_equal(eq.all_roots[0], root)
+        assert np.array_equal(eq.all_roots[1], z_off)
+        assert np.max(np.abs(e_root.prices)) < np.max(np.abs(e_off.prices))
+
+
+def _market_and_starts():
+    """A 3-agent market, its competitive benchmark, its Newton starts, the
+    outer target, and each start searched alone."""
+    m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
+    ad = solve_arrow_debreu(m)
+    starts = nash._starts(m, ad)
+    eps_target = 1e-12 * max(1.0, m.delta_total)
+    alone = [nash._newton(m, ad, starts[j : j + 1], eps_target)[0] for j in range(len(starts))]
+    return m, ad, starts, eps_target, alone
+
+
+def assert_others_match_alone(ends, alone, k):
+    for j, (z, e, trace) in enumerate(ends):
+        if j != k:
+            assert np.array_equal(z, alone[j][0]) and trace == alone[j][2]
+            assert np.array_equal(e.u, alone[j][1].u)
+
+
+class TestStartRecord:
+    """The transitions of one Newton start in the lockstep search."""
+
+    def test_steps_fall_back_per_matrix_on_a_singular_one(self):
+        """A stack whose middle matrix is exactly singular is solved matrix by
+        matrix: that entry has no step, and each other step is the zero-sum
+        step of its matrix solved alone, bit for bit."""
+        jac = np.array(
+            [
+                [[5.0, 1.0], [2.0, 1.0], [1.0, 3.0]],
+                [[0.3, 0.7], [1.0, 2.0], [2.0, 4.0]],
+                [[1.0, -2.0], [-1.5, 0.5], [0.25, 2.0]],
+            ]
+        )
+        rhs = np.array([[0.1, -0.4, 0.3], [1.0, 2.0, -3.0], [-0.2, 0.7, -0.5]])
+        first, none, last = nash._steps(jac, rhs)
+        assert none is None
+        for k, step in ((0, first), (2, last)):
+            alone = np.linalg.solve(jac[k, 1:], -rhs[k, 1:])
+            assert np.array_equal(step[1:], alone)
+            assert step[0] == -alone.sum()
+            assert abs(step.sum()) <= 1e-15 * np.max(np.abs(step))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_no_step_moves_a_start_to_its_price_step(self, monkeypatch, k):
+        """A start that gets no step on ``F`` at its first point ends its search
+        there and takes its price step from that point in the next round."""
+        m, ad, starts, eps_target, alone = _market_and_starts()
+        first = _evaluate_one(m, ad, starts[k])
+        steps, rhs_seen = nash._steps, []
+
+        def no_first_step(jac, rhs):
+            out = steps(jac, rhs)
+            if not rhs_seen:
+                out[k] = None
+            rhs_seen.append(rhs)
+            return out
+
+        monkeypatch.setattr(nash, "_steps", no_first_step)
+        ends = nash._newton(m, ad, starts, eps_target)
+        assert ends[k][2] == [float(np.max(np.abs(first.residual)))]
+        assert any(np.array_equal(row, first.prices) for row in rhs_seen[1])
+        assert_others_match_alone(ends, alone, k)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_unsolvable_first_point_leaves_its_start(self, monkeypatch, k):
+        """A start whose first point cannot be solved stays there with trace
+        ``[inf]`` and is never evaluated again; every other start still
+        reaches what it reaches alone."""
+        m, ad, starts, eps_target, alone = _market_and_starts()
+        evaluate, sizes = nash._evaluate, []
+
+        def first_fails(*a):
+            out = evaluate(*a)
+            if not sizes:
+                out[k] = None
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(nash, "_evaluate", first_fails)
+        ends = nash._newton(m, ad, starts, eps_target)
+        z, e, trace = ends[k]
+        assert np.array_equal(z, starts[k]) and e is None and trace == [np.inf]
+        assert all(size < len(starts) for size in sizes[1:])
+        assert_others_match_alone(ends, alone, k)
