@@ -48,7 +48,9 @@ class BestResponse:
     log_ratio: np.ndarray
 
 
-def _check_reports(market: Market, reports_others) -> list:
+def _check_reports(market: Market, i: int, reports_others) -> list:
+    if not 0 <= i < market.n_agents:
+        raise ContractError(f"agent index {i} outside 0..{market.n_agents - 1}")
     reports = list(reports_others)
     if len(reports) != market.n_agents - 1:
         raise ContractError(
@@ -81,7 +83,7 @@ def response_value(market: Market, i: int, reported_i: Measure, reports_others) 
     CARA certainty equivalent) so it can serve as an independent check of
     the implicit-equation solver.
     """
-    reports = _check_reports(market, reports_others)
+    reports = _check_reports(market, i, reports_others)
     _same_space(reported_i, market)
     full = list(reports)
     full.insert(i, reported_i)
@@ -121,7 +123,7 @@ def solve_best_response(market: Market, i: int, reports_others, start=None) -> B
     returned is the same, since ``h`` is strictly increasing and only its
     own converged root is accepted.
     """
-    reports = _check_reports(market, reports_others)
+    reports = _check_reports(market, i, reports_others)
     r_agg = _aggregated_log_reports(market, i, reports)
     lam = market.lambdas[i]
 

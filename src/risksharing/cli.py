@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 import numpy as np
@@ -43,7 +42,6 @@ from .scenario import (
     _evaluate,
     build_market,
     builtin_scenario,
-    limit_grid,
     load_scenario,
 )
 
@@ -61,30 +59,29 @@ def _refuse(args, flags, reader: str) -> None:
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    states = dict(scenario.states)
-    solver = dict(scenario.solver)
-    if states["model"] == "explicit":
-        _refuse(args, ("quadrature_order", "samples"), "an explicit state model")
+    """The scenario with the flags written into a copy of its document, validated again."""
+    doc = dict(vars(scenario), agents=list(scenario.agents))
+    states = doc["states"] = dict(scenario.states)
     if args.quadrature_order is not None:
-        _refuse(args, ("samples",), "the quadrature rule --quadrature-order sets")
-        states["quadrature_order"] = args.quadrature_order
         states.pop("samples", None)
+        states.pop("seed", None)
     if args.samples is not None:
-        states["samples"] = args.samples
-    if "samples" not in states:
-        _refuse(args, ("seed",), "a state model without samples")
-    if args.seed is not None:
-        states["seed"] = args.seed
-    if "samples" in states and "seed" not in states:
-        raise ValidationError("--samples needs a sampling seed: give --seed")
+        states.pop("quadrature_order", None)
+    for key in ("quadrature_order", "samples", "seed"):
+        if getattr(args, key) is not None:
+            states[key] = getattr(args, key)
     if getattr(args, "tol", None) is not None:
-        solver["tol"] = args.tol
+        doc["solver"] = {**scenario.solver, "tol": args.tol}
+    if args.command == "limits":
+        doc["limits"] = doc["limits"] or {}
+    if getattr(args, "deltas", None) is not None:
+        doc["limits"] = {**doc["limits"], "deltas": args.deltas}
     if getattr(args, "bins", None) is not None:
         if not args.hist:
             raise ValidationError("--bins is not read without --hist")
         if args.bins < 1:
             raise ValidationError(f"--bins must be at least 1, got {args.bins}")
-    return dataclasses.replace(scenario, states=states, solver=solver)
+    return Scenario.from_dict(doc)
 
 
 def _histograms(args, market, variables, payoffs) -> dict:
@@ -277,21 +274,19 @@ def run_limits(args, scenario: Scenario) -> int:
     market, variables, info = build_market(scenario)
     if market.n_agents != 2:
         raise ValidationError("limit analysis needs a two-agent scenario")
-    cfg = dict(scenario.limits or {})
-    deltas = limit_grid(cfg, args.deltas or cfg.get("deltas") or [1e2, 1e3, 1e4, 1e5])
-    mode = cfg.get("mode", "one-agent")
-    if mode == "both":
+    cfg = scenario.limits
+    if cfg["mode"] == "both":
         space = market.space
         xi0 = RandomVariable(space, _evaluate(cfg["xi0"], variables, space.n_states))
         xi1 = RandomVariable(space, _evaluate(cfg["xi1"], variables, space.n_states))
-        limit = both_limit_check(xi0, xi1, float(cfg.get("lambda0", 0.5)), deltas)
+        limit = both_limit_check(xi0, xi1, cfg["lambda0"], cfg["deltas"])
         payload = {"mode": "both", "table": [list(r) for r in limit]}
         rows = [("delta  dist_competitive  dist_half_law", "")]
         rows += [(f"{d:>10.4g}", f"{a:.3e}  {b:.3e}") for d, a, b in limit]
     else:
         p0 = market.agents[0].beliefs
         agent1 = market.agents[1]
-        limit = one_agent_limit_report(p0, agent1, deltas)
+        limit = one_agent_limit_report(p0, agent1, cfg["deltas"])
         # The report holds the same gains; this second solve of the limit
         # stays while perfbench/spans.py traces cli.limiting_gains.
         gain0, loss1 = limiting_gains(p0, agent1)
@@ -322,11 +317,13 @@ def run_replicate(args) -> int:
         # positions under the competitive equilibrium, the game and agent 0's
         # response to truthful reports.
         args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
-    scenario = _apply_overrides(builtin_scenario(args.name), args)
+    scenario = builtin_scenario(args.name)
+    if scenario.limits is None:
+        _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
+    scenario = _apply_overrides(scenario, args)
     if scenario.limits is not None:
         _refuse(args, ("tol", "hist", "bins"), f"the limit scenario {args.name}")
         return run_limits(args, scenario)
-    _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
     if scenario.name != "example-2.7":
         return run_nash(args, scenario)
     return run_nash(args, scenario, br_agent=0)

@@ -477,9 +477,9 @@ def solve_nash(
     centre of the individually rational box, and for three or more agents
     also from its ``n`` corners, where uniqueness is not guaranteed.  Every
     distinct root within ``tol`` is reported, smallest ``max|price|`` first.
-    ``tol`` is the acceptance threshold on the equilibrium distance and
-    defaults to ``1e-10 * delta_total``; Newton keeps going well below it
-    so post-equilibrium identities hold to tighter tolerances.
+    ``tol``, finite, is the acceptance threshold on the equilibrium distance
+    and defaults to ``1e-10 * delta_total``; Newton keeps going well below
+    it so post-equilibrium identities hold to tighter tolerances.
 
     Pure given its inputs: repeated calls return identical results, and
     concurrent use is safe.
@@ -488,6 +488,8 @@ def solve_nash(
         ad = solve_arrow_debreu(market)
     if tol is None:
         tol = 1e-10 * market.delta_total
+    if not np.isfinite(tol):
+        raise ContractError(f"tol must be finite, got {tol!r}")
     eps_target = 1e-12 * max(1.0, market.delta_total)
 
     ends = []  # (distance, max|price|, z, trace, evaluation) per start

@@ -21,8 +21,8 @@ A scenario is one YAML (or JSON) document with three sections:
 
 ``limits`` (optional)
     ``mode``, ``one-agent`` (the default) or ``both``; a ``deltas`` grid of
-    positive numbers; and in mode ``both`` the ``xi0``/``xi1`` expressions
-    and ``lambda0`` in (0, 1).
+    positive numbers, with a default; and in mode ``both`` the ``xi0``/``xi1``
+    expressions and ``lambda0`` in (0, 1).  Validation fills in the defaults.
 
 Gaussian grids are tensorised Gauss-Hermite rules over the factor space of
 the covariance (near-null directions are dropped), so states and weights
@@ -104,31 +104,20 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
-def limit_grid(limits: dict, deltas) -> list:
-    """The limit analysis' risk-tolerance grid ``deltas`` as floats.
-
-    Every agent tolerance the grid implies must lie in [DELTA_MIN,
-    DELTA_MAX]: each delta in mode ``one-agent``, and ``lambda0*delta`` and
-    ``(1 - lambda0)*delta`` in mode ``both``.
-    """
-    _require(isinstance(deltas, list) and deltas, f"limits deltas must be a list, got {deltas!r}")
-    grid = [_number(d, "limits delta") for d in deltas]
-    lam = float(limits.get("lambda0", 0.5))
-    shares = (lam, 1.0 - lam) if limits.get("mode") == "both" else (1.0,)
-    for d in grid:
-        ok = all(DELTA_MIN <= share * d <= DELTA_MAX for share in shares)
-        _require(ok, f"limits delta {d!r} puts a risk tolerance outside [{DELTA_MIN}, {DELTA_MAX}]")
-    return grid
-
-
 def _validate(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "scenario must be a mapping")
     states = doc.get("states")
     _require(isinstance(states, dict), "scenario needs a 'states' section")
     model = states.get("model")
     _require(model in ("explicit", "gaussian"), f"unknown state model {model!r}")
+    for key in ("quadrature_order", "samples", "seed"):
+        if key in states:
+            _require(model == "gaussian", f"an explicit state model reads no {key!r}")
+            _require(type(states[key]) is int, f"{key!r} must be an integer, got {states[key]!r}")
     if model == "explicit":
         _require("weights" in states, "explicit state model needs 'weights'")
+        variables = states.get("variables") or {}
+        _require(isinstance(variables, dict), "explicit state 'variables' must be a mapping")
     else:
         _require(
             isinstance(states.get("variables"), list) and states["variables"],
@@ -137,8 +126,10 @@ def _validate(doc: dict) -> Scenario:
         has_cov = "cov" in states
         has_corr = "std" in states and "corr" in states
         _require(has_cov or has_corr, "gaussian model needs 'cov' or 'std'+'corr'")
-        if "samples" in states:
-            _require("seed" in states, "sampled state spaces need a 'seed'")
+        _require(not {"samples", "quadrature_order"} <= states.keys(),
+                 "'samples' and 'quadrature_order' exclude each other")
+        _require(("samples" in states) == ("seed" in states),
+                 "'samples' and 'seed' come together: give both, or --samples and --seed")
     agents = doc.get("agents")
     _require(isinstance(agents, list) and len(agents) >= 2, "need at least 2 agents")
     for k, a in enumerate(agents):
@@ -148,28 +139,42 @@ def _validate(doc: dict) -> Scenario:
         _require(isinstance(beliefs, dict), f"agent {k} beliefs must be a mapping")
         kinds = [key for key in ("weights", "log_density", "endowment") if key in beliefs]
         _require(len(kinds) <= 1, f"agent {k} beliefs entry is ambiguous: {kinds}")
+        actual = beliefs.get("actual")
+        _require(actual is None or isinstance(actual, dict), f"agent {k} actual must be a mapping")
     solver = doc.get("solver") or {}
     _require(isinstance(solver, dict), "'solver' must be a mapping")
     for key, value in solver.items():
         _require(key == "tol", f"unknown solver key {key!r}; the only one is 'tol'")
-        _require(value is None or type(value) in (int, float), f"bad solver tol {value!r}")
+        finite = type(value) in (int, float) and math.isfinite(value)
+        _require(value is None or finite, f"solver tol must be finite or null, got {value!r}")
     limits = doc.get("limits")
     if limits is not None:
         _require(isinstance(limits, dict), "'limits' must be a mapping")
-        mode = limits.get("mode", "one-agent")
+        limits = dict(limits)
+        mode = limits.setdefault("mode", "one-agent")
         _require(mode in ("one-agent", "both"), f"limits mode {mode!r} is not one-agent or both")
+        shares = (1.0,)  # the agent tolerances each delta implies, as shares of it
         if mode == "both":
             _require("xi0" in limits and "xi1" in limits, "limits mode 'both' needs 'xi0', 'xi1'")
-            lam = _number(limits.get("lambda0", 0.5), "limits lambda0")
+            lam = limits["lambda0"] = _number(limits.get("lambda0", 0.5), "limits lambda0")
             _require(0.0 < lam < 1.0, f"limits lambda0 must lie in (0, 1), got {lam!r}")
-        if limits.get("deltas") is not None:
-            limit_grid(limits, limits["deltas"])
+            shares = (lam, 1.0 - lam)
+        deltas = limits.get("deltas")
+        if deltas is None:
+            deltas = [1e2, 1e3, 1e4, 1e5]
+        _require(isinstance(deltas, list) and deltas,
+                 f"limits deltas must be a list, got {deltas!r}")
+        limits["deltas"] = [_number(d, "limits delta") for d in deltas]
+        for d in limits["deltas"]:
+            ok = all(DELTA_MIN <= share * d <= DELTA_MAX for share in shares)
+            _require(ok, f"limits delta {d!r} puts a risk tolerance outside "
+                         f"[{DELTA_MIN}, {DELTA_MAX}]")
     return Scenario(
         name=str(doc.get("name", "scenario")),
         states=dict(states),
         agents=tuple(dict(a) for a in agents),
         solver=dict(solver),
-        limits=dict(limits) if limits is not None else None,
+        limits=limits,
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 from helpers import common_beliefs_market, gaussian_pair_space, random_market
 from risksharing import (
     Agent,
+    ContractError,
     Market,
     Measure,
     RandomVariable,
@@ -234,6 +235,17 @@ class TestSolveBestResponse:
             noise = rng.normal(0.0, eps, m.space.n_states)
             perturbed = normalize_log_density(br.reported, noise)
             assert br.response_value >= response_value(m, 0, perturbed, others) - 1e-9
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_agent_index_outside_the_market_refused(i):
+    """``list.insert(-1, ...)`` would put a report in agent 1's slot, and 3 is past the end."""
+    m = random_market(np.random.default_rng(1), 3, 50)
+    reports = [m.agents[0].beliefs, m.agents[1].beliefs]
+    with pytest.raises(ContractError, match="agent index"):
+        response_value(m, i, m.agents[2].beliefs, reports)
+    with pytest.raises(ContractError, match="agent index"):
+        solve_best_response(m, i, reports)
 
 
 def test_solve_leaves_no_reference_cycle():

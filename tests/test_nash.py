@@ -180,6 +180,13 @@ class TestDistanceAndMap:
 
 
 class TestSolveNash:
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tol_refused(self, tol):
+        """With ``tol=inf`` an unsolvable start's end, at distance inf, would pass as a root."""
+        m = random_market(np.random.default_rng(1), 3, 50)
+        with pytest.raises(ContractError, match="tol"):
+            solve_nash(m, tol=tol)
+
     def test_common_beliefs_unique_trivial_equilibrium(self):
         rng = np.random.default_rng(12)
         m = common_beliefs_market(rng, n_agents=3, n_states=60)

@@ -31,6 +31,10 @@ COMMON_BELIEFS_DOC = {
     ],
 }
 
+# One Gaussian variable X under the default quadrature rule, for the beliefs above.
+GAUSSIAN_STATES = {"model": "gaussian", "variables": ["X"], "std": [1.0], "corr": [[1.0]]}
+NASH_SCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "cli-nash.yaml"
+
 
 def write_yaml(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
@@ -234,9 +238,8 @@ class TestCli:
     def test_verify_fails_a_far_log_ratio(self, tmp_path):
         """A stored ratio far from any equilibrium fails the ledger, without
         steering the ledger's best response outside its bound."""
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "cli-nash.yaml"
         out = tmp_path / "out.json"
-        assert cli_main(["nash", str(path), "--out", str(out)]) == 0
+        assert cli_main(["nash", str(NASH_SCENARIO), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         doc["nash"]["log_ratios"][0] = [1e300] * len(doc["nash"]["log_ratios"][0])
         tampered = tmp_path / "tampered.json"
@@ -280,10 +283,20 @@ class TestCli:
             ("limits", lambda d: d.update(limits={"deltas": ["abc"]})),
             ("limits", lambda d: d.update(limits={"deltas": [-10, 100]})),
             ("limits", lambda d: d.update(limits={"mode": "bogus"})),
+            ("nash", lambda d: d["states"].update(variables=[1, 2])),
+            ("nash", lambda d: d["agents"][0].update(beliefs={"endowment": "0", "actual": [1, 2]})),
+            ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_order": 3.9})),
+            ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_order": True})),
+            ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"samples": 10.5, "seed": 1})),
+            ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"samples": 10, "seed": 1.7})),
+            ("nash", lambda d: d.update(solver={"tol": float("inf")})),
+            ("nash", lambda d: d.update(solver={"tol": float("nan")})),
         ],
         ids=[
             "delta-abc", "delta-too-large", "state-weights", "belief-weights",
             "lambda0", "deltas-abc", "deltas-negative", "mode-bogus",
+            "explicit-variables-list", "actual-beliefs-list", "quadrature-order-float",
+            "quadrature-order-bool", "samples-float", "seed-float", "tol-inf", "tol-nan",
         ],
     )
     def test_malformed_scenario_values_exit_3(self, tmp_path, capsys, command, change):
@@ -297,6 +310,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "args, message",
         [(["nash"], None), (["nash", "{path}", "--tol", "abc"], None),
+         (["nash", "{path}", "--tol", "nan"], None),
          (["limits", "{path}", "--deltas", "abc"], None),
          (["limits", "{path}", "--deltas=-10,100"], None),
          (["nash", "{path}", "--no-such-flag"], None),
@@ -315,10 +329,10 @@ class TestCli:
           None),
          # Flags that need another flag; the message names it.
          (["replicate", "example-2.7", "--samples", "10"],
-          "--samples needs a sampling seed: give --seed"),
+          "'samples' and 'seed' come together: give both, or --samples and --seed"),
          (["nash", "{path}", "--bins", "3"], "--bins is not read without --hist"),
          (["replicate", "beta-symmetric", "--bins", "3"], "--bins is not read without --hist")],
-        ids=["no-scenario", "tol-abc", "deltas-abc", "deltas-negative", "unknown-flag",
+        ids=["no-scenario", "tol-abc", "tol-nan", "deltas-abc", "deltas-negative", "unknown-flag",
              "deltas-without-limits", "ad-tol", "limits-tol", "limits-hist",
              "truthful-others-tol", "limit-tol", "limit-hist-bins", "limit-both-hist",
              "explicit-quadrature-order", "explicit-samples", "quadrature-seed",
@@ -333,6 +347,52 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("validation error: ")
         if message is not None:
             assert err[0] == f"validation error: {message}"
+
+    # Each case is a state model and the keys added to it: once in the file,
+    # once as the flags that write them.
+    @pytest.mark.parametrize(
+        "states, keys",
+        [(COMMON_BELIEFS_DOC["states"], {"quadrature_order": 7}),
+         (COMMON_BELIEFS_DOC["states"], {"samples": 10, "seed": 3}),
+         (GAUSSIAN_STATES, {"quadrature_order": 7, "samples": 10, "seed": 3}),
+         (GAUSSIAN_STATES, {"seed": 3}),
+         (GAUSSIAN_STATES, {"samples": 10})],
+        ids=["explicit-quadrature-order", "explicit-samples-seed", "quadrature-order-and-samples",
+             "seed-without-samples", "samples-without-seed"],
+    )
+    def test_file_key_and_flag_follow_one_rule(self, tmp_path, capsys, states, keys):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC)) | {"states": states}
+        flags = [arg for key, value in keys.items()
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        file_side = ["nash", str(write_yaml(tmp_path, doc | {"states": states | keys}, "f.yaml"))]
+        flag_side = ["nash", str(write_yaml(tmp_path, doc, "g.yaml")), *flags]
+        errors = []
+        for argv in (file_side, flag_side):
+            assert cli_main(argv + ["--out", str(tmp_path / "o.json")]) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("validation error: ")
+            errors.append(err[0])
+        assert errors[0] == errors[1]
+
+    def test_echo_is_the_document_solved(self, tmp_path):
+        """The bundle's scenario echo holds what the flags wrote and the defaults filled in."""
+        out = tmp_path / "o.json"
+
+        def echo(argv):
+            assert cli_main(argv + ["--out", str(out)]) in (0, 2)
+            return json.loads(out.read_text())["scenario"]
+
+        limits = echo(["replicate", "limit-one-agent", "--deltas", "10,100"])["limits"]
+        assert limits["deltas"] == [10.0, 100.0]
+        states = echo(["nash", str(NASH_SCENARIO), "--quadrature-order", "6"])["states"]
+        assert states["quadrature_order"] == 6 and "seed" not in states and "samples" not in states
+        limits = echo(["limits", str(write_yaml(tmp_path, COMMON_BELIEFS_DOC))])["limits"]
+        assert limits == {"mode": "one-agent", "deltas": [100.0, 1000.0, 10000.0, 100000.0]}
+        # YAML 1.1 reads 1e2, without a dot, as a string.
+        path = tmp_path / "dotless.yaml"
+        path.write_text(yaml.safe_dump(COMMON_BELIEFS_DOC) + "limits:\n  deltas: [1e2]\n")
+        limits = echo(["limits", str(path)])["limits"]
+        assert limits["deltas"] == [100.0] and isinstance(limits["deltas"][0], float)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
