@@ -13,16 +13,19 @@ A scenario is one YAML (or JSON) document with three sections:
     Each entry carries ``delta`` and a ``beliefs`` entry: explicit
     ``weights``, a ``log_density`` expression over the state variables, or
     an ``endowment`` expression (folded into beliefs at ingestion, with
-    optional ``actual`` beliefs underneath).
+    optional ``actual`` beliefs, ``weights`` or ``log_density``, beside it).
 
 ``solver`` (optional)
     ``tol``, the equilibrium distance tolerance: a number, or null for the
-    default.  No other key is accepted.
+    default.
 
 ``limits`` (optional)
     ``mode``, ``one-agent`` (the default) or ``both``; a ``deltas`` grid of
     positive numbers, with a default; and in mode ``both`` the ``xi0``/``xi1``
     expressions and ``lambda0`` in (0, 1).  Validation fills in the defaults.
+
+A key that no reader reads is refused in every section.  ``name`` is the
+stem of default bundle paths, so it must be a plain file name.
 
 Gaussian grids are tensorised Gauss-Hermite rules over the factor space of
 the covariance (near-null directions are dropped), so states and weights
@@ -64,6 +67,12 @@ _EXPR_NODES = (
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.UAdd, ast.USub,
     ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
 )
+# The keys each state model reads.
+_STATE_KEYS = {
+    "explicit": ("model", "weights", "labels", "variables"),
+    "gaussian": ("model", "variables", "mean", "cov", "std", "corr", "quadrature_order",
+                 "samples", "seed", "covariance_repair"),
+}
 
 
 @dataclass(frozen=True)
@@ -104,15 +113,34 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
+def _known(section, keys, what: str) -> None:
+    """Refuse ``section`` unless it is a mapping holding only keys that a reader reads."""
+    _require(isinstance(section, dict), f"{what} must be a mapping")
+    for key in section:
+        _require(key in keys, f"{what} reads no key {key!r}; its keys are {', '.join(keys)}")
+
+
+def _check_beliefs(spec, what: str, forms=("weights", "log_density", "endowment")) -> None:
+    """The one belief rule, for ``beliefs`` and for ``actual``, read only beside ``endowment``."""
+    _known(spec, forms + ("actual",) * ("endowment" in forms), what)
+    _require(sum(key in spec for key in forms) <= 1, f"{what} holds more than one of {forms}")
+    _require("endowment" in spec or "actual" not in spec, f"{what}: 'actual' needs 'endowment'")
+    if spec.get("actual") is not None:
+        _check_beliefs(spec["actual"], f"{what}.actual", forms[:2])
+
+
 def _validate(doc: dict) -> Scenario:
-    _require(isinstance(doc, dict), "scenario must be a mapping")
+    _known(doc, ("name", "states", "agents", "solver", "limits"), "the scenario")
+    name = doc.get("name", "scenario")
+    plain = isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0")
+    _require(plain, f"scenario name must be a plain file name, got {name!r}")
     states = doc.get("states")
     _require(isinstance(states, dict), "scenario needs a 'states' section")
     model = states.get("model")
     _require(model in ("explicit", "gaussian"), f"unknown state model {model!r}")
+    _known(states, _STATE_KEYS[model], f"the {model} state model")
     for key in ("quadrature_order", "samples", "seed"):
         if key in states:
-            _require(model == "gaussian", f"an explicit state model reads no {key!r}")
             _require(type(states[key]) is int, f"{key!r} must be an integer, got {states[key]!r}")
     if model == "explicit":
         _require("weights" in states, "explicit state model needs 'weights'")
@@ -134,25 +162,22 @@ def _validate(doc: dict) -> Scenario:
     _require(isinstance(agents, list) and len(agents) >= 2, "need at least 2 agents")
     for k, a in enumerate(agents):
         _require(isinstance(a, dict) and "delta" in a, f"agent {k} needs 'delta'")
+        _known(a, ("delta", "beliefs"), f"agent {k}")
         _require(_number(a["delta"], f"agent {k} delta") > 0, f"agent {k} delta must be positive")
-        beliefs = a.get("beliefs", {})
-        _require(isinstance(beliefs, dict), f"agent {k} beliefs must be a mapping")
-        kinds = [key for key in ("weights", "log_density", "endowment") if key in beliefs]
-        _require(len(kinds) <= 1, f"agent {k} beliefs entry is ambiguous: {kinds}")
-        actual = beliefs.get("actual")
-        _require(actual is None or isinstance(actual, dict), f"agent {k} actual must be a mapping")
+        _check_beliefs(a.get("beliefs", {}), f"agent {k} beliefs")
     solver = doc.get("solver") or {}
-    _require(isinstance(solver, dict), "'solver' must be a mapping")
-    for key, value in solver.items():
-        _require(key == "tol", f"unknown solver key {key!r}; the only one is 'tol'")
-        finite = type(value) in (int, float) and math.isfinite(value)
-        _require(value is None or finite, f"solver tol must be finite or null, got {value!r}")
+    _known(solver, ("tol",), "solver")
+    tol = solver.get("tol")
+    finite = type(tol) in (int, float) and math.isfinite(tol)
+    _require(tol is None or finite, f"solver tol must be finite or null, got {tol!r}")
     limits = doc.get("limits")
     if limits is not None:
         _require(isinstance(limits, dict), "'limits' must be a mapping")
         limits = dict(limits)
         mode = limits.setdefault("mode", "one-agent")
         _require(mode in ("one-agent", "both"), f"limits mode {mode!r} is not one-agent or both")
+        keys = ("mode", "deltas") + ("xi0", "xi1", "lambda0") * (mode == "both")
+        _known(limits, keys, f"limits in mode {mode!r}")
         shares = (1.0,)  # the agent tolerances each delta implies, as shares of it
         if mode == "both":
             _require("xi0" in limits and "xi1" in limits, "limits mode 'both' needs 'xi0', 'xi1'")
@@ -170,7 +195,7 @@ def _validate(doc: dict) -> Scenario:
             _require(ok, f"limits delta {d!r} puts a risk tolerance outside "
                          f"[{DELTA_MIN}, {DELTA_MAX}]")
     return Scenario(
-        name=str(doc.get("name", "scenario")),
+        name=name,
         states=dict(states),
         agents=tuple(dict(a) for a in agents),
         solver=dict(solver),
@@ -196,28 +221,35 @@ def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
     the names in ``_EXPR_NAMESPACE`` and numeric literals, with positional
     calls of the functions there; anything else is a :class:`ValidationError`
     before evaluation.  Literals become floats, so an overflow raises
-    instead of growing an integer without bound.
+    instead of growing an integer without bound.  A result that is not
+    finite on every state, such as ``log(X)`` where ``X <= 0``, is refused
+    too; ``where`` may select around such values.
     """
     if isinstance(expr, (int, float)):
-        return np.full(n_states, float(expr))
-    if isinstance(expr, list):
-        arr = np.asarray(expr, dtype=float)
-        if arr.size != n_states:
-            raise ValidationError(f"literal list has {arr.size} values, need {n_states}")
-        return arr
-    ns = dict(_EXPR_NAMESPACE)
-    ns.update({name: rv.values for name, rv in variables.items()})
-    try:
-        tree = ast.parse(str(expr), mode="eval")
-        for node in ast.walk(tree):
-            if not _allowed(node, ns):
-                raise ValueError(f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
-            if isinstance(node, ast.Constant):
-                node.value = float(node.value)
-        out = eval(compile(tree, "<expression>", "eval"), {"__builtins__": {}}, ns)  # noqa: S307
-        return np.broadcast_to(np.asarray(out, dtype=float), (n_states,)).astype(float)
-    except Exception as exc:
-        raise ValidationError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+        out = np.full(n_states, float(expr))
+    elif isinstance(expr, list):
+        out = np.asarray(expr, dtype=float)
+        if out.size != n_states:
+            raise ValidationError(f"literal list has {out.size} values, need {n_states}")
+    else:
+        ns = dict(_EXPR_NAMESPACE)
+        ns.update({name: rv.values for name, rv in variables.items()})
+        try:
+            tree = ast.parse(str(expr), mode="eval")
+            for node in ast.walk(tree):
+                if not _allowed(node, ns):
+                    raise ValueError(f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
+                if isinstance(node, ast.Constant):
+                    node.value = float(node.value)
+            code = compile(tree, "<expression>", "eval")
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307
+            out = np.broadcast_to(np.asarray(out, dtype=float), (n_states,)).astype(float)
+        except Exception as exc:
+            raise ValidationError(f"cannot evaluate expression {expr!r}: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise ValidationError(f"expression {expr!r} is not finite on every state")
+    return out
 
 
 def _repair_covariance(cov: np.ndarray, mode: str):
@@ -345,31 +377,19 @@ def build_market(scenario: Scenario):
 def _build_market(scenario: Scenario):
     space, variables, info = build_state_space(scenario)
     base = space.baseline()
-    agents = []
-    for spec in scenario.agents:
-        delta = float(spec["delta"])
-        beliefs_spec = dict(spec.get("beliefs") or {})
-        if "weights" in beliefs_spec:
-            beliefs = Measure(space, np.asarray(beliefs_spec["weights"], dtype=float))
-            agents.append(Agent(delta, beliefs))
-        elif "endowment" in beliefs_spec:
-            endow = RandomVariable(
-                space, _evaluate(beliefs_spec["endowment"], variables, space.n_states)
-            )
-            actual_spec = beliefs_spec.get("actual")
-            if actual_spec is None:
-                actual = base
-            elif "weights" in actual_spec:
-                actual = Measure(space, np.asarray(actual_spec["weights"], dtype=float))
-            else:
-                actual = normalize_log_density(
-                    base, _evaluate(actual_spec.get("log_density", 0.0), variables, space.n_states)
-                )
-            agents.append(endowment_to_beliefs(actual, endow, delta))
-        else:
-            tilt = _evaluate(beliefs_spec.get("log_density", 0.0), variables, space.n_states)
-            agents.append(Agent(delta, normalize_log_density(base, tilt)))
-    return Market(agents), variables, info
+
+    def beliefs(spec: dict, delta: float) -> Measure:
+        if "weights" in spec:
+            return Measure(space, np.asarray(spec["weights"], dtype=float))
+        if "endowment" in spec:
+            endow = RandomVariable(space, _evaluate(spec["endowment"], variables, space.n_states))
+            actual = base if spec.get("actual") is None else beliefs(spec["actual"], delta)
+            return endowment_to_beliefs(actual, endow, delta).beliefs
+        tilt = _evaluate(spec.get("log_density", 0.0), variables, space.n_states)
+        return normalize_log_density(base, tilt)
+
+    specs = [(float(a["delta"]), a.get("beliefs") or {}) for a in scenario.agents]
+    return Market([Agent(d, beliefs(spec, d)) for d, spec in specs]), variables, info
 
 
 BUILTIN_SCENARIOS: dict = {

@@ -704,3 +704,69 @@ class TestStartRecord:
         assert np.array_equal(z, starts[k]) and e is None and trace == [np.inf]
         assert all(size < len(starts) for size in sizes[1:])
         assert_others_match_alone(ends, alone, k)
+
+
+def _failing_kernel(monkeypatch, entry=None):
+    """Make the inner solve's kernel fail: raise ``SolverError`` on every call,
+    or, with ``entry``, return a cold start with ``W(y0) < 0`` for that entry
+    of each stack that has it."""
+    kernel = nash.solve_exp_linear
+
+    def failing(dminus, deltas, rhs):
+        if entry is None:
+            raise SolverError("kernel failed")
+        u = kernel(dminus, deltas, rhs)
+        if len(u) > entry:
+            u[entry] += 1e3  # sum_i lambda_i * u_i rises by 1e3, above y0
+        return u
+
+    monkeypatch.setattr(nash, "solve_exp_linear", failing)
+
+
+class TestInnerSolveFailure:
+    """A failed inner solve marks its own entry and ends in a SolverError,
+    never in a NaN or an exception of another type."""
+
+    @pytest.mark.parametrize("entry", [None, 0, 2], ids=["kernel-raises", "entry-0", "entry-2"])
+    def test_evaluate_marks_failed_entries_and_keeps_the_rest(self, monkeypatch, entry):
+        m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
+        ad = solve_arrow_debreu(m)
+        z = nash._starts(m, ad)
+        alone = [nash._evaluate(m, ad, z[j : j + 1])[0] for j in range(len(z))]
+        _failing_kernel(monkeypatch, entry)
+        out = nash._evaluate(m, ad, z)
+        assert len(out) == len(z)
+        for j, (e, e_alone) in enumerate(zip(out, alone)):
+            if entry is None or j == entry:
+                assert e is None
+            else:
+                for field in e._fields:
+                    assert np.array_equal(getattr(e, field), getattr(e_alone, field)), field
+
+    @pytest.mark.parametrize("entry", [None, 0], ids=["kernel-raises", "unsound-start"])
+    @pytest.mark.parametrize("public", [phi_map, nash_distance])
+    def test_public_maps_raise_solver_error_carrying_z(self, monkeypatch, entry, public):
+        m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
+        ad = solve_arrow_debreu(m)
+        z = np.array([0.01, -0.02, 0.01])
+        _failing_kernel(monkeypatch, entry)
+        with pytest.raises(SolverError) as err:
+            public(m, ad, z)
+        assert err.value.diagnostics == {"z": z.tolist()}
+
+    @pytest.mark.parametrize(
+        "n_agents, entry", [(3, None), (2, 0)], ids=["kernel-raises", "unsound-start"]
+    )
+    def test_solve_nash_raises_with_one_trace_per_start(self, monkeypatch, n_agents, entry):
+        m = random_market(np.random.default_rng(3), n_agents=n_agents, n_states=100)
+        ad = solve_arrow_debreu(m)
+        starts = nash._starts(m, ad)
+        _failing_kernel(monkeypatch, entry)
+        with pytest.raises(SolverError) as err:
+            solve_nash(m, ad=ad)
+        diag = err.value.diagnostics
+        assert len(diag["residual_traces"]) == len(starts)
+        assert all(trace == [np.inf] for trace in diag["residual_traces"])
+        assert diag["best_distance"] == np.inf
+        assert np.all(np.isfinite(diag["best_z"]))
+        assert any(np.array_equal(diag["best_z"], s) for s in starts)

@@ -1,12 +1,14 @@
 """Scenario files, state-space construction, bundles, and the CLI."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from risksharing import Measure, endowment_to_beliefs, normalize_log_density
 from risksharing.cli import main as cli_main
 from risksharing.errors import ValidationError
 from risksharing.scenario import (
@@ -135,6 +137,18 @@ class TestStateSpace:
         with pytest.raises(ValidationError, match="cap"):
             build_state_space(Scenario.from_dict(doc))
 
+    def test_cov_builds_the_market_of_its_std_corr_twin(self):
+        """A ``cov:`` scenario builds, bit for bit, the market of its ``std`` + ``corr`` twin."""
+        doc = yaml.safe_load(NASH_SCENARIO.read_text())
+        states = doc["states"]
+        twin = dict(doc, states={k: v for k, v in states.items() if k not in ("std", "corr")})
+        std = np.asarray(states["std"])
+        twin["states"]["cov"] = (np.asarray(states["corr"]) * np.outer(std, std)).tolist()
+        markets = [build_market(Scenario.from_dict(d))[0] for d in (doc, twin)]
+        assert np.array_equal(markets[0].space.baseline_weights, markets[1].space.baseline_weights)
+        assert np.array_equal(markets[0].deltas, markets[1].deltas)
+        assert np.array_equal(markets[0].belief_weights, markets[1].belief_weights)
+
     def test_bad_expression(self):
         doc = dict(COMMON_BELIEFS_DOC)
         doc = json.loads(json.dumps(doc))
@@ -173,6 +187,31 @@ class TestMarketBuilding:
         np.testing.assert_allclose(
             market.agents[0].beliefs.weights, w / w.sum(), atol=1e-14
         )
+
+    @pytest.mark.parametrize(
+        "actual", [{"weights": [0.1, 0.2, 0.3, 0.4]}, {"log_density": "0.5*X"}],
+        ids=["weights", "log-density"],
+    )
+    def test_endowment_folds_actual_beliefs(self, actual):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["agents"][0]["beliefs"] = {"endowment": "X", "actual": actual}
+        market, variables, _ = build_market(Scenario.from_dict(doc))
+        space = market.space
+        if "weights" in actual:
+            measure = Measure(space, np.asarray(actual["weights"]))
+        else:
+            measure = normalize_log_density(space.baseline(), 0.5 * variables["X"].values)
+        folded = endowment_to_beliefs(measure, variables["X"], 1.0)
+        assert np.array_equal(market.agents[0].beliefs.weights, folded.beliefs.weights)
+
+    def test_expression_may_select_around_non_finite_values(self):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["agents"][0]["beliefs"] = {"log_density": "where(X > 0, log(X), 0)"}
+        market, variables, _ = build_market(Scenario.from_dict(doc))
+        x = variables["X"].values
+        tilt = np.log(np.where(x > 0, x, 1.0))
+        expected = normalize_log_density(market.space.baseline(), tilt)
+        assert np.array_equal(market.agents[0].beliefs.weights, expected.weights)
 
     def test_explicit_weight_beliefs(self):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
@@ -291,12 +330,33 @@ class TestCli:
             ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"samples": 10, "seed": 1.7})),
             ("nash", lambda d: d.update(solver={"tol": float("inf")})),
             ("nash", lambda d: d.update(solver={"tol": float("nan")})),
+            # Beliefs: one form, and `actual` only beside `endowment`, as weights or log density.
+            ("nash", lambda d: d["agents"][0].update(
+                beliefs={"endowment": "X", "actual": {"weights": [0.25] * 4, "log_density": "X"}})),
+            ("nash", lambda d: d["agents"][0].update(
+                beliefs={"endowment": "X", "actual": {"endowment": "X"}})),
+            ("nash", lambda d: d["agents"][0].update(
+                beliefs={"endowment": "X", "actual": {"log_densty": "X"}})),
+            ("nash", lambda d: d["agents"][0].update(
+                beliefs={"log_density": "X", "actual": {"log_density": "-X"}})),
+            ("nash", lambda d: d["agents"][0].update(beliefs={"log_densty": "X"})),
+            # A key that no reader reads, in each section.
+            ("nash", lambda d: d["agents"][0].update(belief=d["agents"][0].pop("beliefs"))),
+            ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_ordr": 4})),
+            ("nash", lambda d: d["states"].update(std=[1.0])),
+            ("nash", lambda d: d.update(solvr={"tol": 1e-9})),
+            ("limits", lambda d: d.update(limits={"xi0": "X", "xi1": "-X"})),
+            ("limits", lambda d: d.update(limits={"mode": "both", "xi0": "X", "xi1": "-X",
+                                                  "lambda": 0.5})),
         ],
         ids=[
             "delta-abc", "delta-too-large", "state-weights", "belief-weights",
             "lambda0", "deltas-abc", "deltas-negative", "mode-bogus",
             "explicit-variables-list", "actual-beliefs-list", "quadrature-order-float",
             "quadrature-order-bool", "samples-float", "seed-float", "tol-inf", "tol-nan",
+            "actual-two-forms", "actual-endowment", "actual-misspelt", "actual-without-endowment",
+            "beliefs-misspelt", "agent-belief", "gaussian-misspelt", "explicit-std",
+            "top-level-misspelt", "one-agent-limits-xi", "both-limits-misspelt",
         ],
     )
     def test_malformed_scenario_values_exit_3(self, tmp_path, capsys, command, change):
@@ -306,6 +366,44 @@ class TestCli:
         assert cli_main([command, str(path), "--out", str(tmp_path / "o.json")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["sub/x", "{tmp}/sub/x", "sub\\x", ["a", "b"], "..", ""],
+        ids=["relative-path", "absolute-path", "backslash", "list", "dot-dot", "empty"],
+    )
+    def test_scenario_name_must_be_a_plain_file_name(self, tmp_path, monkeypatch, capsys, name):
+        """The name is the default bundle path's stem: no bundle is written for a bad one."""
+        (tmp_path / "run" / "sub").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "run")
+        if isinstance(name, str):
+            name = name.format(tmp=tmp_path / "run")
+        path = write_yaml(tmp_path, json.loads(json.dumps(COMMON_BELIEFS_DOC)) | {"name": name})
+        assert cli_main(["ad", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "scenario.yaml", "sub"]
+
+    @pytest.mark.parametrize(
+        "command, change, flags",
+        [("nash", lambda d: d["agents"][0].update(beliefs={"log_density": "log(X)"}), []),
+         ("limits", lambda d: d.update(limits={"mode": "both", "xi0": "log(X)", "xi1": "-X"}), []),
+         ("nash", lambda d: None, ["--hist", "log(X)"])],
+        ids=["log-density", "limits-xi0", "hist"],
+    )
+    def test_non_finite_expression_exits_3(self, tmp_path, capsys, command, change, flags):
+        """An expression that is not finite on every state is refused with one
+        line, and no warning, however the process treats warnings."""
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        change(doc)
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main([command, str(write_yaml(tmp_path, doc)), *flags, "--out", str(out)])
+        assert code == 3 and not caught and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert "not finite" in err[0]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -515,6 +613,39 @@ class TestCli:
         assert payload["mode"] == "one-agent"
         assert len(payload["table"]) == 4
         assert cli_main(["verify", str(out)]) == 0
+
+    def test_ad_bundle_verifies_and_a_tampered_security_fails(self, tmp_path):
+        out = tmp_path / "ad.json"
+        assert cli_main(["ad", str(NASH_SCENARIO), "--out", str(out)]) == 0
+        assert cli_main(["verify", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert "nash" not in doc
+        doc["ad"]["securities"][0] = [v + 1e-3 for v in doc["ad"]["securities"][0]]
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(tampered)]) == 2
+
+    def test_limit_both_bundle_verifies_and_a_tampered_row_fails(self, tmp_path):
+        out = tmp_path / "lb.json"
+        assert cli_main(["replicate", "limit-both", "--out", str(out)]) == 0
+        assert cli_main(["verify", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["limits"]["mode"] == "both"
+        doc["limits"]["table"][-1][2] = 0.01
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(tampered)]) == 2
+
+    @pytest.mark.parametrize(
+        "args", [["limits", "{path}"], ["best-response", "{path}", "--agent", "5"]],
+        ids=["limits-three-agents", "agent-out-of-range"],
+    )
+    def test_command_outside_the_market_exits_3(self, tmp_path, capsys, args):
+        out = tmp_path / "o.json"
+        argv = [a.format(path=NASH_SCENARIO) for a in args] + ["--out", str(out)]
+        assert cli_main(argv) == 3 and not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
 
     # A limit bundle written before verify recomputed the limit residuals.
     LIMIT_BUNDLE = Path(__file__).parent / "data" / "limit-one-agent-0.1.0.json"
