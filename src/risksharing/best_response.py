@@ -119,16 +119,20 @@ def solve_best_response(market: Market, i: int, reports_others, start=None) -> B
     ``start``, the log ratio ``u`` the caller expects per state (such as an
     equilibrium's ``log_ratios[i]``), moves where the search begins: it
     starts at the middle value over states of ``expm1(u)/lambda_i + u + r``,
-    or at 0 where that is not finite or not inside ``ZETA_BOUND``.  The root
-    returned is the same, since ``h`` is strictly increasing and only its
-    own converged root is accepted.
+    or at 0 where that is not finite or not inside ``ZETA_BOUND``, and the
+    first per-state solve starts from ``start``.  Each later per-state solve
+    starts from the last one's ``u``.  The root returned is the same, since
+    ``h`` is strictly increasing and only its own converged root is accepted.
     """
     reports = _check_reports(market, i, reports_others)
     r_agg = _aggregated_log_reports(market, i, reports)
     lam = market.lambdas[i]
 
+    u_last = start
+
     def log_mean_ratio(z: float):
-        u = solve_exp_linear(1.0 / lam, 1.0, z - r_agg)
+        nonlocal u_last
+        u = u_last = solve_exp_linear(1.0 / lam, 1.0, z - r_agg, start=u_last)
         logq = _log_valuation(market, i, u, r_agg)
         h = float(logsumexp(logq + u))
         du = lam / (lam + np.exp(u))

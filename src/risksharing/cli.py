@@ -84,6 +84,14 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return Scenario.from_dict(doc)
 
 
+def _check_hist(args, market, variables, later) -> None:
+    """Refuse a bad ``--hist`` expression before the solve: each may read the
+    state variables and the payoffs ``later`` that the command computes, and
+    one that reads only state variables is evaluated in full."""
+    for expr in args.hist or ():
+        _evaluate(expr, variables, market.space.n_states, later)
+
+
 def _histograms(args, market, variables, payoffs) -> dict:
     """Binned masses of requested expressions under the available measures."""
     if not args.hist:
@@ -175,6 +183,7 @@ def _measures_for(market, ad=None, eq=None, br=None, br_agent=None):
 
 def run_ad(args, scenario: Scenario) -> int:
     market, variables, info = build_market(scenario)
+    _check_hist(args, market, variables, [f"CSTAR{k}" for k in range(market.n_agents)])
     ad = solve_arrow_debreu(market)
     ledger = ad_ledger(market, ad)
     _print_table(
@@ -194,6 +203,10 @@ def run_ad(args, scenario: Scenario) -> int:
 def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     """Solve the game; with ``br_agent``, also that agent's response to truthful reports."""
     market, variables, info = build_market(scenario)
+    later = [f"{name}{k}" for name in ("CSTAR", "C") for k in range(market.n_agents)]
+    if br_agent is not None:
+        later.append(f"CR{br_agent}")
+    _check_hist(args, market, variables, later)
     ad = solve_arrow_debreu(market)
     eq = solve_nash(market, ad=ad, tol=scenario.solver.get("tol"))
     diag = compute_diagnostics(market, ad, eq)
@@ -239,6 +252,7 @@ def run_best_response(args, scenario: Scenario) -> int:
     i = int(args.agent)
     if not (0 <= i < market.n_agents):
         raise ValidationError(f"agent index {i} out of range")
+    _check_hist(args, market, variables, [f"CR{i}"])
     if args.truthful_others:
         _refuse(args, ("tol",), "best-response with --truthful-others, which solves no game")
         reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != i]

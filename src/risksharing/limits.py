@@ -73,8 +73,11 @@ def limiting_nash(p0: Measure, agent1: Agent):
     d1 = agent1.delta
     logp0 = p0.log_weights()
 
+    u_last = None  # each kernel call starts from the last evaluation's u
+
     def neg_log_mean_inverse_ratio(z: float):
-        u = solve_exp_linear(d1, d1, z + ad_security.values)
+        nonlocal u_last
+        u = u_last = solve_exp_linear(d1, d1, z + ad_security.values, start=u_last)
         f = -float(logsumexp(logp0 - u))
         slope = np.sum(np.exp(logp0 - u + f) / (d1 * (np.exp(u) + 1.0)))
         return f, slope, u

@@ -108,10 +108,14 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     does not converge, is redone from the cold start, all such entries in
     one kernel call.  A cold solve fails where ``W(y0) < 0`` or it does not
     converge; the kernel's own failure fails every entry of its call.  An
-    entry leaves the stack once it converges, so its passes are those of a
-    solve of it alone.  An agent holding over half the total tolerance is
-    carried as ``v = u - y``: its ``u`` is close to ``y``, and ``y``
-    amplifies an error in ``v`` by ``1/lambda_minus``.
+    entry leaves the stack, with the point after its step, at the pass whose
+    step leaves ``W`` at 0 and ``G`` within half its tolerance: ``W`` is
+    linear, and after a step ``(du, dy)`` the exact ``G_i`` is
+    ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``, bounded without
+    another pass over the states.  Each entry decides alone, so its passes
+    are those of a solve of it alone.  An agent holding over half the total
+    tolerance is carried as ``v = u - y``: its ``u`` is close to ``y``, and
+    ``y`` amplifies an error in ``v`` by ``1/lambda_minus``.
     """
     a = z[:, :, None] + ad.security_values()  # (K, n, S)
     deltas = market.deltas[:, None]
@@ -130,6 +134,8 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     solved = [None] * len(a)  # (u, y) per entry
+    # Below 4096 states the sampled screen of the stop costs more calls than it saves.
+    screen = [slice(None, None, 16)] if a.shape[2] >= 4096 else []
 
     def take(x, rows):
         return x if len(rows) == len(x) else x[rows]
@@ -138,11 +144,21 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         """Joint Newton for the entries ``rows`` from ``(u, y)``; returns those that fail."""
         a_rows = take(a, rows)
         # Tolerances scale with the terms, y's among them through dG/dy, not
-        # with their sum, which cancels; the step from a point within them
-        # lands on the rounding floor.
+        # with their sum, which cancels.
         a_scale = 1.0 + np.abs(a_rows)
         v = u[:, dom] - y
         failed = []
+
+        def g_tolerance(cols):
+            """G's tolerance at the pass's point on the states ``cols``, written into ``lam_u``."""
+            y_abs, scale = abs_y[..., cols], a_scale[..., cols]
+            out = np.multiply(deltas, y_abs, out=lam_u[..., cols])
+            out += scale
+            out[:, dom] = scale[:, dom] + np.abs(spread_dom[..., cols])
+            out[:, dom] += growth[:, dom, cols] * y_abs
+            out *= 1e-14
+            return out
+
         # Each pass updates its (K, n, S) arrays in place where it can: a
         # fresh array of that size costs page faults as well as its writes.
         for k in range(INNER_MAX_ITER):
@@ -165,15 +181,10 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
             done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
             bad = np.zeros_like(done)
-            check = warm and k == 1  # the first warm step must land on a super-solution
-            # G is checked only once W is within its tolerance, or for that check.
-            if check or done.any():
-                g_tol = a_scale + deltas * abs_y
-                g_tol[:, dom] = a_scale[:, dom] + np.abs(spread_dom) + growth[:, dom] * abs_y
-                g_tol *= 1e-14
-                if check:
-                    bad = ~(np.all(g >= -g_tol, axis=(1, 2)) & np.all(w >= -w_tol, axis=(1, 2)))
-                done &= ~bad & np.all(np.abs(g) <= g_tol, axis=(1, 2))
+            if warm and k == 1:  # the first warm step must land on a super-solution
+                g_tol = np.negative(g_tolerance(slice(None)), out=lam_u)
+                bad = ~(np.all(g >= g_tol, axis=(1, 2)) & np.all(w >= -w_tol, axis=(1, 2)))
+                done &= ~bad
             # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
             lam_d = np.divide(lambdas, d, out=lam_u)
             s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
@@ -185,6 +196,24 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             v += du[:, dom] - dy
             u += du
             u[:, dom] = v + y
+            # W is linear, so the step leaves it 0, and G_i differs from its
+            # linearisation only through expm1: after the step it is exactly
+            # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du, 0)).
+            # An entry is done once this bound is at most half G's tolerance
+            # (the halves cancel below) and its W was within its tolerance
+            # before the step, since rounding a large step in y may leave W
+            # past it.  The bound is evaluated only if some entry passes that
+            # screen and, on long state axes, on every 16th state first.
+            if done.any():
+                c = np.exp(np.maximum(np.max(du, axis=(1, 2)), 0.0))[:, None, None]
+                for cols in screen + [slice(None)]:
+                    bound = np.multiply(du[..., cols], du[..., cols], out=em1[..., cols])
+                    bound *= growth[..., cols]
+                    bound *= c
+                    bound -= g_tolerance(cols)
+                    done &= np.max(bound, axis=(1, 2)) <= 0.0
+                    if not done.any():
+                        break
             if done.any() or bad.any():
                 for j in np.flatnonzero(done):
                     solved[rows[j]] = np.minimum(u[j], projected), y[j, 0]

@@ -40,12 +40,15 @@ def logsumexp(a, axis=None):
     return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 
-def solve_exp_linear(alpha, beta, rhs):
+def solve_exp_linear(alpha, beta, rhs, start=None):
     """Solve ``alpha*(exp(u)-1) + beta*u = rhs`` elementwise for ``u``.
 
-    The left side is strictly increasing and convex, so Newton started at
-    the upper end of the exact bracket converges monotonically; iterates are
-    clipped to the bracket as a float-safety net.  Residuals are driven to
+    The left side is strictly increasing and convex, so one Newton step
+    from any point lands at or above the root, and Newton then falls
+    monotonically to it; iterates are clipped to the exact bracket as a
+    float-safety net.  Newton starts at ``start``, such as the solution at
+    nearby data, clipped into the bracket; where ``start`` is None or not
+    finite it starts at the upper end.  Residuals are driven to
     ``KERNEL_RTOL * (1 + |rhs|)``.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -58,7 +61,7 @@ def solve_exp_linear(alpha, beta, rhs):
     lo = np.where(pos, 0.0, rhs / beta)
     hi = np.where(pos, np.minimum(rhs / beta, np.log1p(np.maximum(rhs, 0.0) / alpha)), 0.0)
 
-    u = hi.copy()
+    u = hi.copy() if start is None else np.where(np.isfinite(start), np.clip(start, lo, hi), hi)
     tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
     for _ in range(KERNEL_MAX_ITER):
         g = alpha * np.expm1(u) + beta * u - rhs

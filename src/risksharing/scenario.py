@@ -113,6 +113,14 @@ def _number(value, what: str) -> float:
         raise ValidationError(f"{what} must be a number, got {value!r}") from None
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number, or a flat or rectangular list of them."""
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except (TypeError, ValueError):
+        return False
+
+
 def _known(section, keys, what: str) -> None:
     """Refuse ``section`` unless it is a mapping holding only keys that a reader reads."""
     _require(isinstance(section, dict), f"{what} must be a mapping")
@@ -158,6 +166,12 @@ def _validate(doc: dict) -> Scenario:
                  "'samples' and 'quadrature_order' exclude each other")
         _require(("samples" in states) == ("seed" in states),
                  "'samples' and 'seed' come together: give both, or --samples and --seed")
+        repair = states.get("covariance_repair", "none")
+        _require(repair in ("none", "clip"),
+                 f"covariance_repair must be none or clip, got {repair!r}")
+        for key in ("cov", "std", "corr"):
+            if key in states:
+                _require(_finite(states[key]), f"gaussian {key!r} must be finite numbers")
     agents = doc.get("agents")
     _require(isinstance(agents, list) and len(agents) >= 2, "need at least 2 agents")
     for k, a in enumerate(agents):
@@ -214,7 +228,7 @@ def _allowed(node, names) -> bool:
     return isinstance(node, _EXPR_NODES)
 
 
-def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
+def _evaluate(expr, variables: dict, n_states: int, later=()) -> np.ndarray | None:
     """Evaluate a scalar-or-vector expression over the named state variables.
 
     An expression is arithmetic and comparisons over the state variables,
@@ -223,7 +237,9 @@ def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
     before evaluation.  Literals become floats, so an overflow raises
     instead of growing an integer without bound.  A result that is not
     finite on every state, such as ``log(X)`` where ``X <= 0``, is refused
-    too; ``where`` may select around such values.
+    too; ``where`` may select around such values.  ``later`` names values
+    that exist only after a solve: an expression reading one of them is
+    checked this far, without evaluation, and gives None.
     """
     if isinstance(expr, (int, float)):
         out = np.full(n_states, float(expr))
@@ -236,11 +252,14 @@ def _evaluate(expr, variables: dict, n_states: int) -> np.ndarray:
         ns.update({name: rv.values for name, rv in variables.items()})
         try:
             tree = ast.parse(str(expr), mode="eval")
+            names = ns.keys() | set(later)
             for node in ast.walk(tree):
-                if not _allowed(node, ns):
+                if not _allowed(node, names):
                     raise ValueError(f"{ast.unparse(node) or type(node).__name__!r} is not allowed")
                 if isinstance(node, ast.Constant):
                     node.value = float(node.value)
+            if any(isinstance(node, ast.Name) and node.id in later for node in ast.walk(tree)):
+                return None
             code = compile(tree, "<expression>", "eval")
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307
@@ -328,7 +347,7 @@ def build_state_space(scenario: Scenario):
     mean = np.asarray(states.get("mean", np.zeros(d)), dtype=float)
     if mean.shape != (d,):
         raise ValidationError("mean length does not match the variable count")
-    factor, info = _repair_covariance(cov, str(states.get("covariance_repair", "none")))
+    factor, info = _repair_covariance(cov, states.get("covariance_repair", "none"))
     d_eff = factor.shape[1]
 
     if "samples" in states:

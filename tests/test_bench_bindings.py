@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from risksharing import best_response
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -37,3 +41,18 @@ def test_tracer_installs_and_removes_cleanly():
         assert all(during[key] is not fn for key, fn in before.items())
     after = _bindings(spans)
     assert all(after[key] is fn for key, fn in before.items())
+
+
+def test_traced_kernel_forwards_its_start():
+    """A kernel call with ``start`` reaches the kernel through the tracer's
+    wrapper unchanged, and its span records the elements it solved."""
+    rng = np.random.default_rng(3)
+    rhs = rng.normal(0.0, 5.0, 250)
+    start = rng.normal(0.0, 5.0, 250)
+    want = best_response.solve_exp_linear(2.0, 1.0, rhs, start=start)
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        got = best_response.solve_exp_linear(2.0, 1.0, rhs, start=start)
+    assert np.array_equal(got, want)
+    ((op, name, via, parent, t0, t1, size),) = tracer.spans
+    assert (name, via, size) == ("roots.kernel", "best_response", 250)

@@ -20,6 +20,7 @@ from risksharing import (
     normalize_log_density,
     response_value,
     solve_best_response,
+    solve_nash,
 )
 from risksharing.best_response import _aggregated_log_reports
 from risksharing.roots import solve_exp_linear
@@ -235,6 +236,28 @@ class TestSolveBestResponse:
             noise = rng.normal(0.0, eps, m.space.n_states)
             perturbed = normalize_log_density(br.reported, noise)
             assert br.response_value >= response_value(m, 0, perturbed, others) - 1e-9
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+def test_start_moves_no_result(n_agents):
+    """Started from an equilibrium's log ratios, from a far or from a
+    non-finite start, the best response agrees with the one started at zero
+    to 1e-12."""
+    m = random_market(np.random.default_rng(5), n_agents=n_agents, n_states=400)
+    eq = solve_nash(m)
+    for i in range(m.n_agents):
+        reports = [eq.revealed[j] for j in range(m.n_agents) if j != i]
+        plain = solve_best_response(m, i, reports)
+        for start in (eq.log_ratios[i], np.full(400, 40.0), np.full(400, np.nan)):
+            br = solve_best_response(m, i, reports, start=start)
+            assert br.zeta == pytest.approx(plain.zeta, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(br.log_ratio, plain.log_ratio, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                br.reported.weights, plain.reported.weights, rtol=1e-12, atol=1e-300
+            )
+            np.testing.assert_allclose(
+                br.security.values, plain.security.values, rtol=1e-12, atol=1e-12
+            )
 
 
 @pytest.mark.parametrize("i", [-1, 3])

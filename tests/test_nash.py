@@ -441,6 +441,32 @@ def warm_cases(draw):
     return market, draw(share), draw(share)
 
 
+def assert_within_inner_tolerances(m, ad, z, u, y):
+    """``G`` and ``W`` of the per-state system at ``(u, y)``, from their
+    definitions, within the inner solve's tolerances: ``1e-14`` times the sum
+    of the magnitudes of their terms, ``y``'s through ``dG/dy``; a dominant
+    agent's ``G`` has ``delta*|u - y| + delta_minus*exp(u)*|y|`` in place of
+    ``delta*|y|``.  States where a ratio sits at its projected cap are skipped."""
+    a = z[:, None] + ad.security_values()
+    deltas, dminus, lambdas = (x[:, None] for x in (m.deltas, m.delta_minus, m.lambdas))
+    g = dminus * np.expm1(u) + deltas * (u - y) - a
+    w = y - np.sum(lambdas * u, axis=0)
+    g_tol = 1.0 + np.abs(a) + deltas * np.abs(y)
+    lam_u = lambdas * u
+    rest = 1.0
+    top = int(np.argmax(m.lambdas))
+    if m.lambdas[top] > 0.5:
+        g_tol[top] = 1.0 + np.abs(a[top]) + m.deltas[top] * np.abs(u[top] - y)
+        g_tol[top] += m.delta_minus[top] * np.exp(u[top]) * np.abs(y)
+        lam_u[top] = m.lambdas[top] * (u[top] - y)
+        rest -= m.lambdas[top]
+    w_tol = 1.0 + rest * np.abs(y) + np.sum(np.abs(lam_u), axis=0)
+    caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)[:, None]
+    free = np.all(u < caps - 1e-14 * (1.0 + np.abs(caps)), axis=0)
+    assert np.all(np.abs(g[:, free]) <= 1e-14 * g_tol[:, free])
+    assert np.all(np.abs(w[free]) <= 1e-14 * w_tol[free])
+
+
 def _kernel_calls(module):
     """Patch ``module.solve_exp_linear`` with a wrapper that counts its calls."""
     return mock.patch.object(module, "solve_exp_linear", wraps=module.solve_exp_linear)
@@ -464,6 +490,23 @@ class TestWarmStarts:
         assert kernel.call_count == 0
         assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
         assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
+
+    @given(case=warm_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_returned_points_meet_the_inner_tolerances(self, case):
+        """The post-step stop certifies ``G`` and ``W`` without evaluating them
+        at the point it returns; evaluated there, cold and warm, both are within
+        the tolerances of the inner solve, except on states projected onto a cap."""
+        m, shares, near_shares = case
+        ad = solve_arrow_debreu(m)
+        z = _ir_point(ad, shares)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold = nash._inner_log_ratios(m, ad, z)
+            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares)[None])
+            warm = nash._inner_log_ratios(m, ad, z, start)
+        for u, y in (cold, warm):
+            assert_within_inner_tolerances(m, ad, z[0], u[0], y[0])
 
     @pytest.mark.parametrize("level", [1e3, 300.0], ids=["overflows", "too-slow"])
     def test_far_start_falls_back_to_cold(self, level):

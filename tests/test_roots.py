@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.special import logsumexp as scipy_logsumexp
 
 from risksharing.errors import SolverError
-from risksharing.roots import increasing_root, logsumexp, solve_exp_linear
+from risksharing.roots import KERNEL_RTOL, increasing_root, logsumexp, solve_exp_linear
 
 
 class TestExpLinear:
@@ -46,6 +46,42 @@ class TestExpLinear:
     def test_sign_matches_rhs(self):
         assert float(solve_exp_linear(1.0, 1.0, 5.0)) > 0
         assert float(solve_exp_linear(1.0, 1.0, -5.0)) < 0
+
+    @pytest.mark.parametrize(
+        "where", ["below", "above", "far-below", "far-above", "nan", "inf", "-inf"]
+    )
+    def test_any_start_reaches_the_same_root(self, where):
+        """From a start below or above the root, outside the bracket, or not
+        finite, the kernel reaches the root it reaches from the bracket's upper
+        end: each result is within ``KERNEL_RTOL * (1 + |rhs|)`` of it in the
+        residual, so the two lie within twice that over the smaller slope."""
+        rng = np.random.default_rng(74)
+        alpha = rng.uniform(0.1, 10.0, 300)
+        beta = rng.uniform(0.1, 10.0, 300)
+        rhs = rng.normal(0.0, 30.0, 300)
+        cold = solve_exp_linear(alpha, beta, rhs)
+        start = {
+            "below": cold - rng.uniform(0.0, 3.0, 300),
+            "above": cold + rng.uniform(0.0, 3.0, 300),
+            "far-below": np.full(300, -1e6),
+            "far-above": np.full(300, 1e6),
+            "nan": np.full(300, np.nan),
+            "inf": np.full(300, np.inf),
+            "-inf": np.full(300, -np.inf),
+        }[where]
+        u = solve_exp_linear(alpha, beta, rhs, start=start)
+        tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
+        assert np.all(np.abs(alpha * np.expm1(u) + beta * u - rhs) <= tol)
+        slope = alpha * np.exp(np.minimum(u, cold)) + beta
+        assert np.all(np.abs(u - cold) <= 2.0 * tol / slope)
+
+    def test_start_at_the_root_is_returned(self):
+        """A start that already meets the tolerance costs one residual pass and
+        comes back unchanged, as a new array."""
+        alpha, beta, rhs = np.array([0.5, 2.0]), np.array([1.0, 3.0]), np.array([-4.0, 7.0])
+        root = solve_exp_linear(alpha, beta, rhs)
+        u = solve_exp_linear(alpha, beta, rhs, start=root)
+        assert np.array_equal(u, root) and u is not root
 
 
 class TestIncreasingRoot:

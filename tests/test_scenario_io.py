@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from risksharing import Measure, endowment_to_beliefs, normalize_log_density
+from risksharing import cli
 from risksharing.cli import main as cli_main
 from risksharing.errors import ValidationError
 from risksharing.scenario import (
@@ -35,6 +36,9 @@ COMMON_BELIEFS_DOC = {
 
 # One Gaussian variable X under the default quadrature rule, for the beliefs above.
 GAUSSIAN_STATES = {"model": "gaussian", "variables": ["X"], "std": [1.0], "corr": [[1.0]]}
+# Two correlated Gaussian variables on a 4 x 4 quadrature grid.
+GAUSSIAN_PAIR = {"model": "gaussian", "variables": ["X", "Y"], "std": [1.0, 0.8],
+                 "corr": [[1.0, 0.3], [0.3, 1.0]], "quadrature_order": 4}
 NASH_SCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "cli-nash.yaml"
 
 
@@ -367,6 +371,54 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: ")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "corr", [[[1.0, 0.3], [0.3, 1.0]], [[1.0, 1.2], [1.2, 1.0]]], ids=["psd", "indefinite"]
+    )
+    def test_covariance_repair_is_none_or_clip(self, tmp_path, capsys, corr):
+        """A misspelt repair is refused, whether or not the matrix would need it."""
+        states = GAUSSIAN_PAIR | {"corr": corr, "covariance_repair": "clipp"}
+        err = self._ad_refusal(tmp_path, capsys, states)
+        assert "covariance_repair" in err and "'clipp'" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("std", [float("nan"), 1.0]), ("std", [1.0, float("inf")]),
+         ("corr", [[1.0, float("nan")], [0.3, 1.0]]), ("cov", [[1.0, 0.0], [0.0, -float("inf")]])],
+        ids=["std-nan", "std-inf", "corr-nan", "cov-minus-inf"],
+    )
+    def test_non_finite_covariance_data_is_refused(self, tmp_path, capsys, key, value):
+        states = GAUSSIAN_PAIR | {key: value}
+        if key == "cov":
+            del states["std"], states["corr"]
+        err = self._ad_refusal(tmp_path, capsys, states)
+        assert err == f"validation error: gaussian {key!r} must be finite numbers"
+
+    @staticmethod
+    def _ad_refusal(tmp_path, capsys, states) -> str:
+        """The one line that ``ad`` prints, exiting 3 without a bundle, on ``states``."""
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC)) | {"states": states}
+        out = tmp_path / "o.json"
+        assert cli_main(["ad", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert not out.exists()
+        return err[0]
+
+    @pytest.mark.parametrize(
+        "hist", ["log(X0)", "C0 + Q", "CR0"], ids=["not-finite", "unknown-name", "unsolved-payoff"]
+    )
+    def test_hist_is_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, hist):
+        """A ``--hist`` expression reading a name the command never computes, or
+        reading only state variables and not finite, is refused before the game
+        is solved."""
+        calls = []
+        monkeypatch.setattr(cli, "solve_nash", lambda *a, **k: calls.append(a))
+        out = tmp_path / "o.json"
+        assert cli_main(["nash", str(NASH_SCENARIO), "--hist", hist, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert not calls and not out.exists()
 
     @pytest.mark.parametrize(
         "name", ["sub/x", "{tmp}/sub/x", "sub\\x", ["a", "b"], "..", ""],
