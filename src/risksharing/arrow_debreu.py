@@ -16,6 +16,7 @@ from .errors import SolverError
 from .measures import (
     Measure,
     RandomVariable,
+    _same_space,
     expect,
     geometric_mean_measure,
     relative_entropy,
@@ -83,6 +84,7 @@ def utility_gain_vs_ad(
     Bounded above by the price of ``c``, with equality only when ``c``
     differs from the equilibrium security by a constant.
     """
-    return cara_utility(Agent(market.agents[i].delta, ad.pricing), c - ad.securities[i])
+    gap = RandomVariable(_same_space(c, ad.securities[i]), c.values - ad.securities[i].values)
+    return cara_utility(Agent(market.agents[i].delta, ad.pricing), gap)
 
 

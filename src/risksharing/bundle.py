@@ -322,8 +322,10 @@ def _check_fit(doc: dict, market: Market) -> None:
                     raise ValueError(f"{section}.{key} has shape {got}, not {shape}")
                 if np.isnan(values).any():
                     raise ValueError(f"{section}.{key} holds a NaN")
-    if "best_response" in doc and not 0 <= int(doc["best_response"]["agent"]) < n:
-        raise ValueError(f"best_response.agent is not one of the market's {n} agents")
+    if "best_response" in doc:
+        agent = doc["best_response"]["agent"]
+        if type(agent) is not int or not 0 <= agent < n:
+            raise ValueError(f"best_response.agent {agent!r} is not an integer index of {n} agents")
     if "limits" in doc and n != 2:
         raise ValueError(f"limits on a market of {n} agents, not 2")
 
@@ -346,7 +348,7 @@ def verify_bundle(doc: dict) -> list:
         if "best_response" in doc:
             section = doc["best_response"]
             response = (
-                int(section["agent"]),
+                section["agent"],
                 record_from_dict(BestResponse, section, space),
                 [Measure(space, w) for w in section["others_reports"]],
             )

@@ -141,9 +141,11 @@ def _print_ledger(ledger) -> None:
         )
 
 
-def _finish(args, scenario, sections, ledger, info, default_out):
+def _finish(args, scenario, market, sections, ledger, info, kind: str):
+    """Write the bundle, ``market`` section included, to ``--out`` or ``{name}.{kind}.json``."""
+    sections = {"market": market_to_dict(market)} | sections
     doc = assemble_bundle(scenario, sections, ledger, info)
-    out = args.out or default_out
+    out = args.out or f"{scenario.name}.{kind}.json"
     write_bundle(doc, out)
     _print_ledger(ledger)
     print(f"bundle: {out}")
@@ -193,11 +195,10 @@ def run_ad(args, scenario: Scenario) -> int:
         + [("aggregate_gain", ad.aggregate_gain)],
     )
     sections = {
-        "market": market_to_dict(market),
         "ad": record_to_dict(ad),
         "histograms": _histograms(args, market, variables, _measures_for(market, ad=ad)),
     }
-    return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.ad.json")
+    return _finish(args, scenario, market, sections, ledger, info, "ad")
 
 
 def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
@@ -228,7 +229,6 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     diagnostics = record_to_dict(diag)
     del diagnostics["marginal_measures"]
     sections = {
-        "market": market_to_dict(market),
         "ad": record_to_dict(ad),
         "nash": record_to_dict(eq),
         "diagnostics": diagnostics,
@@ -244,7 +244,7 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     sections["histograms"] = _histograms(
         args, market, variables, _measures_for(market, ad=ad, eq=eq, br=br, br_agent=br_agent)
     )
-    return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.nash.json")
+    return _finish(args, scenario, market, sections, ledger, info, "nash")
 
 
 def run_best_response(args, scenario: Scenario) -> int:
@@ -275,13 +275,12 @@ def run_best_response(args, scenario: Scenario) -> int:
         ],
     )
     sections = {
-        "market": market_to_dict(market),
         "best_response": _response_section(br, i, mode, reports),
         "histograms": _histograms(
             args, market, variables, _measures_for(market, br=br, br_agent=i)
         ),
     }
-    return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.br.json")
+    return _finish(args, scenario, market, sections, ledger, info, "br")
 
 
 def run_limits(args, scenario: Scenario) -> int:
@@ -312,8 +311,7 @@ def run_limits(args, scenario: Scenario) -> int:
         ]
     ledger = limits_ledger(market, limit)
     _print_table(f"extreme-risk-tolerance analysis: {scenario.name}", rows)
-    sections = {"market": market_to_dict(market), "limits": payload}
-    return _finish(args, scenario, sections, ledger, info, f"{scenario.name}.limits.json")
+    return _finish(args, scenario, market, {"limits": payload}, ledger, info, "limits")
 
 
 def run_verify(args) -> int:
@@ -326,11 +324,13 @@ def run_verify(args) -> int:
 
 
 def run_replicate(args) -> int:
+    br_agent = None
     if args.name == "example-2.7":
         # Figure data: the densities of the endowments and of the post-trade
         # positions under the competitive equilibrium, the game and agent 0's
         # response to truthful reports.
         args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
+        br_agent = 0
     scenario = builtin_scenario(args.name)
     if scenario.limits is None:
         _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
@@ -338,9 +338,7 @@ def run_replicate(args) -> int:
     if scenario.limits is not None:
         _refuse(args, ("tol", "hist", "bins"), f"the limit scenario {args.name}")
         return run_limits(args, scenario)
-    if scenario.name != "example-2.7":
-        return run_nash(args, scenario)
-    return run_nash(args, scenario, br_agent=0)
+    return run_nash(args, scenario, br_agent)
 
 
 class _Parser(argparse.ArgumentParser):

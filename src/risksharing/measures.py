@@ -119,7 +119,7 @@ class Measure:
 
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
-    """Real payoff (or log-density) per state."""
+    """Finite, read-only payoff (or log-density) per state; arithmetic is on ``values``."""
 
     space: StateSpace
     values: np.ndarray = field(repr=False)
@@ -137,28 +137,6 @@ class RandomVariable:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", arr)
 
-    def __add__(self, other):
-        if isinstance(other, RandomVariable):
-            _same_space(self, other)
-            return RandomVariable(self.space, self.values + other.values)
-        return RandomVariable(self.space, self.values + float(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RandomVariable(self.space, -self.values)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RandomVariable) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, scalar):
-        return RandomVariable(self.space, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def weights_from_logs(space: StateSpace, logw: np.ndarray) -> Measure:
     """Normalise unnormalised log weights into a strictly positive measure.
@@ -175,17 +153,13 @@ def weights_from_logs(space: StateSpace, logw: np.ndarray) -> Measure:
 def normalize_log_density(base: Measure, log_density) -> Measure:
     """Measure with density proportional to exp(log_density) against ``base``.
 
-    Realises the additive-constant equivalence for log-densities: any
-    constant shift of ``log_density`` yields the same measure.  Computed with
-    a max-shift so magnitudes up to ~700 in the exponent do not overflow.
+    ``log_density`` is an array of one finite value per state.  Any constant
+    shift of it yields the same measure.  Computed with a max-shift so
+    magnitudes up to ~700 in the exponent do not overflow.
     """
-    if isinstance(log_density, RandomVariable):
-        _same_space(base, log_density)
-        lam = log_density.values
-    else:
-        lam = _as_float_array(log_density)
-        if lam.size != base.space.n_states:
-            raise DimensionError("log density length does not match state space")
+    lam = _as_float_array(log_density)
+    if lam.size != base.space.n_states:
+        raise DimensionError("log density length does not match state space")
     if not np.all(np.isfinite(lam)):
         raise ContractError("log density must be finite per state")
     return weights_from_logs(base.space, np.log(base.weights) + lam)

@@ -121,6 +121,23 @@ def _finite(value) -> bool:
         return False
 
 
+def _boolean_at(node) -> tuple | None:
+    """The keys down to the first boolean in ``node``, or None if it holds none.
+
+    YAML reads an unquoted yes, no, on, off, true or false as a boolean, which
+    ``float`` would take as 1 or 0; no key of the scenario format takes one.
+    """
+    if isinstance(node, bool):
+        return ()
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, value in node.items() if isinstance(node, dict) else ():
+        path = _boolean_at(value)
+        if path is not None:
+            return (key, *path)
+    return None
+
+
 def _known(section, keys, what: str) -> None:
     """Refuse ``section`` unless it is a mapping holding only keys that a reader reads."""
     _require(isinstance(section, dict), f"{what} must be a mapping")
@@ -139,6 +156,8 @@ def _check_beliefs(spec, what: str, forms=("weights", "log_density", "endowment"
 
 def _validate(doc: dict) -> Scenario:
     _known(doc, ("name", "states", "agents", "solver", "limits"), "the scenario")
+    where = ".".join(map(str, _boolean_at(doc) or ()))  # never empty: a key sits above
+    _require(not where, f"{where} is a boolean, not a number or a string")
     name = doc.get("name", "scenario")
     plain = isinstance(name, str) and name not in ("", ".", "..") and not set(name) & set("/\\\0")
     _require(plain, f"scenario name must be a plain file name, got {name!r}")

@@ -127,7 +127,9 @@ class TestUtilityGain:
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_cash_shift(self):
-        got = utility_gain_vs_ad(self.market, self.ad, 0, self.ad.securities[0] + 5.0)
+        got = utility_gain_vs_ad(
+            self.market, self.ad, 0, RandomVariable(self.space, self.ad.securities[0].values + 5.0)
+        )
         assert got == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_direct_utility_difference(self):

@@ -271,6 +271,14 @@ def test_agent_index_outside_the_market_refused(i):
         solve_best_response(m, i, reports)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_wrong_number_of_reports_refused(count):
+    m = random_market(np.random.default_rng(1), 3, 50)
+    reports = [m.agents[1].beliefs] * count
+    with pytest.raises(ContractError, match=f"expected 2 counterparty reports, got {count}"):
+        solve_best_response(m, 0, reports)
+
+
 def test_solve_leaves_no_reference_cycle():
     """Dropping the result and the market frees the market at once.
 

@@ -11,7 +11,7 @@ import pytest
 from helpers import random_market
 from risksharing.arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from risksharing.best_response import BestResponse, solve_best_response
-from risksharing.bundle import _decoder, record_from_dict, record_to_dict
+from risksharing.bundle import LEDGER_TOLERANCES, _decoder, record_from_dict, record_to_dict
 from risksharing.cli import main as cli_main
 from risksharing.limits import LimitReport, one_agent_limit_report
 from risksharing.measures import Measure, RandomVariable
@@ -81,6 +81,21 @@ def _documented_layout() -> dict:
             sections[name] = ""
         sections[name] += " " + line.strip()
     return {k: {key.strip() for key in v.split(",")} for k, v in sections.items()}
+
+
+def test_ledger_table_matches_the_tolerances():
+    """The format doc's ledger table lists exactly the ledger's entries, each
+    with its tolerance and kind; a slack entry says ``(slack)`` and ``>=``."""
+    text = BUNDLE_FORMAT.read_text().split("## Residual ledger")[1].split("\n## ")[0]
+    documented = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            name, meaning, tolerance = (cell.strip() for cell in line.strip("|").split("|"))
+            slack = tolerance.startswith(">=")
+            assert slack == ("(slack)" in meaning), name
+            kind = "slack" if slack else "max"
+            documented[name.strip("`")] = (kind, float(tolerance.removeprefix(">=")))
+    assert documented == LEDGER_TOLERANCES
 
 
 def test_section_keys_match_the_documented_layout(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from helpers import beta_market, common_beliefs_market, random_market
 from risksharing import (
     ContractError,
+    Market,
     compute_diagnostics,
     solve_arrow_debreu,
     solve_nash,
@@ -94,3 +95,11 @@ class TestValidation:
         eq2 = solve_nash(m2)
         with pytest.raises(ContractError):
             compute_diagnostics(m1, ad1, eq2)
+
+    def test_mismatched_agent_counts_rejected(self):
+        """Results of three agents on the space of a two-agent market."""
+        m3 = random_market(np.random.default_rng(47), n_agents=3, n_states=20)
+        m2 = Market(m3.agents[:2])
+        ad3, eq3 = solve_arrow_debreu(m3), solve_nash(m3)
+        with pytest.raises(ContractError, match="inconsistent agent counts"):
+            compute_diagnostics(m2, ad3, eq3)

@@ -142,6 +142,11 @@ class TestBothScaling:
         for (_, _, h0), (_, _, h1) in zip(table, table[1:]):
             assert h1 <= h0 / 5.0
 
+    @pytest.mark.parametrize("lambda0", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_share_outside_the_unit_interval_refused(self, lambda0):
+        with pytest.raises(ValueError, match="lambda0 must lie strictly between 0 and 1"):
+            both_limit_check(self.XI0, self.XI1, lambda0, [10.0])
+
     def test_tilt_normalisation(self):
         """A constant added to a tilt does not change the analysis."""
         shifted = RandomVariable(self.SPACE, self.XI0.values + 3.0)

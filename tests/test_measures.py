@@ -212,4 +212,5 @@ class TestMoments:
     def test_variance_hand_value_and_scaling(self):
         x = RandomVariable(SPACE2, [1.0, -1.0])
         assert variance(BASE2, x) == pytest.approx(1.0, abs=1e-15)
-        assert variance(BASE2, 3.0 * x) == pytest.approx(9.0 * variance(BASE2, x), rel=1e-12)
+        scaled = RandomVariable(SPACE2, 3.0 * x.values)
+        assert variance(BASE2, scaled) == pytest.approx(9.0 * variance(BASE2, x), rel=1e-12)

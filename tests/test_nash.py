@@ -112,16 +112,22 @@ class TestInnerSolve:
             assert np.all(bumped > base)
 
     def test_rejects_nonzero_sum(self):
-        """A ``z`` that does not sum to zero, or holds NaN or an infinity, is
-        refused before any inner solve."""
+        """A ``z`` that does not sum to zero, or holds NaN or an infinity, or
+        has other than one coordinate per agent, is refused before any inner
+        solve."""
         rng = np.random.default_rng(6)
         m = random_market(rng, n_agents=2, n_states=10)
         ad = solve_arrow_debreu(m)
-        bad = [[0.1, 0.1], [np.nan, np.nan], [np.inf, -np.inf], [np.inf, np.inf], [0.1, np.nan]]
+        bad = {
+            "sum to zero": [[0.1, 0.1], [np.nan, np.nan], [np.inf, -np.inf], [np.inf, np.inf],
+                            [0.1, np.nan]],
+            "one coordinate per agent": [[0.1, -0.1, 0.0], [[0.1, -0.1]], 0.0],
+        }
         for call in (phi_map, nash_distance):
-            for z in bad:
-                with pytest.raises(ContractError):
-                    call(m, ad, np.array(z))
+            for message, zs in bad.items():
+                for z in zs:
+                    with pytest.raises(ContractError, match=message):
+                        call(m, ad, np.array(z))
 
 
 class TestDistanceAndMap:

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import logsumexp as scipy_logsumexp
 
+from risksharing import roots
 from risksharing.errors import SolverError
 from risksharing.roots import KERNEL_RTOL, increasing_root, logsumexp, solve_exp_linear
 
@@ -83,6 +84,30 @@ class TestExpLinear:
         u = solve_exp_linear(alpha, beta, rhs, start=root)
         assert np.array_equal(u, root) and u is not root
 
+    def test_spent_passes_accept_a_residual_within_1e_12(self, monkeypatch):
+        """A tolerance no pass can meet spends every pass; the last iterate is
+        then accepted because its residual is within ``1e-12 * (1 + |rhs|)``."""
+        alpha, beta, rhs = np.array([0.5, 2.0]), np.array([1.0, 3.0]), np.array([-4.0, 7.0])
+        want = solve_exp_linear(alpha, beta, rhs)
+        monkeypatch.setattr(roots, "KERNEL_RTOL", -1.0)
+        monkeypatch.setattr(roots, "KERNEL_MAX_ITER", 30)
+        got = solve_exp_linear(alpha, beta, rhs)
+        residual = alpha * np.expm1(got) + beta * got - rhs
+        assert np.all(np.abs(residual) <= 1e-12 * (1 + np.abs(rhs)))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_spent_passes_with_a_large_residual_raise(self, monkeypatch):
+        """One pass from the upper end leaves the residual far above 1e-12: a
+        ``SolverError`` that names the worst state, its residual and its rhs."""
+        alpha, beta, rhs = np.ones(3), np.ones(3), np.array([0.0, 50.0, -3.0])
+        monkeypatch.setattr(roots, "KERNEL_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve_exp_linear(alpha, beta, rhs)
+        diag = err.value.diagnostics
+        assert set(diag) == {"max_residual", "worst_index", "rhs"}
+        assert diag["worst_index"] in (1, 2) and diag["rhs"] == rhs[diag["worst_index"]]
+        assert diag["max_residual"] > 1e-12 * (1.0 + abs(diag["rhs"]))
+
 
 class TestIncreasingRoot:
     def test_matches_scipy_brentq(self):
@@ -123,6 +148,14 @@ class TestIncreasingRoot:
         assert set(diag) == {"x", "f", "lo", "hi"}
         assert abs(diag[unseen]) == 100.0  # that end of the bracket never saw its sign
         assert diag["f"] != 0.0
+
+    def test_nan_value_raises(self):
+        """A NaN value has no sign: the search stops there, not at a bound."""
+        with pytest.raises(SolverError, match="no root") as err:
+            increasing_root(lambda x: (np.nan, 1.0, None), 2.0, 100.0)
+        diag = err.value.diagnostics
+        assert np.isnan(diag["f"]) and diag["x"] == 2.0
+        assert (diag["lo"], diag["hi"]) == (-100.0, 100.0)
 
     def test_bisects_when_newton_overshoots(self):
         # Newton on arctan diverges from 0: its second step lands at -120,

@@ -352,6 +352,10 @@ class TestCli:
             ("limits", lambda d: d.update(limits={"xi0": "X", "xi1": "-X"})),
             ("limits", lambda d: d.update(limits={"mode": "both", "xi0": "X", "xi1": "-X",
                                                   "lambda": 0.5})),
+            # YAML's yes, on and true: booleans, which float() would read as 1.
+            ("ad", lambda d: d["agents"][0].update(delta=True)),
+            ("ad", lambda d: d["agents"][0].update(beliefs={"log_density": True})),
+            ("limits", lambda d: d.update(limits={"deltas": [True, 1e2, 1e3, 1e4, 1e5]})),
         ],
         ids=[
             "delta-abc", "delta-too-large", "state-weights", "belief-weights",
@@ -361,6 +365,7 @@ class TestCli:
             "actual-two-forms", "actual-endowment", "actual-misspelt", "actual-without-endowment",
             "beliefs-misspelt", "agent-belief", "gaussian-misspelt", "explicit-std",
             "top-level-misspelt", "one-agent-limits-xi", "both-limits-misspelt",
+            "delta-bool", "log-density-bool", "limits-delta-bool",
         ],
     )
     def test_malformed_scenario_values_exit_3(self, tmp_path, capsys, command, change):
@@ -371,6 +376,14 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("validation error: ")
         assert not (tmp_path / "o.json").exists()
+
+    def test_a_boolean_is_refused_by_its_key(self, tmp_path, capsys):
+        """YAML reads an unquoted ``yes`` as a boolean; the refusal says where it stands."""
+        path = tmp_path / "yes.yaml"
+        path.write_text(yaml.safe_dump(COMMON_BELIEFS_DOC) + "limits:\n  deltas: [yes, 1e2]\n")
+        assert cli_main(["limits", str(path), "--out", str(tmp_path / "o.json")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "validation error: limits.deltas.0 is a boolean, not a number or a string"
 
     @pytest.mark.parametrize(
         "corr", [[[1.0, 0.3], [0.3, 1.0]], [[1.0, 1.2], [1.2, 1.0]]], ids=["psd", "indefinite"]
@@ -562,6 +575,9 @@ class TestCli:
          ("nash", "z", lambda z: z[:1]),
          ("nash", "securities", lambda sec: sec[:1]),
          ("best_response", "agent", 7),
+         ("best_response", "agent", 1.9),
+         ("best_response", "agent", "1"),
+         ("best_response", "agent", True),
          ("limits", "pricing", [1.0]),
          ("limits", "table", lambda rows: [rows[0], rows[1][:2]] + rows[2:]),
          ("limits", None, lambda lim: list(lim.values())),
@@ -573,7 +589,8 @@ class TestCli:
                                                "belief_weights": m["belief_weights"]
                                                + m["belief_weights"][:1]})],
         ids=["baseline-weights", "no-log-ratio", "securities-not-a-list", "z-too-short",
-             "securities-cut", "agent-out-of-range", "limit-pricing-short", "limit-table-ragged",
+             "securities-cut", "agent-out-of-range", "agent-float", "agent-string", "agent-bool",
+             "limit-pricing-short", "limit-table-ragged",
              "limits-a-list", "limit-z-not-a-number", "limit-mode-both", "no-limit-gain",
              "log-ratios-nan", "limits-on-three-agents"],
     )
@@ -765,6 +782,29 @@ class TestCli:
         hist = doc["histograms"]["X"]
         for payload in hist["measures"].values():
             assert sum(payload["mass"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_histogram_spans_one_unit(self, tmp_path):
+        """A constant expression has no range of its own: its bins span
+        ``[c, c + 1]`` and every measure puts its whole mass in the first."""
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        out = tmp_path / "h.json"
+        assert cli_main(["ad", str(path), "--hist", "2", "--bins", "4", "--out", str(out)]) == 0
+        hist = json.loads(out.read_text())["histograms"]["2"]
+        assert hist["edges"] == [2.0, 2.25, 2.5, 2.75, 3.0]
+        for payload in hist["measures"].values():
+            assert payload["mass"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+    def test_bundle_without_a_market_exits_3(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
+        out = tmp_path / "ad.json"
+        assert cli_main(["ad", str(path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        del doc["market"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["verify", str(out)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "validation error: bundle has no market section to verify against"
 
     def test_load_scenario_from_file(self, tmp_path):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
