@@ -17,7 +17,6 @@ from .measures import (
     Measure,
     RandomVariable,
     _same_space,
-    expect,
     geometric_mean_measure,
     relative_entropy,
 )

@@ -32,7 +32,8 @@ ZETA_BOUND = 1e6
 
 @dataclass(frozen=True)
 class BestResponse:
-    """Optimal report with its security, valuation, and outer constant.
+    """Optimal report of ``agent`` against ``others_reports``, with its
+    security, valuation, and outer constant.
 
     ``log_ratio`` is log(1 + security/delta_minus_i) per state in solution
     space; minus it is the log-density of the report against the agent's
@@ -40,6 +41,8 @@ class BestResponse:
     security saturates its lower bound or the reported weights underflow.
     """
 
+    agent: int
+    others_reports: tuple[Measure, ...]
     reported: Measure
     security: RandomVariable
     valuation: Measure
@@ -152,9 +155,10 @@ def solve_best_response(market: Market, i: int, reports_others, start=None) -> B
     valuation = weights_from_logs(market.space, logq)
     reported = normalize_log_density(market.agents[i].beliefs, -u)
     value = cara_utility(market.agents[i], security)
-    u = u.copy()
     u.setflags(write=False)
     return BestResponse(
+        agent=int(i),
+        others_reports=tuple(reports),
         reported=reported,
         security=security,
         valuation=valuation,

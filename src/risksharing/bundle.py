@@ -2,10 +2,11 @@
 
 A bundle is one JSON document carrying the scenario echo, the solved
 objects as plain arrays, a residual ledger (each entry: value, tolerance,
-pass), and provenance.  Everything needed to re-run the ledger is stored,
-so ``verify`` can certify a bundle without re-solving; floats are written
-with full round-trip precision and keys are sorted, making bundles
-byte-identical across reruns except for the provenance timestamp.
+pass), and provenance.  ``verify`` re-runs the ledger from what is stored,
+re-solving only the agents' best responses (fixed-point check) and, for a
+``nash`` section without ``ad``, the competitive equilibrium.  Floats keep
+full round-trip precision and keys are sorted, so bundles are byte-identical
+across reruns except for the provenance timestamp.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def record_to_dict(record) -> dict:
     return {f.name: _encode(getattr(record, f.name)) for f in dataclasses.fields(record)}
 
 
+def _integer(space, value) -> int:
+    """``value`` itself if it is a JSON integer (not a float or a boolean)."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _decoder(hint):
     """The map ``(space, value) -> field value`` for a field annotated ``hint``."""
     if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
@@ -116,6 +124,8 @@ def _decoder(hint):
         return hint
     if hint is float:
         return lambda space, value: float(value)
+    if hint is int:
+        return _integer
     if hint is np.ndarray:
         return lambda space, value: np.asarray(value, dtype=float)
     raise TypeError(f"bundles cannot decode a field annotated {hint!r}")
@@ -196,15 +206,14 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
     return entries
 
 
-def br_ledger(market: Market, i: int, br, reports_others) -> list:
-    q = br.valuation.weights
-    c = br.security.values
+def br_ledger(market: Market, br: BestResponse) -> list:
+    i, q, c = br.agent, br.valuation.weights, br.security.values
     zero_price = abs(float(np.sum(q * c)))
     # First-order condition, modulo its additive constant.
     log_pi = market.log_beliefs[i]
     acc = np.zeros(market.space.n_states)
     others = [j for j in range(market.n_agents) if j != i]
-    for j, rep in zip(others, reports_others):
+    for j, rep in zip(others, br.others_reports):
         acc += market.lambdas[j] * (rep.log_weights() - log_pi)
     u = br.log_ratio
     resid = c / market.deltas[i] + market.lambda_minus[i] * u + acc
@@ -322,10 +331,8 @@ def _check_fit(doc: dict, market: Market) -> None:
                     raise ValueError(f"{section}.{key} has shape {got}, not {shape}")
                 if np.isnan(values).any():
                     raise ValueError(f"{section}.{key} holds a NaN")
-    if "best_response" in doc:
-        agent = doc["best_response"]["agent"]
-        if type(agent) is not int or not 0 <= agent < n:
-            raise ValueError(f"best_response.agent {agent!r} is not an integer index of {n} agents")
+    if "best_response" in doc and not 0 <= _integer(None, doc["best_response"]["agent"]) < n:
+        raise ValueError(f"best_response.agent is not an index of {n} agents")
     if "limits" in doc and n != 2:
         raise ValueError(f"limits on a market of {n} agents, not 2")
 
@@ -346,12 +353,7 @@ def verify_bundle(doc: dict) -> list:
         ad = record_from_dict(ArrowDebreuEquilibrium, doc["ad"], space) if "ad" in doc else None
         eq = record_from_dict(NashEquilibrium, doc["nash"], space) if "nash" in doc else None
         if "best_response" in doc:
-            section = doc["best_response"]
-            response = (
-                section["agent"],
-                record_from_dict(BestResponse, section, space),
-                [Measure(space, w) for w in section["others_reports"]],
-            )
+            br = record_from_dict(BestResponse, doc["best_response"], space)
         if "limits" in doc:
             limit = doc["limits"]
             if limit["mode"] == "one-agent":
@@ -371,7 +373,7 @@ def verify_bundle(doc: dict) -> list:
         elif ad is not None:
             ledger.extend(ad_ledger(market, ad))
         if "best_response" in doc:
-            ledger.extend(br_ledger(market, *response))
+            ledger.extend(br_ledger(market, br))
         if "limits" in doc:
             ledger.extend(limits_ledger(market, limit))
     return ledger

@@ -152,16 +152,7 @@ def _finish(args, scenario, market, sections, ledger, info, kind: str):
     return EXIT_OK if doc["certified"] else EXIT_RESIDUALS
 
 
-def _response_section(br, agent: int, others_mode: str, reports) -> dict:
-    """The ``best_response`` section: the record, whose response it is, and to what."""
-    return record_to_dict(br) | {
-        "agent": agent,
-        "others_mode": others_mode,
-        "others_reports": [m.weights.tolist() for m in reports],
-    }
-
-
-def _measures_for(market, ad=None, eq=None, br=None, br_agent=None):
+def _measures_for(market, ad=None, eq=None, br=None):
     measures = {"baseline": market.space.baseline_weights}
     for k, agent in enumerate(market.agents):
         measures[f"beliefs_{k}"] = agent.beliefs.weights
@@ -177,9 +168,9 @@ def _measures_for(market, ad=None, eq=None, br=None, br_agent=None):
         for k, c in enumerate(eq.securities):
             payoffs[f"C{k}"] = c.values
     if br is not None:
-        measures[f"br_reported_{br_agent}"] = br.reported.weights
-        measures[f"br_valuation_{br_agent}"] = br.valuation.weights
-        payoffs[f"CR{br_agent}"] = br.security.values
+        measures[f"br_reported_{br.agent}"] = br.reported.weights
+        measures[f"br_valuation_{br.agent}"] = br.valuation.weights
+        payoffs[f"CR{br.agent}"] = br.security.values
     return {"measures": measures, "payoffs": payoffs}
 
 
@@ -237,12 +228,12 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     if br_agent is not None:
         reports = [a.beliefs for j, a in enumerate(market.agents) if j != br_agent]
         br = solve_best_response(market, br_agent, reports)
-        ledger += br_ledger(market, br_agent, br, reports)
-        sections["best_response"] = _response_section(br, br_agent, "truthful", reports)
+        ledger += br_ledger(market, br)
+        sections["best_response"] = record_to_dict(br) | {"others_mode": "truthful"}
         rows.append((f"response_value_{br_agent}", br.response_value))
     _print_table(f"risk-sharing game equilibrium: {scenario.name}", rows)
     sections["histograms"] = _histograms(
-        args, market, variables, _measures_for(market, ad=ad, eq=eq, br=br, br_agent=br_agent)
+        args, market, variables, _measures_for(market, ad=ad, eq=eq, br=br)
     )
     return _finish(args, scenario, market, sections, ledger, info, "nash")
 
@@ -262,7 +253,7 @@ def run_best_response(args, scenario: Scenario) -> int:
         reports = [eq.revealed[j] for j in range(market.n_agents) if j != i]
         mode = "nash-revealed"
     br = solve_best_response(market, i, reports)
-    ledger = br_ledger(market, i, br, reports)
+    ledger = br_ledger(market, br)
     _print_table(
         f"best probability response: {scenario.name}, agent {i} vs {mode} reports",
         [
@@ -275,10 +266,8 @@ def run_best_response(args, scenario: Scenario) -> int:
         ],
     )
     sections = {
-        "best_response": _response_section(br, i, mode, reports),
-        "histograms": _histograms(
-            args, market, variables, _measures_for(market, br=br, br_agent=i)
-        ),
+        "best_response": record_to_dict(br) | {"others_mode": mode},
+        "histograms": _histograms(args, market, variables, _measures_for(market, br=br)),
     }
     return _finish(args, scenario, market, sections, ledger, info, "br")
 

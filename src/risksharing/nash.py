@@ -482,6 +482,9 @@ def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
         normalize_log_density(agent.beliefs, -logr) for agent, logr in zip(market.agents, e.u)
     )
     values = tuple(e.values.tolist())
+    z, *all_roots = (np.array(a) for a in (z, *all_roots))
+    for a in (z, *all_roots):
+        a.setflags(write=False)
     return NashEquilibrium(
         z=z,
         securities=tuple(RandomVariable(market.space, c) for c in e.sec),
@@ -491,7 +494,7 @@ def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
         aggregate_value=float(sum(values)),
         distance=_distance_from_prices(market, e.prices),
         log_ratios=e.u,
-        all_roots=tuple(np.array(r) for r in all_roots),
+        all_roots=tuple(all_roots),
     )
 
 

@@ -55,7 +55,6 @@ def solve_exp_linear(alpha, beta, rhs, start=None):
     beta = np.asarray(beta, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     alpha, beta, rhs = np.broadcast_arrays(alpha, beta, rhs)
-    rhs = np.array(rhs, dtype=float)
 
     pos = rhs >= 0.0
     lo = np.where(pos, 0.0, rhs / beta)
@@ -96,8 +95,8 @@ def increasing_root(f, x0: float, bound: float):
     9.4).  Stops once a step is at most ``1e-14`` plus four float spacings
     of the iterate, and returns the last evaluated point with its
     ``state``, so the caller need not evaluate again.  Raises
-    :class:`SolverError` when there is no sign change within the bound:
-    the bound is never returned as a root.
+    :class:`SolverError` when there is no sign change within the bound
+    (the bound is never returned as a root), or at a NaN value of ``f``.
     """
     lo, hi = -float(bound), float(bound)
     seen_lo = seen_hi = False
@@ -125,6 +124,7 @@ def increasing_root(f, x0: float, bound: float):
             break
         x = x_new
     raise SolverError(
-        "no root of the increasing function within the bound",
+        f"the increasing function's value is not finite at x = {x!r}"
+        if np.isnan(fx) else "no root of the increasing function within the bound",
         diagnostics={"x": x, "f": fx, "lo": lo, "hi": hi},
     )

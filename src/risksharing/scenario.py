@@ -297,9 +297,6 @@ def _repair_covariance(cov: np.ndarray, mode: str):
     actually used and near-null directions have been dropped from the
     factor's columns.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError("covariance must be a square matrix")
     sym = 0.5 * (cov + cov.T)
     evals, evecs = np.linalg.eigh(sym)
     top = float(max(evals.max(), 0.0))

@@ -11,7 +11,13 @@ import pytest
 from helpers import random_market
 from risksharing.arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from risksharing.best_response import BestResponse, solve_best_response
-from risksharing.bundle import LEDGER_TOLERANCES, _decoder, record_from_dict, record_to_dict
+from risksharing.bundle import (
+    LEDGER_TOLERANCES,
+    _decoder,
+    br_ledger,
+    record_from_dict,
+    record_to_dict,
+)
 from risksharing.cli import main as cli_main
 from risksharing.limits import LimitReport, one_agent_limit_report
 from risksharing.measures import Measure, RandomVariable
@@ -71,6 +77,24 @@ def test_round_trip_is_bit_exact(records):
                 assert getattr(again, f.name).space is market.space
 
 
+@pytest.mark.parametrize("agent", [1.9, "1", True], ids=["float", "string", "bool"])
+def test_agent_that_is_not_an_integer_does_not_decode(records, agent):
+    market, (_, _, br, _) = records
+    doc = json.loads(json.dumps(record_to_dict(br))) | {"agent": agent}
+    with pytest.raises(TypeError, match="is not an integer"):
+        record_from_dict(BestResponse, doc, market.space)
+
+
+def test_br_ledger_checks_the_reports_the_response_carries(records):
+    market, (_, eq, br, _) = records
+    assert br.agent == 1 and br.others_reports == (eq.revealed[0], eq.revealed[2])
+    assert all(e["pass"] for e in br_ledger(market, br))
+    truthful = dataclasses.replace(br, others_reports=(market.agents[0].beliefs,
+                                                       market.agents[2].beliefs))
+    passed = {e["name"]: e["pass"] for e in br_ledger(market, truthful)}
+    assert passed == {"br_zero_price": True, "br_first_order": False, "br_lower_bound": True}
+
+
 def _documented_layout() -> dict:
     """Section name -> documented keys, from the layout block of the format doc."""
     block = BUNDLE_FORMAT.read_text().split("```")[1]
@@ -107,7 +131,7 @@ def test_section_keys_match_the_documented_layout(tmp_path, monkeypatch):
         assert set(doc[section]) == layout[section], section
     assert set(doc["ad"]) == {f.name for f in dataclasses.fields(ArrowDebreuEquilibrium)}
     assert set(doc["nash"]) == {f.name for f in dataclasses.fields(NashEquilibrium)}
-    extra = {"agent", "others_mode", "others_reports"}
+    extra = {"others_mode"}
     assert set(doc["best_response"]) == {f.name for f in dataclasses.fields(BestResponse)} | extra
     # The limit scenarios: mode one-agent writes every documented key, which
     # are the report's fields and its mode, and mode both only its mode and table.

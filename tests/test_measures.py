@@ -59,6 +59,34 @@ class TestValidation:
         with pytest.raises(ContractError):
             RandomVariable(SPACE2, [1.0, np.inf])
 
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: StateSpace([[0.5, 0.5]]), ContractError, "expected a 1-d array"),
+            (lambda: StateSpace([]), ContractError, "empty weight vector"),
+            (lambda: StateSpace([0.5, np.nan]), ContractError, "weights must be finite"),
+            (lambda: StateSpace([0.5, 0.5], labels=["a"]), DimensionError, "differ in length"),
+            (lambda: RandomVariable(SPACE2, [1.0, 2.0, 3.0]), DimensionError,
+             "3 values on a 2-state space"),
+            (lambda: normalize_log_density(BASE2, [0.0]), DimensionError,
+             "does not match state space"),
+            (lambda: normalize_log_density(BASE2, [0.0, np.nan]), ContractError,
+             "must be finite per state"),
+            (lambda: geometric_mean_measure([BASE2, BASE2], [1.0]), DimensionError,
+             "one weight per measure"),
+            (lambda: geometric_mean_measure([BASE2, BASE2], [1.5, -0.5]), ContractError,
+             "must be nonnegative"),
+        ],
+        ids=[
+            "weights-2d", "weights-empty", "weights-nan", "labels-length", "variable-length",
+            "log-density-length", "log-density-nan", "geometric-weight-count",
+            "geometric-weight-negative",
+        ],
+    )
+    def test_malformed_input_is_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
 
 # A space of the same size as SPACE2 that is not SPACE2, so that only the
 # state-space check, and no length check, can refuse a mix of the two.

@@ -220,6 +220,15 @@ class TestSolveNash:
         z2 = solve_nash(m).z
         assert float(np.max(np.abs(z1 - z2))) <= 1e-12
 
+    @pytest.mark.parametrize("n_agents", [2, 3])
+    def test_record_holds_read_only_arrays(self, n_agents):
+        """The record is sealed: none of its arrays can be written."""
+        market = random_market(np.random.default_rng(17), n_agents=n_agents, n_states=50)
+        eq = solve_nash(market)
+        for array in (eq.z, eq.all_roots[0], eq.log_ratios):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_equilibrium_invariants(self):
         rng = np.random.default_rng(14)
         for _ in range(4):

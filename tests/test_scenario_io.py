@@ -39,6 +39,8 @@ GAUSSIAN_STATES = {"model": "gaussian", "variables": ["X"], "std": [1.0], "corr"
 # Two correlated Gaussian variables on a 4 x 4 quadrature grid.
 GAUSSIAN_PAIR = {"model": "gaussian", "variables": ["X", "Y"], "std": [1.0, 0.8],
                  "corr": [[1.0, 0.3], [0.3, 1.0]], "quadrature_order": 4}
+# The same pair's model with no covariance data, for a test to add its own.
+GAUSSIAN_COV = {"model": "gaussian", "variables": ["X", "Y"], "quadrature_order": 4}
 NASH_SCENARIO = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "cli-nash.yaml"
 
 
@@ -182,6 +184,18 @@ class TestStateSpace:
 
 
 class TestMarketBuilding:
+    def test_agent_without_beliefs_takes_the_baseline(self):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        del doc["agents"][0]["beliefs"]
+        market, _, _ = build_market(Scenario.from_dict(doc))
+        np.testing.assert_allclose(
+            market.agents[0].beliefs.weights, market.space.baseline_weights, rtol=1e-15
+        )
+
+    def test_unknown_builtin_scenario_is_refused(self):
+        with pytest.raises(ValidationError, match="unknown built-in scenario 'nope'; known: "):
+            builtin_scenario("nope")
+
     def test_endowment_beliefs_fold(self):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["agents"][0]["beliefs"] = {"endowment": "X"}
@@ -406,6 +420,33 @@ class TestCli:
             del states["std"], states["corr"]
         err = self._ad_refusal(tmp_path, capsys, states)
         assert err == f"validation error: gaussian {key!r} must be finite numbers"
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            (GAUSSIAN_COV | {"cov": [["a", "b"], ["c", "d"]]},
+             "gaussian 'cov' must be finite numbers"),
+            (COMMON_BELIEFS_DOC["states"] | {"variables": {"X": [1.0, 2.0]}},
+             "literal list has 2 values, need 4"),
+            (GAUSSIAN_PAIR | {"std": [0, 0]}, "covariance has no positive direction"),
+            (GAUSSIAN_PAIR | {"corr": [[1.0, 1.2], [1.2, 1.0]], "covariance_repair": "clip"},
+             "covariance repair refuses a relative eigenvalue deficit of 8.72e-02"),
+            (GAUSSIAN_PAIR | {"quadrature_order": 0}, "quadrature order must be >= 1"),
+            (GAUSSIAN_COV | {"cov": [[1.0]]}, "covariance shape (1, 1) does not match 2 variables"),
+            (GAUSSIAN_PAIR | {"mean": [0.0]}, "mean length does not match the variable count"),
+        ],
+        ids=["cov-not-numbers", "explicit-variable-length", "std-zero", "clip-beyond-limit",
+             "quadrature-order-zero", "cov-not-d-by-d", "mean-length"],
+    )
+    def test_state_model_data_is_refused(self, tmp_path, capsys, states, message):
+        assert self._ad_refusal(tmp_path, capsys, states) == f"validation error: {message}"
+
+    def test_scenario_that_is_not_a_mapping_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- name: a\n- name: b\n")
+        assert cli_main(["nash", str(path)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == f"validation error: scenario file {path} does not contain a mapping"
 
     @staticmethod
     def _ad_refusal(tmp_path, capsys, states) -> str:
