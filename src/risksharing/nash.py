@@ -20,6 +20,12 @@ The starts run in lockstep along a leading start axis, each one record of
 its own point, step, trace and phase (:func:`_newton`).  A trial point's
 evaluation is one record of plain arrays (:func:`_evaluate`); only the
 root's becomes measures and random variables, in :func:`_assemble`.
+
+Each search owns one workspace (:class:`_Workspace`), sized by its first
+stacked call and dropped when the search returns.  The inner solve,
+:func:`_evaluate` and :func:`_jacobians` write their stacked temporaries
+into views of its leading rows, which shrink as starts leave; what they
+return is allocated apart, so no result shares memory with another search.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
 from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
+# One above the passes of the slowest warm solve that converges on the test
+# suite's stress and extreme-sweep markets (97): a warm solve still short
+# of its root by then falls back cold, as it would at INNER_MAX_ITER.
+WARM_MAX_ITER = 98
 Z_SUM_TOL = 1e-9
 _SEARCH, _PRICE, _DONE = range(3)  # the phases of a Newton start, in order
 
@@ -78,12 +88,33 @@ def _peak(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _stacked(arrays) -> np.ndarray:
-    """``arrays`` stacked on a new first axis; a single one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+class _Workspace:
+    """The scratch arrays of one equilibrium search, for stacks of up to ``k`` entries.
+
+    ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` two ``(k, 1, S)``
+    ones.  A stacked call of ``m`` entries writes into views of their leading
+    ``m`` rows through ``out=``; nothing it returns is such a view, and no
+    buffer holds a value from one call to the next.
+    """
+
+    def __init__(self, k: int, n: int, s: int):
+        self.stacks = np.empty((9, k, n, s))
+        self.planes = np.empty((2, k, 1, s))
 
 
-def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None):
+def _compact(keep, arrays) -> list:
+    """The rows ``keep`` of each array moved, in order, into its leading rows; views of those."""
+    kept = np.flatnonzero(keep)
+    for j, r in enumerate(kept):
+        if j < r:
+            for x in arrays:
+                x[j] = x[r]
+    return [x[: len(kept)] for x in arrays]
+
+
+def _inner_log_ratios(
+    market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None, ws=None
+):
     """Per-state solve of the coupled security system at a ``(K, n)`` stack of transfers.
 
     Returns ``(u, y)``: ``u[k, i]`` is log(1 + C_i/delta_minus_i) per state
@@ -102,27 +133,40 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     ``s = 1 - sum_i lambda_i * delta_i / D_i``.  The cold start is
     ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
     at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
-    ``(u, y)`` stacks solved at nearby points, is a warm start instead; an
+    ``(u, y)`` rows solved at nearby points, is a warm start instead; an
     entry whose first step does not land where ``G, W`` are at least minus
     their tolerances (float rounding or overflow on a far start), or that
-    does not converge, is redone from the cold start, all such entries in
-    one kernel call.  A cold solve fails where ``W(y0) < 0`` or it does not
-    converge; the kernel's own failure fails every entry of its call.  An
-    entry leaves the stack, with the point after its step, at the pass whose
-    step leaves ``W`` at 0 and ``G`` within half its tolerance: ``W`` is
-    linear, and after a step ``(du, dy)`` the exact ``G_i`` is
-    ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``, bounded without
-    another pass over the states.  Each entry decides alone, so its passes
-    are those of a solve of it alone.  An agent holding over half the total
-    tolerance is carried as ``v = u - y``: its ``u`` is close to ``y``, and
-    ``y`` amplifies an error in ``v`` by ``1/lambda_minus``.
+    does not converge within ``WARM_MAX_ITER`` passes, is redone from the
+    cold start, all such entries in one kernel call.  A cold solve fails
+    where ``W(y0) < 0`` or it does not converge; the kernel's own failure
+    fails every entry of its call.  An entry leaves the stack, with the
+    point after its step, at the pass whose step leaves ``W`` at 0 and ``G``
+    within half its tolerance: ``W`` is linear, and after a step ``(du, dy)``
+    the exact ``G_i`` is ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``,
+    bounded without another pass over the states.  Each entry decides
+    alone, so its passes are those of a solve of it alone.  An agent holding
+    over half the total tolerance is carried as ``v = u - y``: its ``u`` is
+    close to ``y``, and ``y`` amplifies an error in ``v`` by ``1/lambda_minus``.
+
+    The stacks it works on belong to ``ws``, the workspace of the search
+    that calls it, or to a local one if ``ws`` is None.  The solving entries
+    hold the leading rows of every buffer: ``start`` is copied into them
+    once, each pass writes into them, and when entries leave, the rows of
+    the others move up, so the views shrink as entries leave.  Only the
+    returned ``(u, y)`` is allocated per call.
     """
-    a = z[:, :, None] + ad.security_values()  # (K, n, S)
+    n_stack, n_states = len(z), market.space.n_states
+    if ws is None:
+        ws = _Workspace(n_stack, market.n_agents, n_states)
+    stacks, (y_rows, v_rows) = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
+    a, a_scale, u_start = stacks[0], stacks[1], stacks[8]
+    sec_ad = ad.security_values()
     deltas = market.deltas[:, None]
     dminus = market.delta_minus[:, None]
     lambdas = market.lambdas[:, None]
     top = int(np.argmax(market.lambdas))
-    dom = slice(top, top + 1) if market.lambdas[top] > 0.5 else slice(0, 0)  # carried as v
+    width = 1 if market.lambdas[top] > 0.5 else 0
+    dom = slice(top, top + width)  # carried as v
     others = np.ones(market.n_agents, dtype=bool)
     others[dom] = False
     rest = float(np.sum(market.lambdas[others]))  # W = rest*y - sum lambda*u, v for dom
@@ -133,25 +177,24 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     n_others = market.n_agents - 1
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
-    solved = [None] * len(a)  # (u, y) per entry
+    u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
     # Below 4096 states the sampled screen of the stop costs more calls than it saves.
-    screen = [slice(None, None, 16)] if a.shape[2] >= 4096 else []
-
-    def take(x, rows):
-        return x if len(rows) == len(x) else x[rows]
+    screen = [slice(None, None, 16)] if n_states >= 4096 else []
 
     def newton(rows, u, y, warm):
-        """Joint Newton for the entries ``rows`` from ``(u, y)``; returns those that fail."""
-        a_rows = take(a, rows)
+        """Joint Newton for the entries ``rows`` from ``(u, y)``, their ``a`` in the
+        leading rows of ``a``; returns those that fail."""
+        a_rows, a_scale_rows = a[: len(rows)], a_scale[: len(rows)]
         # Tolerances scale with the terms, y's among them through dG/dy, not
         # with their sum, which cancels.
-        a_scale = 1.0 + np.abs(a_rows)
-        v = u[:, dom] - y
+        np.abs(a_rows, out=a_scale_rows)
+        a_scale_rows += 1.0
+        v = np.subtract(u[:, dom], y, out=v_rows[: len(rows), :width])
         failed = []
 
         def g_tolerance(cols):
             """G's tolerance at the pass's point on the states ``cols``, written into ``lam_u``."""
-            y_abs, scale = abs_y[..., cols], a_scale[..., cols]
+            y_abs, scale = abs_y[..., cols], a_scale_rows[..., cols]
             out = np.multiply(deltas, y_abs, out=lam_u[..., cols])
             out += scale
             out[:, dom] = scale[:, dom] + np.abs(spread_dom[..., cols])
@@ -159,21 +202,22 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             out *= 1e-14
             return out
 
-        # Each pass updates its (K, n, S) arrays in place where it can: a
-        # fresh array of that size costs page faults as well as its writes.
-        for k in range(INNER_MAX_ITER):
-            em1 = np.expm1(u)
-            growth = em1 + 1.0
+        # The leading rows of the workspace's buffers belong to the entries
+        # still solving; each pass writes its (K, n, S) values into them.
+        for k in range(WARM_MAX_ITER if warm else INNER_MAX_ITER):
+            em1, growth, d, g, lam_u, du = stacks[2:8, : len(rows)]
+            np.expm1(u, out=em1)
+            np.add(em1, 1.0, out=growth)
             growth *= dminus
-            d = growth + deltas
+            np.add(growth, deltas, out=d)
             spread_dom = deltas[dom] * v
-            g = u - y
+            np.subtract(u, y, out=g)
             g *= deltas
             g[:, dom] = spread_dom
             em1 *= dminus
             g += em1
             g -= a_rows
-            lam_u = lambdas * u
+            np.multiply(lambdas, u, out=lam_u)
             lam_u[:, dom] = lambdas[dom] * v
             w = rest * y - np.sum(lam_u, axis=1, keepdims=True)
             abs_y = np.abs(y)
@@ -189,7 +233,7 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             lam_d = np.divide(lambdas, d, out=lam_u)
             s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
             dy = -(w + np.sum(np.multiply(lam_d, g, out=em1), axis=1, keepdims=True)) / s
-            du = deltas * dy
+            np.multiply(deltas, dy, out=du)
             du -= g
             du /= d
             y += dy
@@ -216,50 +260,63 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
                         break
             if done.any() or bad.any():
                 for j in np.flatnonzero(done):
-                    solved[rows[j]] = np.minimum(u[j], projected), y[j, 0]
+                    np.minimum(u[j], projected, out=u_out[rows[j]])
+                    y_out[rows[j]] = y[j, 0]
                 failed += rows[bad].tolist()
                 keep = ~(done | bad)
                 if not keep.any():
                     return failed
-                rows, u, y, v, a_rows, a_scale = (x[keep] for x in (rows, u, y, v, a_rows, a_scale))
+                rows = rows[keep]
+                u, y, v, a_rows, a_scale_rows = _compact(keep, (u, y, v, a_rows, a_scale_rows))
         return failed + rows.tolist()
 
-    rows = np.arange(len(a))
+    rows = np.arange(n_stack)
     if start is not None:
         with np.errstate(all="ignore"):  # a far start may overflow; it then falls back
-            u, y = np.array(start[0], dtype=float), np.array(start[1], dtype=float)[:, None]
+            u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
+            np.add(z[:, :, None], sec_ad, out=a)
             rows = np.array(sorted(newton(rows, u, y, True)), dtype=int)
     if len(rows):
-        y = np.full((len(rows), 1, a.shape[2]), float(market.lambdas @ caps))
+        a_rows, y, rhs = a[: len(rows)], y_rows[: len(rows)], stacks[5, : len(rows)]
+        np.add(z[rows][:, :, None], sec_ad, out=a_rows)
+        y.fill(float(market.lambdas @ caps))
+        np.multiply(deltas, y, out=rhs)
+        rhs += a_rows
         try:
-            u = solve_exp_linear(dminus, deltas, take(a, rows) + deltas * y)
+            u = solve_exp_linear(dminus, deltas, rhs)
         except SolverError:
             failed = rows
         else:
-            sound = np.all(y - np.sum(lambdas * u, axis=1, keepdims=True) >= 0.0, axis=(1, 2))
-            sound_rows = np.flatnonzero(sound)
+            lam_u = np.multiply(lambdas, u, out=stacks[6, : len(rows)])
+            sound = np.all(y - np.sum(lam_u, axis=1, keepdims=True) >= 0.0, axis=(1, 2))
             failed = rows[~sound].tolist()
-            if len(sound_rows):
-                failed += newton(rows[sound], take(u, sound_rows), take(y, sound_rows), False)
-        for k in failed:
-            solved[k] = np.full(a.shape[1:], np.nan), np.full(a.shape[2], np.nan)
-    u, y = zip(*solved)
-    return _stacked(u), _stacked(y)
+            if sound.any():
+                u, y, _ = _compact(sound, (u, y, a_rows))
+                failed += newton(rows[sound], u, y, False)
+        u_out[failed] = np.nan
+        y_out[failed] = np.nan
+    return u_out, y_out
 
 
 _Evaluation = namedtuple("_Evaluation", "phi residual prices u y sec q values")
 
 
-def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None) -> list:
+def _evaluate(
+    market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None, ws=None
+) -> list:
     """``phi``, ``F = phi - z``, the prices, ``(u, y)``, the securities, the valuation's
     weights ``q`` and the agents' values at each of a ``(K, n)`` stack of transfers.
 
     One stacked inner solve; ``near``, one evaluation at a nearby point per
-    entry, warm-starts it.  Returns one record of plain arrays per entry,
-    views of the stacked arrays, or None where its inner solve fails.
+    entry, warm-starts it.  Scratch arrays are views of ``ws``'s buffers, or
+    of a local workspace if ``ws`` is None.  Returns one record per entry, of
+    views of stacked results allocated apart from the workspace, or None
+    where its inner solve fails.
     """
-    start = None if near is None else (_stacked([e.u for e in near]), _stacked([e.y for e in near]))
-    u, y = _inner_log_ratios(market, ad, z, start)
+    if ws is None:
+        ws = _Workspace(len(z), market.n_agents, market.space.n_states)
+    start = None if near is None else ([e.u for e in near], [e.y for e in near])
+    u, y = _inner_log_ratios(market, ad, z, start, ws)
     ok = ~np.isnan(y[:, 0])
     if not ok.all():
         z, u, y = z[ok], u[ok], y[ok]
@@ -271,7 +328,7 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=No
     logw -= logw.max(axis=1, keepdims=True)
     q = np.maximum(np.exp(logw), MIN_WEIGHT)
     q /= q.sum(axis=1, keepdims=True)
-    work = np.negative(sec)
+    work = np.negative(sec, out=ws.stacks[0, : len(sec)])
     work /= market.deltas[:, None]
     top = work.max(axis=2, keepdims=True)
     work -= top
@@ -294,7 +351,7 @@ def _evaluate_one(market: Market, ad: ArrowDebreuEquilibrium, z) -> _Evaluation:
     return e
 
 
-def _jacobians(market: Market, evaluations: list):
+def _jacobians(market: Market, evaluations: list, ws=None):
     """Jacobians of ``F`` and of the prices in ``z[1:]`` (``z[0] = -sum(z[1:])``),
     stacked: one ``(n, n - 1)`` matrix of each per evaluation.
 
@@ -302,30 +359,35 @@ def _jacobians(market: Market, evaluations: list):
     ``dy/dz_j = lambda_j/(D_j*s)`` and ``dC_i/dz_j = r_i*(delta_i*dy/dz_j + [i = j])``
     with ``r_i = delta_minus_i*exp(u_i)/D_i``.  A value moves by ``E_{Q_i}[dC_i/dz_j]``,
     with ``Q_i`` proportional to ``P_i*exp(-C_i/delta_i)``, and a price by
-    ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.
+    ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.  The ``(K, n, S)`` arrays are
+    views of ``ws``'s buffers, or of a local workspace if ``ws`` is None.
     """
+    if ws is None:
+        ws = _Workspace(len(evaluations), market.n_agents, market.space.n_states)
+    sec, work, d, ratio, spread = ws.stacks[:5, : len(evaluations)]
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
-    sec, q = _stacked([e.sec for e in evaluations]), _stacked([e.q for e in evaluations])[:, None]
-    prices = _stacked([e.prices for e in evaluations])
+    np.stack([e.sec for e in evaluations], out=sec)
+    q = np.stack([e.q for e in evaluations], out=ws.planes[0, : len(evaluations), 0])[:, None]
+    prices = np.stack([e.prices for e in evaluations])
     diag = np.arange(market.n_agents)
-    # (K, n, S) arrays are updated in place where they can, as in the inner solve.
-    work = sec + market.delta_minus[:, None]  # dC/du
-    d = work + deltas
-    ratio = work / d
+    np.add(sec, market.delta_minus[:, None], out=work)  # dC/du
+    np.add(work, deltas, out=d)
+    np.divide(work, d, out=ratio)
     d *= np.sum(np.multiply(lambdas, ratio, out=work), axis=1, keepdims=True)
     dy = np.divide(lambdas, d, out=d)  # row j: dy/dz_j
     tilt = np.subtract(market.log_beliefs, np.divide(sec, deltas, out=work), out=work)
     tilt -= tilt.max(axis=2, keepdims=True)
     big_q = np.exp(tilt, out=tilt)
-    big_q *= ratio / np.sum(big_q, axis=2, keepdims=True)  # Q_i * r_i
+    big_q *= np.divide(ratio, np.sum(big_q, axis=2, keepdims=True), out=spread)  # Q_i * r_i
     # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
     d_values = deltas * np.einsum("kis,kjs->kij", big_q, dy)
     d_values[:, diag, diag] += np.sum(big_q, axis=2)
     d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
     q_r = np.multiply(q, ratio, out=ratio)
-    spread = sec - prices[:, :, None]
+    np.subtract(sec, prices[:, :, None], out=spread)
     spread *= q
-    d_prices = np.einsum("kis,kjs->kij", np.subtract(deltas * q_r, spread, out=spread), dy)
+    np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
+    d_prices = np.einsum("kis,kjs->kij", spread, dy)
     d_prices[:, diag, diag] += np.sum(q_r, axis=2)
     return d_f[:, :, 1:] - d_f[:, :, :1], d_prices[:, :, 1:] - d_prices[:, :, :1]
 
@@ -416,9 +478,10 @@ def _newton(market, ad, z, eps_target):
     start, ``e`` None if it cannot be solved.
     """
     floor = -np.asarray(ad.agent_gains)
+    ws = _Workspace(len(z), market.n_agents, market.space.n_states)
     starts = [
         _Start(p, e, [np.inf], _DONE) if e is None else _Start(p, e, [_peak(e.residual)])
-        for p, e in zip(z, _evaluate(market, ad, z))
+        for p, e in zip(z, _evaluate(market, ad, z, None, ws))
     ]
     while any(s.phase != _DONE for s in starts):
         # The stopping rules, which a start trying a step did not meet at its
@@ -431,7 +494,7 @@ def _newton(market, ad, z, eps_target):
         fresh = [s for s in starts if s.step is None and s.phase != _DONE]
         if fresh:
             pricing = np.array([s.phase == _PRICE for s in fresh])
-            d_f, d_prices = _jacobians(market, [s.e for s in fresh])
+            d_f, d_prices = _jacobians(market, [s.e for s in fresh], ws)
             rhs = np.stack([s.e.prices if p else s.e.residual for s, p in zip(fresh, pricing)])
             steps = _steps(np.where(pricing[:, None, None], d_prices, d_f), rhs)
             for s, p, step in zip(fresh, pricing, steps):
@@ -444,7 +507,7 @@ def _newton(market, ad, z, eps_target):
         live = [s for s in starts if s.step is not None]
         if live:
             points = np.stack([s.z + s.step for s in live])
-            tried = _evaluate(market, ad, points, [s.e for s in live])
+            tried = _evaluate(market, ad, points, [s.e for s in live], ws)
             for s, point, e in zip(live, points, tried):
                 if e is not None and (
                     _peak(e.residual) < s.trace[-1]

@@ -62,13 +62,22 @@ def solve_exp_linear(alpha, beta, rhs, start=None):
 
     u = hi.copy() if start is None else np.where(np.isfinite(start), np.clip(start, lo, hi), hi)
     tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
+    # The passes update ``u`` in place, with their temporaries allocated once.
+    g, du, active = np.empty_like(u), np.empty_like(u), np.empty(u.shape, dtype=bool)
     for _ in range(KERNEL_MAX_ITER):
-        g = alpha * np.expm1(u) + beta * u - rhs
-        active = np.abs(g) > tol
-        if not active.any():
+        np.expm1(u, out=g)
+        g *= alpha
+        g += np.multiply(beta, u, out=du)
+        g -= rhs
+        if not np.greater(np.abs(g, out=du), tol, out=active).any():
             break
-        du = g / (alpha * np.exp(u) + beta)
-        u = np.where(active, np.clip(u - du, lo, hi), u)
+        np.exp(u, out=du)
+        du *= alpha
+        du += beta
+        np.divide(g, du, out=du)
+        du *= active  # leaves the converged elements where they are
+        u -= du
+        np.clip(u, lo, hi, out=u)
     else:
         g = alpha * np.expm1(u) + beta * u - rhs
         bad = np.abs(g) > 1e-12 * (1.0 + np.abs(rhs))

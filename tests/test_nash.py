@@ -1,7 +1,10 @@
 """Game equilibrium solver: inner system, distance, update map, full solves."""
 
 import dataclasses
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -552,7 +555,7 @@ class TestWarmStarts:
         monkeypatch.setattr(nash, "_inner_log_ratios", lambda *a: calls.append(a) or inner(*a))
         solve_nash(m, ad=ad)
         monkeypatch.undo()
-        _, _, z, start = calls[1]  # the first trial point, warm from the centre
+        z, start = calls[1][2:4]  # the first trial point, warm from the centre
         with _kernel_calls(nash) as kernel:
             u, y = inner(m, ad, z, start)
         u_cold, y_cold = inner(m, ad, z)
@@ -603,6 +606,66 @@ class TestWarmStarts:
             br = solve_best_response(m, i, others, start=None)
             gap = max(gap, float(np.max(np.abs(br.reported.weights - eq.revealed[i].weights))))
         assert gap > 1e-8
+
+
+class TestWorkspace:
+    """One search's stacked solves work in its own workspace and share nothing else."""
+
+    def test_warm_inner_solve_allocates_little_beside_its_workspace(self):
+        """Given its workspace, a warm inner solve on all 9 starts of an 8-agent,
+        500-state market allocates its result and a few ``(K, 1, S)`` arrays:
+        its traced peak stays under 1 MB, where one ``(K, n, S)`` array is 288 kB."""
+        m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
+        ad = solve_arrow_debreu(m)
+        z = nash._starts(m, ad)
+        ws = nash._Workspace(*z.shape, m.space.n_states)
+        start = nash._inner_log_ratios(m, ad, z, None, ws)
+        with _kernel_calls(nash) as kernel:
+            tracemalloc.start()
+            try:
+                nash._inner_log_ratios(m, ad, 0.9 * z, start, ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert kernel.call_count == 0
+        assert peak <= 1_000_000
+
+    def test_solves_share_no_state(self):
+        """Two 8-agent markets and a 3-agent one solved in three threads at once,
+        more threads than cores, and again in turn, give each the bits it gets
+        solved alone; the earlier results neither change nor share memory with
+        the later ones."""
+
+        def arrays(eq):
+            return (eq.z, eq.log_ratios, *eq.all_roots, *(c.values for c in eq.securities))
+
+        def same_bits(a, b):
+            return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        markets = [
+            random_market(np.random.default_rng(seed), n_agents=n, n_states=500)
+            for seed, n in ((0, 8), (1, 3), (2, 8))
+        ]
+        alone = [solve_nash(m) for m in markets]
+        before = [[a.copy() for a in arrays(eq)] for eq in alone]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(markets)) as pool:
+                futures = [pool.submit(solve_nash, m) for m in markets]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        in_turn = [solve_nash(m) for m in markets]
+        for later in (threaded, in_turn):
+            for eq, eq_alone in zip(later, alone):
+                assert len(arrays(eq)) == len(arrays(eq_alone))
+                assert all(map(same_bits, arrays(eq), arrays(eq_alone)))
+        for eq, copies in zip(alone, before):
+            assert all(map(same_bits, arrays(eq), copies))
+            for a in arrays(eq):
+                for later in threaded + in_turn:
+                    assert not any(np.shares_memory(a, b) for b in arrays(later))
 
 
 @st.composite

@@ -1,7 +1,12 @@
 """Root-finding kernels: vectorised exp-linear solves and the safeguarded scalar Newton."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -107,6 +112,57 @@ class TestExpLinear:
         assert set(diag) == {"max_residual", "worst_index", "rhs"}
         assert diag["worst_index"] in (1, 2) and diag["rhs"] == rhs[diag["worst_index"]]
         assert diag["max_residual"] > 1e-12 * (1.0 + abs(diag["rhs"]))
+
+
+def where_kernel(alpha, beta, rhs, start=None):
+    """The kernel as it was before it updated its iterate in place: every pass
+    builds a new ``u`` with ``np.where``.  The reference for the in-place one."""
+    alpha, beta, rhs = (np.asarray(x, dtype=float) for x in (alpha, beta, rhs))
+    alpha, beta, rhs = np.broadcast_arrays(alpha, beta, rhs)
+    pos = rhs >= 0.0
+    lo = np.where(pos, 0.0, rhs / beta)
+    hi = np.where(pos, np.minimum(rhs / beta, np.log1p(np.maximum(rhs, 0.0) / alpha)), 0.0)
+    u = hi.copy() if start is None else np.where(np.isfinite(start), np.clip(start, lo, hi), hi)
+    tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
+    for _ in range(roots.KERNEL_MAX_ITER):
+        g = alpha * np.expm1(u) + beta * u - rhs
+        active = np.abs(g) > tol
+        if not active.any():
+            break
+        du = g / (alpha * np.exp(u) + beta)
+        u = np.where(active, np.clip(u - du, lo, hi), u)
+    return u
+
+
+def magnitudes(lo, hi):
+    """Positive floats spread evenly over the decades ``10**lo`` to ``10**hi``."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Mutually broadcastable ``alpha``, ``beta`` and ``rhs``, with coefficients over
+    twelve decades and ``rhs`` of either sign over twenty-four, and a start (or None)
+    of the result's shape: NaN, +-inf, or finite, inside or outside the bracket."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3, max_side=4))
+    alpha, beta = (
+        draw(hnp.arrays(float, s, elements=magnitudes(-6, 6))) for s in shapes.input_shapes[:2]
+    )
+    signed = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), magnitudes(-12, 12))
+    rhs = draw(hnp.arrays(float, shapes.input_shapes[2], elements=st.just(0.0) | signed))
+    not_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+    starts = not_finite | st.floats(-1.0, 1.0) | st.floats(-1e6, 1e6)
+    start = draw(st.none() | hnp.arrays(float, shapes.result_shape, elements=starts))
+    return alpha, beta, rhs, start
+
+
+class TestInPlaceKernel:
+    @given(case=kernel_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_bits_as_the_where_kernel(self, case):
+        want = where_kernel(*case)
+        got = solve_exp_linear(*case)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestIncreasingRoot:
