@@ -15,6 +15,7 @@ import numpy as np
 
 from .agents import Agent, Market
 from .arrow_debreu import solve_arrow_debreu
+from .errors import ContractError
 from .measures import (
     Measure,
     RandomVariable,
@@ -150,7 +151,7 @@ def both_limit_check(
     """
     space = _same_space(xi0, xi1)
     if not (0.0 < lambda0 < 1.0):
-        raise ValueError("lambda0 must lie strictly between 0 and 1")
+        raise ContractError("lambda0 must lie strictly between 0 and 1")
     base = space.baseline()
     x0 = xi0.values - expect(base, xi0)
     x1 = xi1.values - expect(base, xi1)

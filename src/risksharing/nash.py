@@ -21,8 +21,8 @@ its own point, step, trace and phase (:func:`_newton`).  A trial point's
 evaluation is one record of plain arrays (:func:`_evaluate`); only the
 root's becomes measures and random variables, in :func:`_assemble`.
 
-Each search owns one workspace (:class:`_Workspace`), sized by its first
-stacked call and dropped when the search returns.  The inner solve,
+Each search owns one workspace (:class:`_Workspace`), built in :func:`_newton`;
+a public-map call builds its own in :func:`_evaluate_one`.  The inner solve,
 :func:`_evaluate` and :func:`_jacobians` write their stacked temporaries
 into views of its leading rows, which shrink as starts leave; what they
 return is allocated apart, so no result shares memory with another search.
@@ -42,10 +42,6 @@ from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
 from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
-# One above the passes of the slowest warm solve that converges on the test
-# suite's stress and extreme-sweep markets (97): a warm solve still short
-# of its root by then falls back cold, as it would at INNER_MAX_ITER.
-WARM_MAX_ITER = 98
 Z_SUM_TOL = 1e-9
 _SEARCH, _PRICE, _DONE = range(3)  # the phases of a Newton start, in order
 
@@ -112,9 +108,7 @@ def _compact(keep, arrays) -> list:
     return [x[: len(kept)] for x in arrays]
 
 
-def _inner_log_ratios(
-    market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start=None, ws=None
-):
+def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start, ws):
     """Per-state solve of the coupled security system at a ``(K, n)`` stack of transfers.
 
     Returns ``(u, y)``: ``u[k, i]`` is log(1 + C_i/delta_minus_i) per state
@@ -136,7 +130,7 @@ def _inner_log_ratios(
     ``(u, y)`` rows solved at nearby points, is a warm start instead; an
     entry whose first step does not land where ``G, W`` are at least minus
     their tolerances (float rounding or overflow on a far start), or that
-    does not converge within ``WARM_MAX_ITER`` passes, is redone from the
+    does not converge within ``INNER_MAX_ITER`` passes, is redone from the
     cold start, all such entries in one kernel call.  A cold solve fails
     where ``W(y0) < 0`` or it does not converge; the kernel's own failure
     fails every entry of its call.  An entry leaves the stack, with the
@@ -148,16 +142,14 @@ def _inner_log_ratios(
     over half the total tolerance is carried as ``v = u - y``: its ``u`` is
     close to ``y``, and ``y`` amplifies an error in ``v`` by ``1/lambda_minus``.
 
-    The stacks it works on belong to ``ws``, the workspace of the search
-    that calls it, or to a local one if ``ws`` is None.  The solving entries
+    The stacks it works on belong to ``ws``, the workspace built in
+    :func:`_newton` or :func:`_evaluate_one`.  The solving entries
     hold the leading rows of every buffer: ``start`` is copied into them
     once, each pass writes into them, and when entries leave, the rows of
     the others move up, so the views shrink as entries leave.  Only the
     returned ``(u, y)`` is allocated per call.
     """
     n_stack, n_states = len(z), market.space.n_states
-    if ws is None:
-        ws = _Workspace(n_stack, market.n_agents, n_states)
     stacks, (y_rows, v_rows) = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
     a, a_scale, u_start = stacks[0], stacks[1], stacks[8]
     sec_ad = ad.security_values()
@@ -204,7 +196,7 @@ def _inner_log_ratios(
 
         # The leading rows of the workspace's buffers belong to the entries
         # still solving; each pass writes its (K, n, S) values into them.
-        for k in range(WARM_MAX_ITER if warm else INNER_MAX_ITER):
+        for k in range(INNER_MAX_ITER):
             em1, growth, d, g, lam_u, du = stacks[2:8, : len(rows)]
             np.expm1(u, out=em1)
             np.add(em1, 1.0, out=growth)
@@ -301,20 +293,16 @@ def _inner_log_ratios(
 _Evaluation = namedtuple("_Evaluation", "phi residual prices u y sec q values")
 
 
-def _evaluate(
-    market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near=None, ws=None
-) -> list:
+def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, ws) -> list:
     """``phi``, ``F = phi - z``, the prices, ``(u, y)``, the securities, the valuation's
     weights ``q`` and the agents' values at each of a ``(K, n)`` stack of transfers.
 
     One stacked inner solve; ``near``, one evaluation at a nearby point per
-    entry, warm-starts it.  Scratch arrays are views of ``ws``'s buffers, or
-    of a local workspace if ``ws`` is None.  Returns one record per entry, of
-    views of stacked results allocated apart from the workspace, or None
-    where its inner solve fails.
+    entry, warm-starts it.  Scratch arrays are views of ``ws``'s buffers,
+    built in :func:`_newton` or :func:`_evaluate_one`.  Returns one record
+    per entry, of views of stacked results allocated apart from the
+    workspace, or None where its inner solve fails.
     """
-    if ws is None:
-        ws = _Workspace(len(z), market.n_agents, market.space.n_states)
     start = None if near is None else ([e.u for e in near], [e.y for e in near])
     u, y = _inner_log_ratios(market, ad, z, start, ws)
     ok = ~np.isnan(y[:, 0])
@@ -345,13 +333,14 @@ def _evaluate(
 def _evaluate_one(market: Market, ad: ArrowDebreuEquilibrium, z) -> _Evaluation:
     """The evaluation at one transfer vector; SolverError if its inner solve fails."""
     z = _check_z(market, z)
-    (e,) = _evaluate(market, ad, z[None])
+    ws = _Workspace(1, market.n_agents, market.space.n_states)
+    (e,) = _evaluate(market, ad, z[None], None, ws)
     if e is None:
         raise SolverError("per-state security system failed", diagnostics={"z": z.tolist()})
     return e
 
 
-def _jacobians(market: Market, evaluations: list, ws=None):
+def _jacobians(market: Market, evaluations: list, ws):
     """Jacobians of ``F`` and of the prices in ``z[1:]`` (``z[0] = -sum(z[1:])``),
     stacked: one ``(n, n - 1)`` matrix of each per evaluation.
 
@@ -360,10 +349,8 @@ def _jacobians(market: Market, evaluations: list, ws=None):
     with ``r_i = delta_minus_i*exp(u_i)/D_i``.  A value moves by ``E_{Q_i}[dC_i/dz_j]``,
     with ``Q_i`` proportional to ``P_i*exp(-C_i/delta_i)``, and a price by
     ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.  The ``(K, n, S)`` arrays are
-    views of ``ws``'s buffers, or of a local workspace if ``ws`` is None.
+    views of ``ws``'s buffers, built in :func:`_newton`.
     """
-    if ws is None:
-        ws = _Workspace(len(evaluations), market.n_agents, market.space.n_states)
     sec, work, d, ratio, spread = ws.stacks[:5, : len(evaluations)]
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
     np.stack([e.sec for e in evaluations], out=sec)

@@ -90,10 +90,21 @@ class Scenario:
         return _validate(doc)
 
 
+class _TreeLoader(yaml.SafeLoader):
+    """The safe loader refusing aliases, which validation would walk once per reference."""
+
+    def compose_node(self, parent, index):
+        if self.check_event(yaml.AliasEvent):
+            event = self.peek_event()
+            raise ValidationError(f"scenario file {self.name} uses the alias *{event.anchor} at "
+                                  f"line {event.start_mark.line + 1}; aliases are refused")
+        return super().compose_node(parent, index)
+
+
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_TreeLoader)
         except yaml.YAMLError as exc:
             raise ValidationError(f"scenario file {path} is not YAML: {exc}") from exc
     if not isinstance(doc, dict):

@@ -66,6 +66,53 @@ def common_beliefs_market(rng, n_agents=None, n_states=None):
     )
 
 
+def stress_market(seed, hi, trial, n_states=200):
+    """Trial ``trial`` of a seeded stress draw with wide tolerance ratios and strong tilts.
+
+    Every earlier trial's draws are replayed, so a trial is fixed by
+    ``(seed, hi, trial)`` alone.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(trial + 1):
+        n = int(rng.integers(2, hi))
+        tilt = rng.choice([0.5, 2, 5, 10])
+        ratio = rng.choice([1, 1e2, 1e4])
+        weights = rng.dirichlet(np.full(n_states, 5.0))
+        if ratio > 1:
+            deltas = np.exp(rng.uniform(0.0, np.log(ratio), n))
+        else:
+            deltas = rng.uniform(0.3, 3.0, n)
+        tilts = [tilt * rng.normal(0.0, 1.0, n_states) for _ in range(n)]
+    base = StateSpace(weights).baseline()
+    return Market(
+        [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
+    )
+
+
+def extreme_market(trial):
+    """Trial ``trial`` of the extreme-input sweep.
+
+    Tolerance ratios up to 1e9 above a floor drawn log-uniformly on
+    [1e-3, 10], log-belief tilts of scale up to 30, 2 to 6 agents and
+    20 to 299 Dirichlet(2) states.  Every earlier trial's draws are
+    replayed, so a trial is fixed by its index alone.
+    """
+    rng = np.random.default_rng(99)
+    for _ in range(trial + 1):
+        n = int(rng.integers(2, 7))
+        n_states = int(rng.integers(20, 300))
+        ratio = rng.choice([1e2, 1e4, 1e6, 1e9])
+        tilt = rng.choice([1.0, 5.0, 15.0, 30.0])
+        floor = np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))
+        deltas = floor * ratio ** rng.uniform(0.0, 1.0, n)
+        weights = rng.dirichlet(np.full(n_states, 2.0))
+        tilts = tilt * rng.normal(0.0, 1.0, (n, n_states))
+    base = StateSpace(weights).baseline()
+    return Market(
+        [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
+    )
+
+
 def measure(space, values):
     arr = np.asarray(values, dtype=float)
     return Measure(space, arr / arr.sum())

@@ -7,6 +7,7 @@ import pytest
 
 from risksharing import (
     Agent,
+    ContractError,
     Market,
     Measure,
     RandomVariable,
@@ -144,7 +145,7 @@ class TestBothScaling:
 
     @pytest.mark.parametrize("lambda0", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_share_outside_the_unit_interval_refused(self, lambda0):
-        with pytest.raises(ValueError, match="lambda0 must lie strictly between 0 and 1"):
+        with pytest.raises(ContractError, match="lambda0 must lie strictly between 0 and 1"):
             both_limit_check(self.XI0, self.XI1, lambda0, [10.0])
 
     def test_tilt_normalisation(self):

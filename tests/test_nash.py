@@ -12,14 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import beta_market, common_beliefs_market, random_market
+from helpers import (
+    beta_market,
+    common_beliefs_market,
+    extreme_market,
+    random_market,
+    stress_market,
+)
 from risksharing import (
     Agent,
     ContractError,
     Market,
     RandomVariable,
     SolverError,
-    StateSpace,
     cara_utility,
     expect,
     nash_distance,
@@ -57,6 +62,21 @@ def scalar_two_agent_security(market, ad, z0, tol=1e-14):
                 break
         out[s] = 0.5 * (lo + hi)
     return out
+
+
+def used_workspace(market, k):
+    """A workspace as a search passes it on: sized for more entries than the
+    ``k`` of the call, as ``_newton``'s is once starts leave, and every buffer
+    NaN, so that a value read before it is written shows in the result."""
+    ws = nash._Workspace(k + 2, market.n_agents, market.space.n_states)
+    ws.stacks.fill(np.nan)
+    ws.planes.fill(np.nan)
+    return ws
+
+
+def inner_solve(m, ad, z, start=None):
+    """``_inner_log_ratios`` at the ``(K, n)`` stack ``z`` in a used workspace."""
+    return nash._inner_log_ratios(m, ad, z, start, used_workspace(m, len(z)))
 
 
 class TestInnerSolve:
@@ -277,29 +297,6 @@ class TestSolveNash:
             assert eq.aggregate_value < ad.aggregate_gain - 1e-12
 
 
-def stress_market(seed, hi, trial, n_states=200):
-    """Trial ``trial`` of a seeded stress draw with wide tolerance ratios and strong tilts.
-
-    Every earlier trial's draws are replayed, so a trial is fixed by
-    ``(seed, hi, trial)`` alone.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(trial + 1):
-        n = int(rng.integers(2, hi))
-        tilt = rng.choice([0.5, 2, 5, 10])
-        ratio = rng.choice([1, 1e2, 1e4])
-        weights = rng.dirichlet(np.full(n_states, 5.0))
-        if ratio > 1:
-            deltas = np.exp(rng.uniform(0.0, np.log(ratio), n))
-        else:
-            deltas = rng.uniform(0.3, 3.0, n)
-        tilts = [tilt * rng.normal(0.0, 1.0, n_states) for _ in range(n)]
-    base = StateSpace(weights).baseline()
-    return Market(
-        [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
-    )
-
-
 # Markets on which saturated securities flatten the zero-price map.
 PLATEAU_MARKETS = [(7, 9, t) for t in (23, 33, 39, 53, 77, 82, 90)] + [(2026, 7, 12)]
 
@@ -323,30 +320,6 @@ class TestPlateauMarkets:
         assert all(len(t) >= 1 for t in diag["residual_traces"])
         assert diag["best_distance"] > -1.0
         assert len(diag["best_z"]) == m.n_agents
-
-
-def extreme_market(trial):
-    """Trial ``trial`` of the extreme-input sweep.
-
-    Tolerance ratios up to 1e9 above a floor drawn log-uniformly on
-    [1e-3, 10], log-belief tilts of scale up to 30, 2 to 6 agents and
-    20 to 299 Dirichlet(2) states.  Every earlier trial's draws are
-    replayed, so a trial is fixed by its index alone.
-    """
-    rng = np.random.default_rng(99)
-    for _ in range(trial + 1):
-        n = int(rng.integers(2, 7))
-        n_states = int(rng.integers(20, 300))
-        ratio = rng.choice([1e2, 1e4, 1e6, 1e9])
-        tilt = rng.choice([1.0, 5.0, 15.0, 30.0])
-        floor = np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))
-        deltas = floor * ratio ** rng.uniform(0.0, 1.0, n)
-        weights = rng.dirichlet(np.full(n_states, 2.0))
-        tilts = tilt * rng.normal(0.0, 1.0, (n, n_states))
-    base = StateSpace(weights).baseline()
-    return Market(
-        [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
-    )
 
 
 @pytest.mark.parametrize("trial", range(120))
@@ -403,7 +376,7 @@ class TestExactJacobian:
             up, down = _evaluate_one(m, ad, z + dz), _evaluate_one(m, ad, z - dz)
             fd_residual[:, k] = (up.residual - down.residual) / (2.0 * h)
             fd_prices[:, k] = (up.prices - down.prices) / (2.0 * h)
-        for (exact,), fd in zip(_jacobians(m, [e]), (fd_residual, fd_prices)):
+        for (exact,), fd in zip(_jacobians(m, [e], used_workspace(m, 1)), (fd_residual, fd_prices)):
             assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_cases_reach_the_edges(self):
@@ -501,10 +474,10 @@ class TestWarmStarts:
         z = _ir_point(ad, shares)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, y = nash._inner_log_ratios(m, ad, z[None])
-            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares)[None])
+            u, y = inner_solve(m, ad, z[None])
+            start = inner_solve(m, ad, _ir_point(ad, near_shares)[None])
             with _kernel_calls(nash) as kernel:
-                u_warm, y_warm = nash._inner_log_ratios(m, ad, z[None], start)
+                u_warm, y_warm = inner_solve(m, ad, z[None], start)
         assert kernel.call_count == 0
         assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
         assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
@@ -520,9 +493,9 @@ class TestWarmStarts:
         z = _ir_point(ad, shares)[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cold = nash._inner_log_ratios(m, ad, z)
-            start = nash._inner_log_ratios(m, ad, _ir_point(ad, near_shares)[None])
-            warm = nash._inner_log_ratios(m, ad, z, start)
+            cold = inner_solve(m, ad, z)
+            start = inner_solve(m, ad, _ir_point(ad, near_shares)[None])
+            warm = inner_solve(m, ad, z, start)
         for u, y in (cold, warm):
             assert_within_inner_tolerances(m, ad, z[0], u[0], y[0])
 
@@ -533,12 +506,12 @@ class TestWarmStarts:
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
-        u, y = nash._inner_log_ratios(m, ad, z)
+        u, y = inner_solve(m, ad, z)
         far = (np.full_like(u, level), np.full_like(y, level))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with _kernel_calls(nash) as kernel:
-                u_far, y_far = nash._inner_log_ratios(m, ad, z, far)
+                u_far, y_far = inner_solve(m, ad, z, far)
         assert kernel.call_count == 1
         assert np.array_equal(u_far, u) and np.array_equal(y_far, y)
 
@@ -557,8 +530,8 @@ class TestWarmStarts:
         monkeypatch.undo()
         z, start = calls[1][2:4]  # the first trial point, warm from the centre
         with _kernel_calls(nash) as kernel:
-            u, y = inner(m, ad, z, start)
-        u_cold, y_cold = inner(m, ad, z)
+            u, y = inner_solve(m, ad, z, start)
+        u_cold, y_cold = inner_solve(m, ad, z)
         assert kernel.call_count == 1
         assert np.array_equal(u, u_cold) and np.array_equal(y, y_cold)
 
@@ -629,6 +602,46 @@ class TestWorkspace:
                 tracemalloc.stop()
         assert kernel.call_count == 0
         assert peak <= 1_000_000
+
+    @pytest.mark.parametrize("case", ["8-agents", "dominant", "sampled-stop"])
+    def test_used_workspace_gives_the_bits_of_a_fresh_one(self, case):
+        """The inner solve, cold and warm, ``_evaluate`` and ``_jacobians`` return
+        the same bytes in a workspace left by a larger stack and filled with NaN
+        as in a fresh one: no buffer carries a value from one call to the next.
+        The cases reach the carried agent and the sampled stop screen."""
+        m = {
+            "8-agents": lambda: random_market(np.random.default_rng(0), 8, 500),
+            "dominant": lambda: dominant_market(4),
+            "sampled-stop": lambda: random_market(np.random.default_rng(1), 2, 5000),
+        }[case]()
+        ad = solve_arrow_debreu(m)
+        shares = np.random.default_rng(2).uniform(0.1, 1.0, (6, m.n_agents))
+        z = np.stack([_ir_point(ad, w) for w in shares])
+        ws = nash._Workspace(len(z), m.n_agents, m.space.n_states)
+        near = nash._evaluate(m, ad, z, None, ws)[::2]
+        few = z[1::2]
+        start = ([e.u for e in near], [e.y for e in near])
+        evaluations = nash._evaluate(m, ad, few, near, ws)
+        calls = {
+            "cold inner": lambda w: nash._inner_log_ratios(m, ad, few, None, w),
+            "warm inner": lambda w: nash._inner_log_ratios(m, ad, few, start, w),
+            "cold evaluate": lambda w: nash._evaluate(m, ad, few, None, w),
+            "warm evaluate": lambda w: nash._evaluate(m, ad, few, near, w),
+            "jacobians": lambda w: nash._jacobians(m, evaluations, w),
+        }
+
+        def arrays(result):
+            """Shape and bytes of each array of a result of nested tuples and lists."""
+            if isinstance(result, (tuple, list)):
+                return [a for r in result for a in arrays(r)]
+            return [(result.shape, result.tobytes())]
+
+        for name, call in calls.items():
+            ws.stacks.fill(np.nan)
+            ws.planes.fill(np.nan)
+            used = arrays(call(ws))
+            fresh = arrays(call(nash._Workspace(len(few), m.n_agents, m.space.n_states)))
+            assert used == fresh, name
 
     def test_solves_share_no_state(self):
         """Two 8-agent markets and a 3-agent one solved in three threads at once,
@@ -853,9 +866,12 @@ class TestInnerSolveFailure:
         m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
         ad = solve_arrow_debreu(m)
         z = nash._starts(m, ad)
-        alone = [nash._evaluate(m, ad, z[j : j + 1])[0] for j in range(len(z))]
+        alone = [
+            nash._evaluate(m, ad, z[j : j + 1], None, used_workspace(m, 1))[0]
+            for j in range(len(z))
+        ]
         _failing_kernel(monkeypatch, entry)
-        out = nash._evaluate(m, ad, z)
+        out = nash._evaluate(m, ad, z, None, used_workspace(m, len(z)))
         assert len(out) == len(z)
         for j, (e, e_alone) in enumerate(zip(out, alone)):
             if entry is None or j == entry:

@@ -448,6 +448,25 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err == f"validation error: scenario file {path} does not contain a mapping"
 
+    def test_an_alias_is_refused_while_parsing(self, tmp_path, capsys):
+        """A YAML alias would be walked once per reference, so each level of
+        nested 10-wide lists would multiply validation time by 10; the first
+        alias ends the parse.  An anchor without an alias still loads."""
+        text = yaml.safe_dump(COMMON_BELIEFS_DOC)
+        anchored = tmp_path / "anchored.yaml"
+        anchored.write_text(text.replace("states:", "states: &states", 1))
+        assert load_scenario(anchored) == load_scenario(write_yaml(tmp_path, COMMON_BELIEFS_DOC))
+        levels = ["a0: &a0 [" + ", ".join(["1.0"] * 10) + "]"]
+        levels += [f"a{k}: &a{k} [" + ", ".join([f"*a{k - 1}"] * 10) + "]" for k in (1, 2)]
+        path = tmp_path / "aliases.yaml"
+        path.write_text(text + "limits:\n" + "".join(f"  {level}\n" for level in levels))
+        assert cli_main(["nash", str(path)]) == 3
+        line = len(text.splitlines()) + 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"validation error: scenario file {path} uses the alias *a0 at line {line}; "
+            "aliases are refused"
+        ]
+
     @staticmethod
     def _ad_refusal(tmp_path, capsys, states) -> str:
         """The one line that ``ad`` prints, exiting 3 without a bundle, on ``states``."""
