@@ -70,8 +70,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     for key in ("quadrature_order", "samples", "seed"):
         if getattr(args, key) is not None:
             states[key] = getattr(args, key)
-    if getattr(args, "tol", None) is not None:
-        doc["solver"] = {**scenario.solver, "tol": args.tol}
     if args.command == "limits":
         doc["limits"] = doc["limits"] or {}
     if getattr(args, "deltas", None) is not None:
@@ -200,7 +198,7 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
         later.append(f"CR{br_agent}")
     _check_hist(args, market, variables, later)
     ad = solve_arrow_debreu(market)
-    eq = solve_nash(market, ad=ad, tol=scenario.solver.get("tol"))
+    eq = solve_nash(market, ad=ad)
     diag = compute_diagnostics(market, ad, eq)
     ledger = nash_ledger(market, ad, eq, diag)
     rows = [
@@ -245,11 +243,10 @@ def run_best_response(args, scenario: Scenario) -> int:
         raise ValidationError(f"agent index {i} out of range")
     _check_hist(args, market, variables, [f"CR{i}"])
     if args.truthful_others:
-        _refuse(args, ("tol",), "best-response with --truthful-others, which solves no game")
         reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != i]
         mode = "truthful"
     else:
-        eq = solve_nash(market, tol=scenario.solver.get("tol"))
+        eq = solve_nash(market)
         reports = [eq.revealed[j] for j in range(market.n_agents) if j != i]
         mode = "nash-revealed"
     br = solve_best_response(market, i, reports)
@@ -325,7 +322,7 @@ def run_replicate(args) -> int:
         _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
     scenario = _apply_overrides(scenario, args)
     if scenario.limits is not None:
-        _refuse(args, ("tol", "hist", "bins"), f"the limit scenario {args.name}")
+        _refuse(args, ("hist", "bins"), f"the limit scenario {args.name}")
         return run_limits(args, scenario)
     return run_nash(args, scenario, br_agent)
 
@@ -341,12 +338,10 @@ def tolerance_grid(text: str) -> list:
     return [float(x) for x in text.split(",")]
 
 
-def _add_common(p, scenario_arg=True, tol=True, hist=True):
-    """The state-model and output flags, and ``--tol`` and ``--hist``/``--bins`` where read."""
+def _add_common(p, scenario_arg=True, hist=True):
+    """The state-model and output flags, and ``--hist``/``--bins`` where read."""
     if scenario_arg:
         p.add_argument("scenario", help="path to a scenario YAML/JSON file")
-    if tol:
-        p.add_argument("--tol", type=float, default=None, help="equilibrium distance tolerance")
     p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     p.add_argument(
         "--quadrature-order", type=int, default=None, dest="quadrature_order"
@@ -372,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ad", help="solve the competitive (price-taking) equilibrium")
-    _add_common(p, tol=False)
+    _add_common(p)
     p.set_defaults(run=run_ad)
 
     p = sub.add_parser("nash", help="solve the risk-sharing game and run diagnostics")
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("limits", help="extreme-risk-tolerance limit analysis")
-    _add_common(p, tol=False, hist=False)
+    _add_common(p, hist=False)
     p.set_defaults(run=run_limits)
     p.add_argument("--deltas", type=tolerance_grid, help="comma-separated risk-tolerance grid")
 

@@ -42,6 +42,7 @@ from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
 from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
+DISTANCE_RTOL = 1e-10  # the largest distance, per unit delta_total, of an end taken as a root
 Z_SUM_TOL = 1e-9
 _SEARCH, _PRICE, _DONE = range(3)  # the phases of a Newton start, in order
 
@@ -548,30 +549,24 @@ def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
     )
 
 
-def solve_nash(
-    market: Market,
-    ad: ArrowDebreuEquilibrium | None = None,
-    tol: float | None = None,
-) -> NashEquilibrium:
+def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> NashEquilibrium:
     """Solve the risk-sharing game.
 
     Backtracking Newton on ``phi(z) - z`` (see :func:`_newton`) from the
     centre of the individually rational box, and for three or more agents
-    also from its ``n`` corners, where uniqueness is not guaranteed.  Every
-    distinct root within ``tol`` is reported, smallest ``max|price|`` first.
-    ``tol``, finite, is the acceptance threshold on the equilibrium distance
-    and defaults to ``1e-10 * delta_total``; Newton keeps going well below
-    it so post-equilibrium identities hold to tighter tolerances.
+    also from its ``n`` corners, where uniqueness is not guaranteed.  An end
+    is a root when its equilibrium distance is at most ``DISTANCE_RTOL *
+    delta_total``, a bound on float noise, since the equilibria are the
+    zero-distance points; Newton keeps going well below it so
+    post-equilibrium identities hold to tighter tolerances.  Every distinct
+    root is reported, smallest ``max|price|`` first.
 
     Pure given its inputs: repeated calls return identical results, and
     concurrent use is safe.
     """
     if ad is None:
         ad = solve_arrow_debreu(market)
-    if tol is None:
-        tol = 1e-10 * market.delta_total
-    if not np.isfinite(tol):
-        raise ContractError(f"tol must be finite, got {tol!r}")
+    tol = DISTANCE_RTOL * market.delta_total
     eps_target = 1e-12 * max(1.0, market.delta_total)
 
     ends = []  # (distance, max|price|, z, trace, evaluation) per start

@@ -15,14 +15,11 @@ A scenario is one YAML (or JSON) document with three sections:
     an ``endowment`` expression (folded into beliefs at ingestion, with
     optional ``actual`` beliefs, ``weights`` or ``log_density``, beside it).
 
-``solver`` (optional)
-    ``tol``, the equilibrium distance tolerance: a number, or null for the
-    default.
-
 ``limits`` (optional)
-    ``mode``, ``one-agent`` (the default) or ``both``; a ``deltas`` grid of
-    positive numbers, with a default; and in mode ``both`` the ``xi0``/``xi1``
-    expressions and ``lambda0`` in (0, 1).  Validation fills in the defaults.
+    ``mode``, ``one-agent`` (the default) or ``both``; a strictly increasing
+    ``deltas`` grid of positive numbers, with a default; and in mode ``both``
+    the ``xi0``/``xi1`` expressions and ``lambda0`` in (0, 1).  Validation
+    fills in the defaults.
 
 A key that no reader reads is refused in every section.  ``name`` is the
 stem of default bundle paths, so it must be a plain file name.
@@ -46,6 +43,10 @@ from .errors import ValidationError
 from .measures import Measure, RandomVariable, StateSpace, normalize_log_density
 
 STATE_CAP = 10**6
+# The largest Gauss-Hermite order.  From 361 up the rule's smallest weight
+# falls below MIN_WEIGHT, so no state space takes it; refusing such an order
+# first spares hermgauss its eigenproblem on an order x order matrix.
+QUADRATURE_ORDER_CAP = 360
 PSD_CLIP_LIMIT = 1e-2  # largest relative eigenvalue deficit `clip` will absorb
 
 _EXPR_NAMESPACE = {
@@ -82,7 +83,6 @@ class Scenario:
     name: str
     states: dict
     agents: tuple
-    solver: dict
     limits: dict | None = None
 
     @staticmethod
@@ -106,7 +106,10 @@ def load_scenario(path) -> Scenario:
         try:
             doc = yaml.load(fh, Loader=_TreeLoader)
         except yaml.YAMLError as exc:
-            raise ValidationError(f"scenario file {path} is not YAML: {exc}") from exc
+            mark = getattr(exc, "problem_mark", None)
+            problem = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                       if mark else " ".join(str(exc).split()))
+            raise ValidationError(f"scenario file {path} is not YAML: {problem}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} does not contain a mapping")
     return Scenario.from_dict(doc)
@@ -166,7 +169,7 @@ def _check_beliefs(spec, what: str, forms=("weights", "log_density", "endowment"
 
 
 def _validate(doc: dict) -> Scenario:
-    _known(doc, ("name", "states", "agents", "solver", "limits"), "the scenario")
+    _known(doc, ("name", "states", "agents", "limits"), "the scenario")
     where = ".".join(map(str, _boolean_at(doc) or ()))  # never empty: a key sits above
     _require(not where, f"{where} is a boolean, not a number or a string")
     name = doc.get("name", "scenario")
@@ -180,6 +183,9 @@ def _validate(doc: dict) -> Scenario:
     for key in ("quadrature_order", "samples", "seed"):
         if key in states:
             _require(type(states[key]) is int, f"{key!r} must be an integer, got {states[key]!r}")
+    order = states.get("quadrature_order", 0)
+    _require(order <= QUADRATURE_ORDER_CAP,
+             f"quadrature_order {order} exceeds the cap {QUADRATURE_ORDER_CAP}")
     if model == "explicit":
         _require("weights" in states, "explicit state model needs 'weights'")
         variables = states.get("variables") or {}
@@ -209,11 +215,6 @@ def _validate(doc: dict) -> Scenario:
         _known(a, ("delta", "beliefs"), f"agent {k}")
         _require(_number(a["delta"], f"agent {k} delta") > 0, f"agent {k} delta must be positive")
         _check_beliefs(a.get("beliefs", {}), f"agent {k} beliefs")
-    solver = doc.get("solver") or {}
-    _known(solver, ("tol",), "solver")
-    tol = solver.get("tol")
-    finite = type(tol) in (int, float) and math.isfinite(tol)
-    _require(tol is None or finite, f"solver tol must be finite or null, got {tol!r}")
     limits = doc.get("limits")
     if limits is not None:
         _require(isinstance(limits, dict), "'limits' must be a mapping")
@@ -238,11 +239,13 @@ def _validate(doc: dict) -> Scenario:
             ok = all(DELTA_MIN <= share * d <= DELTA_MAX for share in shares)
             _require(ok, f"limits delta {d!r} puts a risk tolerance outside "
                          f"[{DELTA_MIN}, {DELTA_MAX}]")
+        grid = limits["deltas"]
+        _require(all(a < b for a, b in zip(grid, grid[1:])),
+                 f"limits deltas must increase strictly, got {grid!r}")
     return Scenario(
         name=name,
         states=dict(states),
         agents=tuple(dict(a) for a in agents),
-        solver=dict(solver),
         limits=limits,
     )
 

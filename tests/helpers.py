@@ -83,34 +83,50 @@ def stress_market(seed, hi, trial, n_states=200):
         else:
             deltas = rng.uniform(0.3, 3.0, n)
         tilts = [tilt * rng.normal(0.0, 1.0, n_states) for _ in range(n)]
+    return _tilted_market(deltas, weights, tilts)
+
+
+def _tilted_market(deltas, weights, tilts):
+    """Agents with tolerances ``deltas`` and log-belief tilts ``tilts`` on ``weights``."""
     base = StateSpace(weights).baseline()
     return Market(
         [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
     )
+
+
+def _extreme_draws(rng, fewest_agents):
+    """One extreme market's tolerances, state weights and tilts, drawn from ``rng``.
+
+    Tolerance ratios up to 1e9 above a floor drawn log-uniformly on
+    [1e-3, 10], log-belief tilts of scale up to 30, ``fewest_agents`` to 6
+    agents and 20 to 299 Dirichlet(2) states.
+    """
+    n = int(rng.integers(fewest_agents, 7))
+    n_states = int(rng.integers(20, 300))
+    ratio = rng.choice([1e2, 1e4, 1e6, 1e9])
+    tilt = rng.choice([1.0, 5.0, 15.0, 30.0])
+    floor = np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))
+    deltas = floor * ratio ** rng.uniform(0.0, 1.0, n)
+    weights = rng.dirichlet(np.full(n_states, 2.0))
+    return deltas, weights, tilt * rng.normal(0.0, 1.0, (n, n_states))
 
 
 def extreme_market(trial):
-    """Trial ``trial`` of the extreme-input sweep.
+    """Trial ``trial`` of the extreme-input sweep, with 2 to 6 agents.
 
-    Tolerance ratios up to 1e9 above a floor drawn log-uniformly on
-    [1e-3, 10], log-belief tilts of scale up to 30, 2 to 6 agents and
-    20 to 299 Dirichlet(2) states.  Every earlier trial's draws are
-    replayed, so a trial is fixed by its index alone.
+    Every earlier trial's draws are replayed, so a trial is fixed by its
+    index alone.
     """
     rng = np.random.default_rng(99)
     for _ in range(trial + 1):
-        n = int(rng.integers(2, 7))
-        n_states = int(rng.integers(20, 300))
-        ratio = rng.choice([1e2, 1e4, 1e6, 1e9])
-        tilt = rng.choice([1.0, 5.0, 15.0, 30.0])
-        floor = np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))
-        deltas = floor * ratio ** rng.uniform(0.0, 1.0, n)
-        weights = rng.dirichlet(np.full(n_states, 2.0))
-        tilts = tilt * rng.normal(0.0, 1.0, (n, n_states))
-    base = StateSpace(weights).baseline()
-    return Market(
-        [Agent(float(d), normalize_log_density(base, t)) for d, t in zip(deltas, tilts)]
-    )
+        draws = _extreme_draws(rng, 2)
+    return _tilted_market(*draws)
+
+
+def hedge_market(seed, k):
+    """Market ``k`` of the root-hedge search's extreme family: 3 to 6 agents,
+    drawn as the sweep's markets are, from the generator seeded ``[seed, k]``."""
+    return _tilted_market(*_extreme_draws(np.random.default_rng([seed, k]), 3))
 
 
 def measure(space, values):

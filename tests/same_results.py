@@ -11,7 +11,11 @@ line: the SHA-256 of the results, the outcome counts and the histogram of
 - ``pool``: the benchmark's market pool, every entry of every market family
   that ``perfbench/workloads.py`` visits, in their drawn order;
 - ``stress``: ``stress_market(7, 9, 0..99)`` and ``stress_market(2026, 7, 0..39)``;
-- ``sweep``: ``extreme_market(0..119)``.
+- ``sweep``: ``extreme_market(0..119)``;
+- ``hedge``: ``hedge_market(seed, k)`` for the six ``(seed, k)`` in
+  ``HEDGE_MARKETS``, the markets of the root-hedge search whose game solve
+  raises ``SolverError``; their line is the baseline for a change that
+  solves them.
 
 Each market is solved as the benchmark certifies one: the competitive
 benchmark, the game equilibrium, then its residual ledger, with warnings as
@@ -37,10 +41,12 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from helpers import extreme_market, stress_market  # noqa: E402
+from helpers import extreme_market, hedge_market, stress_market  # noqa: E402
 from risksharing import SolverError, solve_arrow_debreu, solve_nash  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
 from workloads import FAMILIES, POOL_SIZES, pool_market  # noqa: E402
+
+HEDGE_MARKETS = ((11, 301), (12, 57), (13, 76), (13, 400), (13, 805), (13, 912))
 
 
 def pool():
@@ -59,6 +65,11 @@ def stress():
 def sweep():
     for trial in range(120):
         yield extreme_market(trial)
+
+
+def hedge():
+    for seed, k in HEDGE_MARKETS:
+        yield hedge_market(seed, k)
 
 
 def fingerprint(markets) -> tuple:
@@ -96,7 +107,7 @@ def fingerprint(markets) -> tuple:
 
 
 def main() -> None:
-    for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep)):
+    for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
         digest, outcomes, roots = fingerprint(markets())
         counts = " ".join(

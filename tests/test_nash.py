@@ -209,13 +209,6 @@ class TestDistanceAndMap:
 
 
 class TestSolveNash:
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
-    def test_non_finite_tol_refused(self, tol):
-        """With ``tol=inf`` an unsolvable start's end, at distance inf, would pass as a root."""
-        m = random_market(np.random.default_rng(1), 3, 50)
-        with pytest.raises(ContractError, match="tol"):
-            solve_nash(m, tol=tol)
-
     def test_common_beliefs_unique_trivial_equilibrium(self):
         rng = np.random.default_rng(12)
         m = common_beliefs_market(rng, n_agents=3, n_states=60)
@@ -311,10 +304,11 @@ class TestPlateauMarkets:
         failing = {e["name"] for e in nash_ledger(m, ad, eq) if not e["pass"]}
         assert not failing
 
-    def test_failure_carries_one_trace_per_start(self):
+    def test_failure_carries_one_trace_per_start(self, monkeypatch):
         m = stress_market(7, 9, 53)
+        monkeypatch.setattr(nash, "DISTANCE_RTOL", -1.0)
         with pytest.raises(SolverError) as err:
-            solve_nash(m, tol=-1.0)
+            solve_nash(m)
         diag = err.value.diagnostics
         assert len(diag["residual_traces"]) == m.n_agents + 1
         assert all(len(t) >= 1 for t in diag["residual_traces"])
@@ -731,8 +725,9 @@ class TestLockstepStarts:
 class TestRootBookkeeping:
     def test_merges_near_ends_keeps_distinct_roots_and_skips_failed_starts(self, monkeypatch):
         """Fabricated ends beside the real ones: one 1e-9 from the root merges
-        into it, an evaluated point off the root within a raised ``tol`` is the
-        second root, and a start that could not be solved is skipped."""
+        into it, an evaluated point off the root within a raised
+        ``DISTANCE_RTOL`` is the second root, and a start that could not be
+        solved is skipped."""
         m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
         ad = solve_arrow_debreu(m)
         ends = nash._newton(m, ad, nash._starts(m, ad), 1e-12 * max(1.0, m.delta_total))
@@ -748,7 +743,8 @@ class TestRootBookkeeping:
             (np.zeros(3), None, [np.inf]),
         ]
         monkeypatch.setattr(nash, "_newton", lambda *a: ends + fabricated)
-        eq = solve_nash(m, ad=ad, tol=2.0 * off_distance)
+        monkeypatch.setattr(nash, "DISTANCE_RTOL", 2.0 * off_distance / m.delta_total)
+        eq = solve_nash(m, ad=ad)
         assert len(eq.all_roots) == 2
         assert np.array_equal(eq.z, root) and np.array_equal(eq.all_roots[0], root)
         assert np.array_equal(eq.all_roots[1], z_off)

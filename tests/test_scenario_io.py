@@ -9,10 +9,11 @@ import pytest
 import yaml
 
 from risksharing import Measure, endowment_to_beliefs, normalize_log_density
-from risksharing import cli
+from risksharing import cli, nash
 from risksharing.cli import main as cli_main
 from risksharing.errors import ValidationError
 from risksharing.scenario import (
+    QUADRATURE_ORDER_CAP,
     Scenario,
     _evaluate,
     build_market,
@@ -245,27 +246,34 @@ class TestMarketBuilding:
         with pytest.raises(ValidationError):
             Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["damping", "max_iter", "multistart", "tolerance"])
+    def test_solver_unknown_key_rejected(self, key):
+        """A scenario sets no solver option: ``solver`` is not one of its keys."""
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        doc["solver"] = {key: 1}
+        with pytest.raises(ValidationError, match="the scenario reads no key 'solver'"):
+            Scenario.from_dict(doc)
+
     @pytest.mark.parametrize("tol", [1e-9, 0, None])
-    def test_solver_tol_accepted(self, tol):
+    def test_solver_tol_refused(self, tmp_path, tol, capsys):
+        """``solver: {tol: ...}`` is refused with one line whatever the value:
+        the game accepts a root at the one threshold ``nash.DISTANCE_RTOL``."""
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["solver"] = {"tol": tol}
-        assert Scenario.from_dict(doc).solver == {"tol": tol}
+        out = tmp_path / "o.json"
+        assert cli_main(["nash", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'solver'" in err[0] and not out.exists()
 
-    @pytest.mark.parametrize("key", ["damping", "max_iter", "multistart", "tolerance"])
-    def test_solver_unknown_key_rejected(self, tmp_path, key, capsys):
-        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
-        doc["solver"] = {"tol": 1e-9, key: 1}
-        with pytest.raises(ValidationError, match=key):
-            Scenario.from_dict(doc)
-        assert cli_main(["nash", str(write_yaml(tmp_path, doc))]) == 3
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("solver", [{"tol": "1e-9"}, {"tol": True}, ["tol"]])
-    def test_solver_malformed_rejected(self, solver):
+    @pytest.mark.parametrize("solver", [{"tol": "1e-9"}, {"tol": True}, ["tol"], {}])
+    def test_solver_malformed_rejected(self, tmp_path, solver, capsys):
+        """Any other ``solver:`` section is the same one refusal line."""
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["solver"] = solver
-        with pytest.raises(ValidationError):
-            Scenario.from_dict(doc)
+        out = tmp_path / "o.json"
+        assert cli_main(["nash", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "'solver'" in err[0] and not out.exists()
 
 
 class TestCli:
@@ -339,6 +347,7 @@ class TestCli:
                                                   "lambda0": 1.5})),
             ("limits", lambda d: d.update(limits={"deltas": ["abc"]})),
             ("limits", lambda d: d.update(limits={"deltas": [-10, 100]})),
+            ("limits", lambda d: d.update(limits={"deltas": [1e3, 1e3]})),
             ("limits", lambda d: d.update(limits={"mode": "bogus"})),
             ("nash", lambda d: d["states"].update(variables=[1, 2])),
             ("nash", lambda d: d["agents"][0].update(beliefs={"endowment": "0", "actual": [1, 2]})),
@@ -373,7 +382,7 @@ class TestCli:
         ],
         ids=[
             "delta-abc", "delta-too-large", "state-weights", "belief-weights",
-            "lambda0", "deltas-abc", "deltas-negative", "mode-bogus",
+            "lambda0", "deltas-abc", "deltas-negative", "deltas-repeated", "mode-bogus",
             "explicit-variables-list", "actual-beliefs-list", "quadrature-order-float",
             "quadrature-order-bool", "samples-float", "seed-float", "tol-inf", "tol-nan",
             "actual-two-forms", "actual-endowment", "actual-misspelt", "actual-without-endowment",
@@ -440,6 +449,21 @@ class TestCli:
     )
     def test_state_model_data_is_refused(self, tmp_path, capsys, states, message):
         assert self._ad_refusal(tmp_path, capsys, states) == f"validation error: {message}"
+
+    def test_quadrature_order_is_bounded_before_the_rule_is_built(self, tmp_path, capsys):
+        """From order 361 up no Gauss-Hermite rule makes a state space, so the
+        order is refused before numpy solves its eigenproblem, with no warning;
+        order 360 still builds."""
+        states = GAUSSIAN_STATES | {"quadrature_order": QUADRATURE_ORDER_CAP + 1}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self._ad_refusal(tmp_path, capsys, states)
+        assert err == "validation error: quadrature_order 361 exceeds the cap 360" and not caught
+        agents = [{"delta": 1.0}, {"delta": 2.0}]
+        doc = {"states": GAUSSIAN_STATES | {"quadrature_order": 360}, "agents": agents}
+        out = tmp_path / "o.json"
+        assert cli_main(["ad", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["n_states"] == 360
 
     def test_scenario_that_is_not_a_mapping_exits_3(self, tmp_path, capsys):
         path = tmp_path / "list.yaml"
@@ -553,13 +577,19 @@ class TestCli:
          # Flags that need another flag; the message names it.
          (["replicate", "example-2.7", "--samples", "10"],
           "'samples' and 'seed' come together: give both, or --samples and --seed"),
+         # A limit grid increases strictly: its last row is at its largest delta.
+         (["replicate", "limit-one-agent", "--deltas", "1e5,1e4,1e3,1e2"],
+          "limits deltas must increase strictly, got [100000.0, 10000.0, 1000.0, 100.0]"),
+         (["replicate", "limit-both", "--deltas", "1e4,10,1e3"],
+          "limits deltas must increase strictly, got [10000.0, 10.0, 1000.0]"),
          (["nash", "{path}", "--bins", "3"], "--bins is not read without --hist"),
          (["replicate", "beta-symmetric", "--bins", "3"], "--bins is not read without --hist")],
         ids=["no-scenario", "tol-abc", "tol-nan", "deltas-abc", "deltas-negative", "unknown-flag",
              "deltas-without-limits", "ad-tol", "limits-tol", "limits-hist",
              "truthful-others-tol", "limit-tol", "limit-hist-bins", "limit-both-hist",
              "explicit-quadrature-order", "explicit-samples", "quadrature-seed",
-             "quadrature-order-and-samples", "samples-without-seed", "bins-without-hist",
+             "quadrature-order-and-samples", "samples-without-seed", "deltas-descending",
+             "both-deltas-unordered", "bins-without-hist",
              "replicate-bins-without-hist"],
     )
     def test_argument_errors_exit_3(self, tmp_path, capsys, args, message):
@@ -685,25 +715,35 @@ class TestCli:
         bad.write_text(text)
         assert cli_main(["verify", str(bad)]) == 3
 
-    def test_scenario_that_is_not_yaml_exits_3(self, tmp_path):
+    def test_scenario_that_is_not_yaml_exits_3(self, tmp_path, capsys):
+        """PyYAML's problem and its line, on the one line every refusal gets."""
         bad = tmp_path / "bad.yaml"
-        bad.write_text("states: [unclosed\n")
+        bad.write_text("name: a\nstates: [unclosed\n")
         assert cli_main(["nash", str(bad)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+        assert "but got '<stream end>' at line 3" in err[0]
 
-    def test_solver_failure_exit_code(self, tmp_path):
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["agents"][0]["beliefs"] = {"log_density": "2*X"}
         doc["agents"].append({"delta": 1.0, "beliefs": {"log_density": "-X"}})
-        doc["solver"] = {"tol": -1.0}
         path = write_yaml(tmp_path, doc)
-        assert cli_main(["nash", str(path)]) == 4
+        monkeypatch.setattr(nash, "DISTANCE_RTOL", -1.0)
+        assert cli_main(["nash", str(path), "--out", str(tmp_path / "o.json")]) == 4
 
-    def test_best_response_honours_tol(self, tmp_path):
+    def test_best_response_honours_tol(self, tmp_path, monkeypatch, capsys):
+        """``nash`` and game-revealed ``best-response`` read the one threshold."""
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         out = tmp_path / "br.json"
         assert cli_main(["best-response", str(path), "--agent", "0", "--out", str(out)]) == 0
-        args = ["best-response", str(path), "--agent", "0", "--tol", "-1", "--out", str(out)]
-        assert cli_main(args) == 4
+        capsys.readouterr()
+        monkeypatch.setattr(nash, "DISTANCE_RTOL", -1.0)
+        for args in (["nash", str(path)], ["best-response", str(path), "--agent", "0"]):
+            assert cli_main(args + ["--out", str(out)]) == 4
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[0] == "solver failure: no equilibrium reached the distance tolerance"
+            assert len(err) == 2 and err[1].startswith("diagnostics: {'best_z'")
 
     @pytest.mark.parametrize("bins", ["-3", "0"])
     def test_bins_below_one_rejected(self, tmp_path, bins, capsys):
@@ -823,10 +863,14 @@ class TestCli:
         doc = json.loads((tmp_path / "example-2.7.nash.json").read_text())
         assert len(doc["histograms"]["E0"]["edges"]) == 4
 
-    def test_replicate_figure_honours_tol(self, tmp_path):
+    def test_replicate_figure_honours_tol(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "f.json"
-        args = ["replicate", "example-2.7", "--quadrature-order", "8", "--tol", "-1"]
+        monkeypatch.setattr(nash, "DISTANCE_RTOL", -1.0)
+        args = ["replicate", "example-2.7", "--quadrature-order", "8"]
         assert cli_main(args + ["--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[0] == "solver failure: no equilibrium reached the distance tolerance"
+        assert len(err) == 2 and err[1].startswith("diagnostics: {'best_z'")
 
     # A figure bundle written before replicate ran through the nash command.
     FIGURE_BUNDLE = Path(__file__).parent / "data" / "example-2.7-0.1.0.json"
