@@ -11,8 +11,8 @@ Library layout:
 - :mod:`risksharing.limits` — extreme-risk-tolerance limit objects.
 - :mod:`risksharing.scenario` / :mod:`risksharing.cli` — file formats and CLI.
 
-All operations are pure functions of immutable inputs (solvers are
-deterministic given their configuration), so concurrent invocation is safe;
+All operations are pure functions of immutable inputs (each solver's
+result is determined by its arguments), so concurrent invocation is safe;
 per-state work is vectorised with fixed-order reductions.
 """
 

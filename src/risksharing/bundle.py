@@ -243,12 +243,12 @@ def limit_residuals(market: Market, report: LimitReport) -> tuple:
     d1 = float(market.deltas[1])
     c, q = report.nash_security, report.pricing
     ad_limit = d1 * p0.log_density(p1) - d1 * relative_entropy(p0, p1)
-    root = max(abs(float(np.sum(p0.weights / (1.0 + c.values / d1))) - 1.0),
-               float(np.max(np.abs(report.ad_security.values - ad_limit))))
+    root = np.max([abs(float(np.sum(p0.weights / (1.0 + c.values / d1))) - 1.0),
+                   float(np.max(np.abs(report.ad_security.values - ad_limit)))])
     gain0 = variance(q, c) / d1
     cost = gain0 + d1 * relative_entropy(p0, q)
     gaps = (report.z_infinity - cost, report.gain_agent0 - gain0, report.loss_agent1 + cost)
-    return root, float(max(map(abs, gaps)))
+    return float(root), float(np.max(np.abs(gaps)))
 
 
 def limits_ledger(market: Market, limit: LimitReport | Table) -> list:
@@ -320,7 +320,7 @@ def _check_fit(doc: dict, market: Market) -> None:
             "agent_values": (n,), "log_ratios": (n, s),
         },
         "best_response": {"others_reports": (n - 1, s), "log_ratio": (s,)},
-        "limits": {"table": (None, 3)},
+        "limits": {"table": (None, 3), "z_infinity": (), "gain_agent0": (), "loss_agent1": ()},
     }
     for section, fields in shapes.items():
         for key, shape in fields.items():

@@ -41,8 +41,7 @@ from .scenario import (
     Scenario,
     _evaluate,
     build_market,
-    builtin_scenario,
-    load_scenario,
+    read_scenario,
 )
 
 EXIT_OK = 0
@@ -58,21 +57,22 @@ def _refuse(args, flags, reader: str) -> None:
             raise ValidationError(f"--{flag.replace('_', '-')} is not read by {reader}")
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    """The scenario with the flags written into a copy of its document, validated again."""
-    doc = dict(vars(scenario), agents=list(scenario.agents))
-    states = doc["states"] = dict(scenario.states)
-    if args.quadrature_order is not None:
-        states.pop("samples", None)
-        states.pop("seed", None)
-    if args.samples is not None:
-        states.pop("quadrature_order", None)
-    for key in ("quadrature_order", "samples", "seed"):
-        if getattr(args, key) is not None:
-            states[key] = getattr(args, key)
-    if args.command == "limits":
-        doc["limits"] = doc["limits"] or {}
-    if getattr(args, "deltas", None) is not None:
+def _apply_overrides(doc: dict, args) -> Scenario:
+    """The scenario of ``doc`` with the flags written into a copy of it, validated once."""
+    doc = dict(doc)
+    if isinstance(doc.get("states"), dict):
+        states = doc["states"] = dict(doc["states"])
+        if args.quadrature_order is not None:
+            states.pop("samples", None)
+            states.pop("seed", None)
+        if args.samples is not None:
+            states.pop("quadrature_order", None)
+        for key in ("quadrature_order", "samples", "seed"):
+            if getattr(args, key) is not None:
+                states[key] = getattr(args, key)
+    if args.command == "limits" and doc.get("limits") is None:
+        doc["limits"] = {}
+    if getattr(args, "deltas", None) is not None and isinstance(doc.get("limits"), dict):
         doc["limits"] = {**doc["limits"], "deltas": args.deltas}
     if getattr(args, "bins", None) is not None:
         if not args.hist:
@@ -317,10 +317,10 @@ def run_replicate(args) -> int:
         # response to truthful reports.
         args.hist = args.hist or ["E0", "E1", "E0 + CSTAR0", "E0 + CR0", "E0 + C0"]
         br_agent = 0
-    scenario = builtin_scenario(args.name)
-    if scenario.limits is None:
+    doc = BUILTIN_SCENARIOS[args.name]
+    if doc.get("limits") is None:
         _refuse(args, ("deltas",), f"{args.name}, which has no limits section")
-    scenario = _apply_overrides(scenario, args)
+    scenario = _apply_overrides(doc, args)
     if scenario.limits is not None:
         _refuse(args, ("hist", "bins"), f"the limit scenario {args.name}")
         return run_limits(args, scenario)
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if "scenario" in args:
-            return args.run(args, _apply_overrides(load_scenario(args.scenario), args))
+            return args.run(args, _apply_overrides(read_scenario(args.scenario), args))
         return args.run(args)
     except (ValidationError, OSError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

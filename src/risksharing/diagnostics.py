@@ -43,12 +43,12 @@ class NashDiagnostics:
     residuals: dict
 
     def max_identity_residual(self) -> float:
-        return max(
-            abs(v) for k, v in self.residuals.items() if not k.startswith("bound_")
-        )
+        return float(np.max(
+            [abs(v) for k, v in self.residuals.items() if not k.startswith("bound_")]
+        ))
 
     def min_bound_slack(self) -> float:
-        return min(v for k, v in self.residuals.items() if k.startswith("bound_"))
+        return float(np.min([v for k, v in self.residuals.items() if k.startswith("bound_")]))
 
 
 def compute_diagnostics(

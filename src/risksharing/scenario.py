@@ -39,8 +39,8 @@ import numpy as np
 import yaml
 
 from .agents import DELTA_MAX, DELTA_MIN, Agent, Market, endowment_to_beliefs
-from .errors import ValidationError
-from .measures import Measure, RandomVariable, StateSpace, normalize_log_density
+from .errors import ContractError, DimensionError, ValidationError
+from .measures import MIN_WEIGHT, Measure, RandomVariable, StateSpace, normalize_log_density
 
 STATE_CAP = 10**6
 # The largest Gauss-Hermite order.  From 361 up the rule's smallest weight
@@ -101,7 +101,8 @@ class _TreeLoader(yaml.SafeLoader):
         return super().compose_node(parent, index)
 
 
-def load_scenario(path) -> Scenario:
+def read_scenario(path) -> dict:
+    """The scenario document in ``path``, parsed but not validated."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=_TreeLoader)
@@ -112,7 +113,11 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(f"scenario file {path} is not YAML: {problem}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"scenario file {path} does not contain a mapping")
-    return Scenario.from_dict(doc)
+    return doc
+
+
+def load_scenario(path) -> Scenario:
+    return Scenario.from_dict(read_scenario(path))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -183,9 +188,13 @@ def _validate(doc: dict) -> Scenario:
     for key in ("quadrature_order", "samples", "seed"):
         if key in states:
             _require(type(states[key]) is int, f"{key!r} must be an integer, got {states[key]!r}")
-    order = states.get("quadrature_order", 0)
+    order = states.get("quadrature_order", 1)
+    _require(order >= 1, "quadrature order must be >= 1")
     _require(order <= QUADRATURE_ORDER_CAP,
              f"quadrature_order {order} exceeds the cap {QUADRATURE_ORDER_CAP}")
+    samples, seed = states.get("samples", 1), states.get("seed", 0)
+    _require(1 <= samples <= STATE_CAP, f"'samples' must lie in [1, {STATE_CAP}], got {samples}")
+    _require(seed >= 0, f"'seed' must be at least 0, got {seed}")
     if model == "explicit":
         _require("weights" in states, "explicit state model needs 'weights'")
         variables = states.get("variables") or {}
@@ -205,15 +214,21 @@ def _validate(doc: dict) -> Scenario:
         repair = states.get("covariance_repair", "none")
         _require(repair in ("none", "clip"),
                  f"covariance_repair must be none or clip, got {repair!r}")
-        for key in ("cov", "std", "corr"):
+        d = len(states["variables"])
+        for key, shape in (("cov", (d, d)), ("std", (d,)), ("corr", (d, d)), ("mean", (d,))):
             if key in states:
                 _require(_finite(states[key]), f"gaussian {key!r} must be finite numbers")
+                got = np.shape(states[key])
+                _require(got == shape,
+                         f"gaussian {key!r} must have shape {shape} for {d} variables, got {got}")
     agents = doc.get("agents")
     _require(isinstance(agents, list) and len(agents) >= 2, "need at least 2 agents")
     for k, a in enumerate(agents):
         _require(isinstance(a, dict) and "delta" in a, f"agent {k} needs 'delta'")
         _known(a, ("delta", "beliefs"), f"agent {k}")
-        _require(_number(a["delta"], f"agent {k} delta") > 0, f"agent {k} delta must be positive")
+        delta = _number(a["delta"], f"agent {k} delta")
+        _require(DELTA_MIN <= delta <= DELTA_MAX,
+                 f"agent {k} delta must lie in [{DELTA_MIN}, {DELTA_MAX}], got {delta!r}")
         _check_beliefs(a.get("beliefs", {}), f"agent {k} beliefs")
     limits = doc.get("limits")
     if limits is not None:
@@ -341,9 +356,7 @@ def _repair_covariance(cov: np.ndarray, mode: str):
 
 def gauss_hermite_rule(order: int):
     """Nodes and weights integrating against the standard normal density."""
-    if order < 1:
-        raise ValidationError("quadrature order must be >= 1")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(order))
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
     return nodes * math.sqrt(2.0), weights / math.sqrt(math.pi)
 
 
@@ -352,7 +365,9 @@ def build_state_space(scenario: Scenario):
 
     Deterministic given the scenario: Gauss-Hermite tensor grids for
     quadrature, a seeded generator for sampling, passthrough for explicit
-    states.  Returns ``(space, variables, info)``.
+    states.  Returns ``(space, variables, info)``.  Validation checks the
+    document; the grid cap and the covariance repair need computed values, so
+    only they refuse here.
     """
     states = scenario.states
     if states["model"] == "explicit":
@@ -365,30 +380,24 @@ def build_state_space(scenario: Scenario):
         return space, variables, {"model": "explicit", "n_states": space.n_states}
 
     names = [str(v) for v in states["variables"]]
-    d = len(names)
     if "cov" in states:
         cov = np.asarray(states["cov"], dtype=float)
     else:
         std = np.asarray(states["std"], dtype=float)
         corr = np.asarray(states["corr"], dtype=float)
         cov = corr * np.outer(std, std)
-    if cov.shape != (d, d):
-        raise ValidationError(f"covariance shape {cov.shape} does not match {d} variables")
-    mean = np.asarray(states.get("mean", np.zeros(d)), dtype=float)
-    if mean.shape != (d,):
-        raise ValidationError("mean length does not match the variable count")
+    mean = np.asarray(states.get("mean", np.zeros(len(names))), dtype=float)
     factor, info = _repair_covariance(cov, states.get("covariance_repair", "none"))
     d_eff = factor.shape[1]
 
     if "samples" in states:
-        n = int(states["samples"])
-        _require(1 <= n <= STATE_CAP, f"sample count {n} outside (0, {STATE_CAP}]")
-        rng = np.random.default_rng(int(states["seed"]))
+        n = states["samples"]
+        rng = np.random.default_rng(states["seed"])
         z = rng.standard_normal((d_eff, n))
         weights = np.full(n, 1.0 / n)
-        info.update({"model": "gaussian-mc", "seed": int(states["seed"]), "n_states": n})
+        info.update({"model": "gaussian-mc", "seed": states["seed"], "n_states": n})
     else:
-        order = int(states.get("quadrature_order", 20))
+        order = states.get("quadrature_order", 20)
         if order**d_eff > STATE_CAP:
             raise ValidationError(
                 f"quadrature grid of {order}^{d_eff} states exceeds the cap {STATE_CAP}"
@@ -427,18 +436,28 @@ def _build_market(scenario: Scenario):
     space, variables, info = build_state_space(scenario)
     base = space.baseline()
 
-    def beliefs(spec: dict, delta: float) -> Measure:
-        if "weights" in spec:
-            return Measure(space, np.asarray(spec["weights"], dtype=float))
-        if "endowment" in spec:
-            endow = RandomVariable(space, _evaluate(spec["endowment"], variables, space.n_states))
-            actual = base if spec.get("actual") is None else beliefs(spec["actual"], delta)
-            return endowment_to_beliefs(actual, endow, delta).beliefs
-        tilt = _evaluate(spec.get("log_density", 0.0), variables, space.n_states)
-        return normalize_log_density(base, tilt)
+    def beliefs(spec: dict, delta: float, where: str) -> Measure:
+        """The measure ``spec`` states; one that the measure refuses names ``where``."""
+        try:
+            if "weights" in spec:
+                return Measure(space, np.asarray(spec["weights"], dtype=float))
+            if "endowment" in spec:
+                endow = _evaluate(spec["endowment"], variables, space.n_states)
+                actual = spec.get("actual")
+                actual = base if actual is None else beliefs(actual, delta, f"{where}.actual")
+                return endowment_to_beliefs(actual, RandomVariable(space, endow), delta).beliefs
+            tilt = _evaluate(spec.get("log_density", 0.0), variables, space.n_states)
+            return normalize_log_density(base, tilt)
+        except (ContractError, DimensionError) as exc:
+            # A tilted measure is normalised, so the one weight rule it can break is the floor.
+            why = str(exc) if "weights" in spec else (
+                f"the tilt puts a tail state's weight below {MIN_WEIGHT}; "
+                "a milder tilt or a lower quadrature_order keeps it above")
+            raise ValidationError(f"{where}: {why}") from exc
 
     specs = [(float(a["delta"]), a.get("beliefs") or {}) for a in scenario.agents]
-    return Market([Agent(d, beliefs(spec, d)) for d, spec in specs]), variables, info
+    agents = [Agent(d, beliefs(s, d, f"agents.{k}.beliefs")) for k, (d, s) in enumerate(specs)]
+    return Market(agents), variables, info
 
 
 BUILTIN_SCENARIOS: dict = {
@@ -527,12 +546,3 @@ BUILTIN_SCENARIOS: dict = {
         },
     },
 }
-
-
-def builtin_scenario(name: str) -> Scenario:
-    try:
-        doc = BUILTIN_SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_SCENARIOS))
-        raise ValidationError(f"unknown built-in scenario {name!r}; known: {known}") from None
-    return Scenario.from_dict(doc)

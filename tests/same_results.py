@@ -15,7 +15,12 @@ line: the SHA-256 of the results, the outcome counts and the histogram of
 - ``hedge``: ``hedge_market(seed, k)`` for the six ``(seed, k)`` in
   ``HEDGE_MARKETS``, the markets of the root-hedge search whose game solve
   raises ``SolverError``; their line is the baseline for a change that
-  solves them.
+  solves them;
+- ``cli``: the commands in ``CLI_COMMANDS``, run in process through
+  ``risksharing.cli.main`` into a temporary directory: ``replicate`` of each
+  built-in scenario, ``nash perfbench/scenarios/cli-nash.yaml --seed 0..3``,
+  and ``ad``, ``best-response --agent 1`` and ``best-response --agent 2
+  --truthful-others`` on that file.
 
 Each market is solved as the benchmark certifies one: the competitive
 benchmark, the game equilibrium, then its residual ledger, with warnings as
@@ -26,11 +31,19 @@ The hash reads, market by market in order, the outcome's name; for a solved
 market the bytes of ``z``, ``log_ratios``, every entry of ``all_roots``,
 ``agent_values`` and every ledger value, as float64; for a ``SolverError``
 its message and its diagnostics as sorted JSON.
+
+The ``cli`` line hashes, command by command in order, the exit code, the
+standard output with the bundle path replaced by ``BUNDLE``, the bundle as
+sorted JSON without ``provenance.timestamp``, and the exit code of
+``verify`` on the bundle; it counts both exit codes.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 import time
 import warnings
 from collections import Counter
@@ -44,9 +57,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from helpers import extreme_market, hedge_market, stress_market  # noqa: E402
 from risksharing import SolverError, solve_arrow_debreu, solve_nash  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
+from risksharing.cli import main as cli_main  # noqa: E402
+from risksharing.scenario import BUILTIN_SCENARIOS  # noqa: E402
 from workloads import FAMILIES, POOL_SIZES, pool_market  # noqa: E402
 
 HEDGE_MARKETS = ((11, 301), (12, 57), (13, 76), (13, 400), (13, 805), (13, 912))
+NASH_SCENARIO = str(ROOT / "perfbench" / "scenarios" / "cli-nash.yaml")
+CLI_COMMANDS = (
+    *(["replicate", name] for name in BUILTIN_SCENARIOS),
+    *(["nash", NASH_SCENARIO, "--seed", str(seed)] for seed in range(4)),
+    ["ad", NASH_SCENARIO],
+    ["best-response", NASH_SCENARIO, "--agent", "1"],
+    ["best-response", NASH_SCENARIO, "--agent", "2", "--truthful-others"],
+)
 
 
 def pool():
@@ -106,6 +129,25 @@ def fingerprint(markets) -> tuple:
     return digest.hexdigest(), outcomes, roots
 
 
+def cli_fingerprint() -> tuple:
+    """The hash and the command and ``verify`` exit-code counts of ``CLI_COMMANDS``."""
+    digest, exits, verified = hashlib.sha256(), Counter(), Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, argv in enumerate(CLI_COMMANDS):
+            out, stdout = f"{tmp}/{k}.json", io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main([*argv, "--out", out])
+                check = cli_main(["verify", out])
+            bundle = json.loads(Path(out).read_text())
+            del bundle["provenance"]["timestamp"]
+            exits[code] += 1
+            verified[check] += 1
+            text = f"{code}\n{stdout.getvalue()}\n{check}\n".replace(out, "BUNDLE")
+            digest.update(text.encode())
+            digest.update(json.dumps(bundle, sort_keys=True).encode())
+    return digest.hexdigest(), exits, verified
+
+
 def main() -> None:
     for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
@@ -116,6 +158,10 @@ def main() -> None:
         histogram = ", ".join(f"{k}: {v}" for k, v in sorted(roots.items()))
         print(f"{name:6} {digest}  {counts}  roots {{{histogram}}}  "
               f"{time.perf_counter() - t0:.1f} s")
+    t0 = time.perf_counter()
+    digest, exits, verified = cli_fingerprint()
+    print(f"cli    {digest}  exit {dict(sorted(exits.items()))}  "
+          f"verify {dict(sorted(verified.items()))}  {time.perf_counter() - t0:.1f} s")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from risksharing import (
     solve_best_response,
     solve_nash,
 )
-from risksharing.scenario import build_market, builtin_scenario
+from risksharing.scenario import BUILTIN_SCENARIOS, Scenario, build_market
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -141,7 +141,7 @@ def test_criterion_3_three_agent_reference_point():
     is kept as stated and fails.
     """
     start = time.perf_counter()
-    market, _, info = build_market(builtin_scenario("example-3.9"))
+    market, _, info = build_market(Scenario.from_dict(BUILTIN_SCENARIOS["example-3.9"]))
     ad = solve_arrow_debreu(market)
     eq = solve_nash(market, ad=ad)
     distance_ok = eq.distance <= 1e-8
@@ -435,7 +435,7 @@ def test_criterion_9_determinism():
         eq = solve_nash(market)
         h.update(eq.z.tobytes())
         h.update(eq.security_values().tobytes())
-        market39, _, _ = build_market(builtin_scenario("example-3.9"))
+        market39, _, _ = build_market(Scenario.from_dict(BUILTIN_SCENARIOS["example-3.9"]))
         eq39 = solve_nash(market39)
         h.update(eq39.z.tobytes())
         space = StateSpace([0.6, 0.4])

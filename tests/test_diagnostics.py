@@ -1,5 +1,7 @@
 """Post-equilibrium identity suite and revealed-belief bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,16 @@ class TestIdentitySuite:
             _, _, diag = solved(m)
             assert diag.max_identity_residual() <= 1e-8
             assert diag.min_bound_slack() >= -1e-12
+
+    def test_a_nan_residual_is_the_summary(self):
+        """A NaN that is not the first residual still reaches the summary, so
+        its ledger entry fails: Python's ``max`` and ``min`` would drop it."""
+        m, _ = beta_market(1.0)
+        diag = solved(m)[2]
+        nan = replace(diag, residuals=diag.residuals | {"value_identity": float("nan")})
+        assert np.isnan(nan.max_identity_residual())
+        nan = replace(diag, residuals=diag.residuals | {"bound_efficiency": float("nan")})
+        assert np.isnan(nan.min_bound_slack())
 
     def test_alpha_weights_structure(self):
         rng = np.random.default_rng(43)

@@ -9,16 +9,16 @@ import pytest
 import yaml
 
 from risksharing import Measure, endowment_to_beliefs, normalize_log_density
-from risksharing import cli, nash
+from risksharing import cli, nash, scenario
 from risksharing.cli import main as cli_main
 from risksharing.errors import ValidationError
 from risksharing.scenario import (
+    BUILTIN_SCENARIOS,
     QUADRATURE_ORDER_CAP,
     Scenario,
     _evaluate,
     build_market,
     build_state_space,
-    builtin_scenario,
     load_scenario,
 )
 
@@ -193,10 +193,6 @@ class TestMarketBuilding:
             market.agents[0].beliefs.weights, market.space.baseline_weights, rtol=1e-15
         )
 
-    def test_unknown_builtin_scenario_is_refused(self):
-        with pytest.raises(ValidationError, match="unknown built-in scenario 'nope'; known: "):
-            builtin_scenario("nope")
-
     def test_endowment_beliefs_fold(self):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
         doc["agents"][0]["beliefs"] = {"endowment": "X"}
@@ -349,6 +345,7 @@ class TestCli:
             ("limits", lambda d: d.update(limits={"deltas": [-10, 100]})),
             ("limits", lambda d: d.update(limits={"deltas": [1e3, 1e3]})),
             ("limits", lambda d: d.update(limits={"mode": "bogus"})),
+            ("limits", lambda d: d.update(limits=[])),
             ("nash", lambda d: d["states"].update(variables=[1, 2])),
             ("nash", lambda d: d["agents"][0].update(beliefs={"endowment": "0", "actual": [1, 2]})),
             ("nash", lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_order": 3.9})),
@@ -383,6 +380,7 @@ class TestCli:
         ids=[
             "delta-abc", "delta-too-large", "state-weights", "belief-weights",
             "lambda0", "deltas-abc", "deltas-negative", "deltas-repeated", "mode-bogus",
+            "limits-a-list",
             "explicit-variables-list", "actual-beliefs-list", "quadrature-order-float",
             "quadrature-order-bool", "samples-float", "seed-float", "tol-inf", "tol-nan",
             "actual-two-forms", "actual-endowment", "actual-misspelt", "actual-without-endowment",
@@ -441,14 +439,54 @@ class TestCli:
             (GAUSSIAN_PAIR | {"corr": [[1.0, 1.2], [1.2, 1.0]], "covariance_repair": "clip"},
              "covariance repair refuses a relative eigenvalue deficit of 8.72e-02"),
             (GAUSSIAN_PAIR | {"quadrature_order": 0}, "quadrature order must be >= 1"),
-            (GAUSSIAN_COV | {"cov": [[1.0]]}, "covariance shape (1, 1) does not match 2 variables"),
-            (GAUSSIAN_PAIR | {"mean": [0.0]}, "mean length does not match the variable count"),
+            (GAUSSIAN_COV | {"cov": [[1.0]]},
+             "gaussian 'cov' must have shape (2, 2) for 2 variables, got (1, 1)"),
+            (GAUSSIAN_PAIR | {"mean": [0.0]},
+             "gaussian 'mean' must have shape (2,) for 2 variables, got (1,)"),
+            # numpy would broadcast a one-entry key over both variables.
+            (GAUSSIAN_PAIR | {"std": [1.0]},
+             "gaussian 'std' must have shape (2,) for 2 variables, got (1,)"),
+            (GAUSSIAN_PAIR | {"corr": [[1.0]]},
+             "gaussian 'corr' must have shape (2, 2) for 2 variables, got (1, 1)"),
+            (GAUSSIAN_STATES | {"mean": [float("inf")]}, "gaussian 'mean' must be finite numbers"),
+            (GAUSSIAN_STATES | {"samples": 10, "seed": -1}, "'seed' must be at least 0, got -1"),
+            (GAUSSIAN_STATES | {"samples": 0, "seed": 1},
+             "'samples' must lie in [1, 1000000], got 0"),
         ],
         ids=["cov-not-numbers", "explicit-variable-length", "std-zero", "clip-beyond-limit",
-             "quadrature-order-zero", "cov-not-d-by-d", "mean-length"],
+             "quadrature-order-zero", "cov-not-d-by-d", "mean-length", "std-one-entry",
+             "corr-one-by-one", "mean-inf", "seed-negative", "samples-zero"],
     )
     def test_state_model_data_is_refused(self, tmp_path, capsys, states, message):
         assert self._ad_refusal(tmp_path, capsys, states) == f"validation error: {message}"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_order": 350}, agents=[
+            {"delta": 1.0, "beliefs": {"log_density": "X"}},
+            {"delta": 1.0, "beliefs": {"log_density": "-X"}}]),
+          "agents.0.beliefs: the tilt puts a tail state's weight below 1e-300; "
+          "a milder tilt or a lower quadrature_order keeps it above"),
+         (lambda d: d["agents"][1].update(beliefs={"weights": [0.7, 0.4, 0.0, 0.0]}),
+          "agents.1.beliefs: Measure: all weights must be >= 1e-300 (strict equivalence)"),
+         (lambda d: d.update(states={"model": "explicit", "weights": [0.5, 0.5]}, agents=[
+             {"delta": 1.0}, {"delta": 1.0, "beliefs": {"weights": [0.7, 0.4]}}]),
+          "agents.1.beliefs: Measure: weights sum to 1.1, not 1"),
+         (lambda d: d["agents"][0].update(beliefs={"endowment": "X", "actual": {
+             "weights": [0.7, 0.4, 0.0, -0.1]}}),
+          "agents.0.beliefs.actual: Measure: all weights must be >= 1e-300 (strict equivalence)"),
+         (lambda d: d["agents"][1].update(delta=1e13),
+          "agent 1 delta must lie in [1e-09, 1000000000000.0], got 10000000000000.0")],
+        ids=["tilt-below-floor", "weights-zero", "weights-sum", "actual-weights",
+             "delta-too-large"],
+    )
+    def test_an_agent_refusal_names_the_agent(self, tmp_path, capsys, change, message):
+        doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
+        change(doc)
+        out = tmp_path / "o.json"
+        assert cli_main(["nash", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"validation error: {message}"]
+        assert not out.exists()
 
     def test_quadrature_order_is_bounded_before_the_rule_is_built(self, tmp_path, capsys):
         """From order 361 up no Gauss-Hermite rule makes a state space, so the
@@ -562,6 +600,7 @@ class TestCli:
          (["limits", "{path}", "--deltas=-10,100"], None),
          (["nash", "{path}", "--no-such-flag"], None),
          (["replicate", "beta-symmetric", "--deltas", "1,2"], None),
+         (["replicate", "nope"], None),
          # Flags that the command, or the command on this input, never reads.
          (["ad", "{path}", "--tol", "-1"], None), (["limits", "{path}", "--tol", "-1"], None),
          (["limits", "{path}", "--hist", "X"], None),
@@ -585,7 +624,7 @@ class TestCli:
          (["nash", "{path}", "--bins", "3"], "--bins is not read without --hist"),
          (["replicate", "beta-symmetric", "--bins", "3"], "--bins is not read without --hist")],
         ids=["no-scenario", "tol-abc", "tol-nan", "deltas-abc", "deltas-negative", "unknown-flag",
-             "deltas-without-limits", "ad-tol", "limits-tol", "limits-hist",
+             "deltas-without-limits", "unknown-builtin", "ad-tol", "limits-tol", "limits-hist",
              "truthful-others-tol", "limit-tol", "limit-hist-bins", "limit-both-hist",
              "explicit-quadrature-order", "explicit-samples", "quadrature-seed",
              "quadrature-order-and-samples", "samples-without-seed", "deltas-descending",
@@ -626,6 +665,46 @@ class TestCli:
             assert len(err) == 1 and err[0].startswith("validation error: ")
             errors.append(err[0])
         assert errors[0] == errors[1]
+
+    # Each case is a file that the flags mend, the flags and the section they
+    # write as the bundle echoes it: the file alone is never validated.
+    @pytest.mark.parametrize(
+        "command, doc, flags, echo",
+        [("ad", {"states": GAUSSIAN_STATES | {"samples": 100}}, ["--seed", "3"],
+          {"states": GAUSSIAN_STATES | {"samples": 100, "seed": 3}}),
+         ("ad", {"states": GAUSSIAN_STATES | {"samples": 100}},
+          ["--samples", "100", "--seed", "3"],
+          {"states": GAUSSIAN_STATES | {"samples": 100, "seed": 3}}),
+         ("ad", {"states": GAUSSIAN_STATES | {"quadrature_order": 500}},
+          ["--quadrature-order", "20"], {"states": GAUSSIAN_STATES | {"quadrature_order": 20}}),
+         ("ad", {"states": GAUSSIAN_STATES | {"quadrature_order": 16, "samples": 50}},
+          ["--quadrature-order", "16"], {"states": GAUSSIAN_STATES | {"quadrature_order": 16}}),
+         ("limits", {"limits": {"deltas": [1e5, 1e2]}, "agents": [
+             {"delta": 1.0, "beliefs": {"log_density": "X"}},
+             {"delta": 1.0, "beliefs": {"log_density": "-X"}}]}, ["--deltas", "1e2,1e3,1e4,1e5"],
+          {"limits": {"mode": "one-agent", "deltas": [1e2, 1e3, 1e4, 1e5]}})],
+        ids=["seed-mends-samples", "samples-and-seed", "order-over-the-cap",
+             "order-and-samples", "deltas-descending"],
+    )
+    def test_flags_mend_the_file_before_the_one_validation(self, tmp_path, command, doc, flags,
+                                                           echo):
+        path = write_yaml(tmp_path, json.loads(json.dumps(COMMON_BELIEFS_DOC)) | doc)
+        out = tmp_path / "o.json"
+        assert cli_main([command, str(path), *flags, "--out", str(out)]) == 0
+        solved = json.loads(out.read_text())["scenario"]
+        assert {key: solved[key] for key in echo} == echo
+
+    @pytest.mark.parametrize(
+        "argv", [["nash", str(NASH_SCENARIO), "--seed", "3"],
+                 ["replicate", "example-2.7", "--quadrature-order", "8"]],
+        ids=["nash-file", "replicate-builtin"],
+    )
+    def test_a_command_validates_its_scenario_once(self, tmp_path, monkeypatch, argv):
+        calls = []
+        validate = scenario._validate
+        monkeypatch.setattr(scenario, "_validate", lambda doc: calls.append(doc) or validate(doc))
+        assert cli_main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+        assert len(calls) == 1
 
     def test_echo_is_the_document_solved(self, tmp_path):
         """The bundle's scenario echo holds what the flags wrote and the defaults filled in."""
@@ -674,6 +753,11 @@ class TestCli:
          ("limits", "z_infinity", "abc"),
          ("limits", "mode", "both"),
          ("limits", "gain_agent0", None),
+         # Python's max drops a NaN that is not its first argument, so a NaN
+         # gain would leave limit_accounting finite and certified.
+         ("limits", "z_infinity", float("nan")),
+         ("limits", "gain_agent0", float("nan")),
+         ("limits", "loss_agent1", float("nan")),
          ("nash", "log_ratios", lambda u: [[float("nan")] * len(u[0])] + u[1:]),
          ("market limits", None, lambda m: m | {"deltas": m["deltas"] + [1.0],
                                                "belief_weights": m["belief_weights"]
@@ -682,6 +766,7 @@ class TestCli:
              "securities-cut", "agent-out-of-range", "agent-float", "agent-string", "agent-bool",
              "limit-pricing-short", "limit-table-ragged",
              "limits-a-list", "limit-z-not-a-number", "limit-mode-both", "no-limit-gain",
+             "limit-z-nan", "limit-gain-nan", "limit-loss-nan",
              "log-ratios-nan", "limits-on-three-agents"],
     )
     def test_malformed_bundle_exits_3(self, tmp_path, capsys, section, key, value):
@@ -768,7 +853,7 @@ class TestCli:
         assert doc_out["certified"] is True
 
     def test_limits_command(self, tmp_path):
-        sc = builtin_scenario("limit-one-agent")
+        sc = Scenario.from_dict(BUILTIN_SCENARIOS["limit-one-agent"])
         doc = {
             "name": sc.name,
             "states": sc.states,
