@@ -103,9 +103,12 @@ def _histograms(args, market, variables, payoffs) -> dict:
     for expr in args.hist:
         values = _evaluate(expr, ns, space.n_states)
         lo, hi = float(values.min()), float(values.max())
-        if hi <= lo:
-            hi = lo + 1.0
         edges = np.linspace(lo, hi, int(bins) + 1)
+        if not np.all(np.diff(edges) > 0):
+            # A constant, or a range narrower than `bins` float spacings: widen it.
+            ulp = np.spacing(max(abs(lo), abs(hi)))
+            hi = lo + max(hi - lo, 1.0, 4.0 * int(bins) * ulp)
+            edges = np.linspace(lo, hi, int(bins) + 1)
         idx = np.clip(np.digitize(values, edges) - 1, 0, int(bins) - 1)
         per_measure = {}
         for mname, weights in payoffs.get("measures", {}).items():

@@ -138,16 +138,22 @@ class RandomVariable:
         object.__setattr__(self, "values", arr)
 
 
-def weights_from_logs(space: StateSpace, logw: np.ndarray) -> Measure:
-    """Normalise unnormalised log weights into a strictly positive measure.
+def normalized_weights(logw: np.ndarray) -> np.ndarray:
+    """Weights proportional to ``exp(logw)`` along the last axis, each at least
+    ``MIN_WEIGHT``.
 
-    Max-shifted so nothing overflows; weights that underflow after the shift
-    are floored at the equivalence floor (a sub-1e-300 perturbation) so the
-    result stays equivalent to the baseline.
+    Max-shifted so nothing overflows, and floored only after normalising, so
+    a weight that underflows ends at the floor itself, not below it.
     """
-    logw = logw - logw.max()
-    w = np.maximum(np.exp(logw), MIN_WEIGHT)
-    return Measure(space, w / w.sum())
+    w = logw - logw.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.maximum(w, MIN_WEIGHT, out=w)
+
+
+def weights_from_logs(space: StateSpace, logw: np.ndarray) -> Measure:
+    """The strictly positive measure of log weights, floored after normalising."""
+    return Measure(space, normalized_weights(logw))
 
 
 def normalize_log_density(base: Measure, log_density) -> Measure:

@@ -38,7 +38,7 @@ import numpy as np
 from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
-from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
+from .measures import Measure, RandomVariable, normalize_log_density, normalized_weights
 from .roots import solve_exp_linear
 
 INNER_MAX_ITER = 100
@@ -312,11 +312,8 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
     u.setflags(write=False)
     sec = np.expm1(u)
     sec *= market.delta_minus[:, None]
-    # normalize_log_density(ad.pricing, -y) and cara_utility per agent, stacked.
-    logw = np.log(ad.pricing.weights) + -y
-    logw -= logw.max(axis=1, keepdims=True)
-    q = np.maximum(np.exp(logw), MIN_WEIGHT)
-    q /= q.sum(axis=1, keepdims=True)
+    q = normalized_weights(np.log(ad.pricing.weights) - y)
+    # The agents' certainty equivalents: cara_utility per agent, stacked.
     work = np.negative(sec, out=ws.stacks[0, : len(sec)])
     work /= market.deltas[:, None]
     top = work.max(axis=2, keepdims=True)

@@ -40,7 +40,7 @@ import yaml
 
 from .agents import DELTA_MAX, DELTA_MIN, Agent, Market, endowment_to_beliefs
 from .errors import ContractError, DimensionError, ValidationError
-from .measures import MIN_WEIGHT, Measure, RandomVariable, StateSpace, normalize_log_density
+from .measures import Measure, RandomVariable, StateSpace, normalize_log_density
 
 STATE_CAP = 10**6
 # The largest Gauss-Hermite order.  From 361 up the rule's smallest weight
@@ -449,11 +449,7 @@ def _build_market(scenario: Scenario):
             tilt = _evaluate(spec.get("log_density", 0.0), variables, space.n_states)
             return normalize_log_density(base, tilt)
         except (ContractError, DimensionError) as exc:
-            # A tilted measure is normalised, so the one weight rule it can break is the floor.
-            why = str(exc) if "weights" in spec else (
-                f"the tilt puts a tail state's weight below {MIN_WEIGHT}; "
-                "a milder tilt or a lower quadrature_order keeps it above")
-            raise ValidationError(f"{where}: {why}") from exc
+            raise ValidationError(f"{where}: {exc}") from exc
 
     specs = [(float(a["delta"]), a.get("beliefs") or {}) for a in scenario.agents]
     agents = [Agent(d, beliefs(s, d, f"agents.{k}.beliefs")) for k, (d, s) in enumerate(specs)]

@@ -32,6 +32,11 @@ market the bytes of ``z``, ``log_ratios``, every entry of ``all_roots``,
 ``agent_values`` and every ledger value, as float64; for a ``SolverError``
 its message and its diagnostics as sorted JSON.
 
+The run then compares its lines, without their timing column, with the
+committed ``tests/same_results.expected``, names each family whose line
+differs and exits 1 if any does.  A change that moves results on purpose
+writes its new lines, timings removed, into that file and says so.
+
 The ``cli`` line hashes, command by command in order, the exit code, the
 standard output with the bundle path replaced by ``BUNDLE``, the bundle as
 sorted JSON without ``provenance.timestamp``, and the exit code of
@@ -61,6 +66,7 @@ from risksharing.cli import main as cli_main  # noqa: E402
 from risksharing.scenario import BUILTIN_SCENARIOS  # noqa: E402
 from workloads import FAMILIES, POOL_SIZES, pool_market  # noqa: E402
 
+EXPECTED = Path(__file__).with_suffix(".expected")
 HEDGE_MARKETS = ((11, 301), (12, 57), (13, 76), (13, 400), (13, 805), (13, 912))
 NASH_SCENARIO = str(ROOT / "perfbench" / "scenarios" / "cli-nash.yaml")
 CLI_COMMANDS = (
@@ -148,7 +154,8 @@ def cli_fingerprint() -> tuple:
     return digest.hexdigest(), exits, verified
 
 
-def main() -> None:
+def main() -> int:
+    lines = {}
     for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
         digest, outcomes, roots = fingerprint(markets())
@@ -156,13 +163,19 @@ def main() -> None:
             f"{k} {outcomes[k]}" for k in ("certified", "failed", "refused", "solver_error")
         )
         histogram = ", ".join(f"{k}: {v}" for k, v in sorted(roots.items()))
-        print(f"{name:6} {digest}  {counts}  roots {{{histogram}}}  "
-              f"{time.perf_counter() - t0:.1f} s")
+        lines[name] = f"{name:6} {digest}  {counts}  roots {{{histogram}}}"
+        print(f"{lines[name]}  {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
     digest, exits, verified = cli_fingerprint()
-    print(f"cli    {digest}  exit {dict(sorted(exits.items()))}  "
-          f"verify {dict(sorted(verified.items()))}  {time.perf_counter() - t0:.1f} s")
+    lines["cli"] = (f"cli    {digest}  exit {dict(sorted(exits.items()))}  "
+                    f"verify {dict(sorted(verified.items()))}")
+    print(f"{lines['cli']}  {time.perf_counter() - t0:.1f} s")
+    expected = {line.split()[0]: line for line in EXPECTED.read_text().splitlines()}
+    differ = [name for name in {**lines, **expected} if lines.get(name) != expected.get(name)]
+    if differ:
+        print(f"differs from {EXPECTED.name}: {', '.join(differ)}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

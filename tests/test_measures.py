@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import risksharing as rs
 from risksharing import (
@@ -26,6 +27,7 @@ from risksharing import (
     relative_entropy,
     variance,
 )
+from risksharing.measures import MIN_WEIGHT, SUM_TOL, normalized_weights
 
 SPACE2 = StateSpace([0.5, 0.5])
 BASE2 = SPACE2.baseline()
@@ -151,6 +153,40 @@ class TestNormalizeLogDensity:
         a = normalize_log_density(base, np.asarray(lam))
         b = normalize_log_density(base, np.asarray(lam) + shift)
         np.testing.assert_allclose(a.weights, b.weights, atol=1e-13)
+
+
+def log_weights(shape):
+    """Log weights spread over up to 2,000, so ``exp`` underflows and the floor is hit."""
+    return arrays(np.float64, shape, elements=st.floats(-1000.0, 1000.0))
+
+
+def floor_first(logw):
+    """The recipe that floored before normalising, written out."""
+    logw = logw - logw.max()
+    w = np.maximum(np.exp(logw), MIN_WEIGHT)
+    return w / w.sum()
+
+
+class TestNormalizedWeights:
+    @given(logw=st.integers(1, 400).flatmap(log_weights))
+    @example(logw=np.array([0.5, -800.0, 0.0]))  # floored before normalising: 6.2e-301
+    @example(logw=np.array([0.0, -800.0]))  # a floored weight over a sum of exactly 1
+    @settings(max_examples=200, deadline=None)
+    def test_a_normalised_row_is_a_measure(self, logw):
+        w = normalized_weights(logw)
+        assert w.min() >= MIN_WEIGHT
+        assert abs(w.sum() - 1.0) <= SUM_TOL
+        Measure(StateSpace(np.full(logw.size, 1.0 / logw.size)), w)
+        old = floor_first(logw)
+        if old.min() >= MIN_WEIGHT:  # every measure the old recipe accepted is unchanged
+            assert np.array_equal(w, old)
+
+    @given(logw=st.tuples(st.integers(1, 5), st.integers(1, 400)).flatmap(log_weights))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_of_a_stack_is_the_row_alone(self, logw):
+        w = normalized_weights(logw)
+        for row, alone in zip(w, logw):
+            assert np.array_equal(row, normalized_weights(alone))
 
 
 class TestGeometricMean:

@@ -462,12 +462,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "change, message",
-        [(lambda d: d.update(states=GAUSSIAN_STATES | {"quadrature_order": 350}, agents=[
-            {"delta": 1.0, "beliefs": {"log_density": "X"}},
-            {"delta": 1.0, "beliefs": {"log_density": "-X"}}]),
-          "agents.0.beliefs: the tilt puts a tail state's weight below 1e-300; "
-          "a milder tilt or a lower quadrature_order keeps it above"),
-         (lambda d: d["agents"][1].update(beliefs={"weights": [0.7, 0.4, 0.0, 0.0]}),
+        [(lambda d: d["agents"][1].update(beliefs={"weights": [0.7, 0.4, 0.0, 0.0]}),
           "agents.1.beliefs: Measure: all weights must be >= 1e-300 (strict equivalence)"),
          (lambda d: d.update(states={"model": "explicit", "weights": [0.5, 0.5]}, agents=[
              {"delta": 1.0}, {"delta": 1.0, "beliefs": {"weights": [0.7, 0.4]}}]),
@@ -477,8 +472,7 @@ class TestCli:
           "agents.0.beliefs.actual: Measure: all weights must be >= 1e-300 (strict equivalence)"),
          (lambda d: d["agents"][1].update(delta=1e13),
           "agent 1 delta must lie in [1e-09, 1000000000000.0], got 10000000000000.0")],
-        ids=["tilt-below-floor", "weights-zero", "weights-sum", "actual-weights",
-             "delta-too-large"],
+        ids=["weights-zero", "weights-sum", "actual-weights", "delta-too-large"],
     )
     def test_an_agent_refusal_names_the_agent(self, tmp_path, capsys, change, message):
         doc = json.loads(json.dumps(COMMON_BELIEFS_DOC))
@@ -487,6 +481,19 @@ class TestCli:
         assert cli_main(["nash", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 3
         assert capsys.readouterr().err.splitlines() == [f"validation error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("order", [350, 360])
+    def test_a_tilt_into_the_quadrature_tails_is_a_valid_measure(self, tmp_path, capsys, order):
+        """Weights are floored after normalising, so a tilt that underflows a
+        tail state's weight leaves it at the floor and the game still solves."""
+        doc = {"states": GAUSSIAN_STATES | {"quadrature_order": order}, "agents": [
+            {"delta": 1.0, "beliefs": {"log_density": "X"}},
+            {"delta": 1.0, "beliefs": {"log_density": "-X"}}]}
+        out = tmp_path / "o.json"
+        assert cli_main(["nash", str(write_yaml(tmp_path, doc)), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certified"] is True
+        assert cli_main(["verify", str(out)]) == 0
+        capsys.readouterr()
 
     def test_quadrature_order_is_bounded_before_the_rule_is_built(self, tmp_path, capsys):
         """From order 361 up no Gauss-Hermite rule makes a state space, so the
@@ -982,6 +989,26 @@ class TestCli:
         assert hist["edges"] == [2.0, 2.25, 2.5, 2.75, 3.0]
         for payload in hist["measures"].values():
             assert payload["mass"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("expr", ["1e17 + 0*X", "1e17 + 16*(X > 0)"],
+                             ids=["constant-beyond-2-53", "range-of-one-spacing"])
+    def test_histogram_bins_have_width_at_any_magnitude(self, tmp_path, capsys, expr):
+        """Past 2**53, ``c + 1`` rounds back to ``c``, and a range one float
+        spacing wide cannot hold 50 bins: the range is widened until the edges
+        increase, so the bundle holds finite masses and densities and is
+        valid JSON, without NaN or Infinity."""
+        out = tmp_path / "h.json"
+        assert cli_main(["replicate", "beta-symmetric", "--hist", expr, "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} in the bundle")
+
+        hist = json.loads(out.read_text(), parse_constant=refuse)["histograms"][expr]
+        assert np.all(np.diff(hist["edges"]) > 0)
+        for payload in hist["measures"].values():
+            assert np.all(np.isfinite(payload["mass"])) and np.all(np.isfinite(payload["density"]))
+        assert cli_main(["verify", str(out)]) == 0
+        capsys.readouterr()
 
     def test_bundle_without_a_market_exits_3(self, tmp_path, capsys):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
