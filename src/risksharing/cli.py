@@ -103,7 +103,8 @@ def _histograms(args, market, variables, payoffs) -> dict:
     for expr in args.hist:
         values = _evaluate(expr, ns, space.n_states)
         lo, hi = float(values.min()), float(values.max())
-        edges = np.linspace(lo, hi, int(bins) + 1)
+        # Edges from the halves, so that `hi - lo` is never formed: it may overflow.
+        edges = 2.0 * np.linspace(lo / 2, hi / 2, int(bins) + 1)
         if not np.all(np.diff(edges) > 0):
             # A constant, or a range narrower than `bins` float spacings: widen it.
             ulp = np.spacing(max(abs(lo), abs(hi)))

@@ -8,7 +8,8 @@ M-matrix Jacobian, so one joint Newton iteration per state, started at a
 super-solution, decreases monotonically to its root; one Newton step from
 any point lands on a super-solution.  So each outer Newton start solves
 its first point cold and every later trial point warm, from the last
-accepted point's solution, redone cold where the warm solve fails.  The
+accepted point's solution, redone cold where the first warm step lands
+past the endogenous caps, where no root lies, or the warm solve fails.  The
 zero-price condition is met at the fixed points of the certainty-equivalent
 update map ``phi``, found for every agent count by one backtracking Newton
 iteration on ``phi(z) - z`` and a last Newton step on the prices, both with
@@ -129,10 +130,11 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
     at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
     ``(u, y)`` rows solved at nearby points, is a warm start instead; an
-    entry whose first step does not land where ``G, W`` are at least minus
-    their tolerances (float rounding or overflow on a far start), or that
-    does not converge within ``INNER_MAX_ITER`` passes, is redone from the
-    cold start, all such entries in one kernel call.  A cold solve fails
+    entry whose first step leaves some ``u_i`` past its cap, where no root
+    lies (or not finite, on a far start that overflows), or that does not
+    converge within ``INNER_MAX_ITER`` passes, is redone from the cold
+    start, all such entries in one kernel call.  From past a cap, Newton on
+    ``expm1`` falls about one unit of ``u`` a pass.  A cold solve fails
     where ``W(y0) < 0`` or it does not converge; the kernel's own failure
     fails every entry of its call.  An entry leaves the stack, with the
     point after its step, at the pass whose step leaves ``W`` at 0 and ``G``
@@ -217,11 +219,6 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             abs_sum = np.sum(np.abs(lam_u, out=lam_u), axis=1, keepdims=True)
             w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
             done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
-            bad = np.zeros_like(done)
-            if warm and k == 1:  # the first warm step must land on a super-solution
-                g_tol = np.negative(g_tolerance(slice(None)), out=lam_u)
-                bad = ~(np.all(g >= g_tol, axis=(1, 2)) & np.all(w >= -w_tol, axis=(1, 2)))
-                done &= ~bad
             # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
             lam_d = np.divide(lambdas, d, out=lam_u)
             s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
@@ -233,6 +230,9 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             v += du[:, dom] - dy
             u += du
             u[:, dom] = v + y
+            bad = np.zeros_like(done)
+            if warm and k == 0:  # no root lies past the caps: a first step there is redone cold
+                bad = ~np.all(u <= caps[:, None], axis=(1, 2))
             # W is linear, so the step leaves it 0, and G_i differs from its
             # linearisation only through expm1: after the step it is exactly
             # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du, 0)).

@@ -37,6 +37,14 @@ committed ``tests/same_results.expected``, names each family whose line
 differs and exits 1 if any does.  A change that moves results on purpose
 writes its new lines, timings removed, into that file and says so.
 
+Each line ends with the work the family cost, counted by wrapping two names
+of ``risksharing.nash``: the calls of ``_inner_log_ratios`` (``inner``) and
+the transfer vectors they solve at (``points``), and the calls of the kernel
+``solve_exp_linear`` as ``nash`` imports it (``kernel``) and the elements
+they solve (``elements``).  These are deterministic, so the expected file
+checks them too.  The inner solve's passes per entry are not counted: it
+keeps no record of them.
+
 The ``cli`` line hashes, command by command in order, the exit code, the
 standard output with the bundle path replaced by ``BUNDLE``, the bundle as
 sorted JSON without ``provenance.timestamp``, and the exit code of
@@ -60,7 +68,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from helpers import extreme_market, hedge_market, stress_market  # noqa: E402
-from risksharing import SolverError, solve_arrow_debreu, solve_nash  # noqa: E402
+from risksharing import SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
 from risksharing.cli import main as cli_main  # noqa: E402
 from risksharing.scenario import BUILTIN_SCENARIOS  # noqa: E402
@@ -76,6 +84,23 @@ CLI_COMMANDS = (
     ["best-response", NASH_SCENARIO, "--agent", "1"],
     ["best-response", NASH_SCENARIO, "--agent", "2", "--truthful-others"],
 )
+WORK = Counter()
+
+
+def count_work():
+    """Wrap ``nash._inner_log_ratios`` and ``nash.solve_exp_linear`` so that
+    every call adds its count and size to ``WORK``."""
+    inner, kernel = nash._inner_log_ratios, nash.solve_exp_linear
+
+    def counted_inner(market, ad, z, start, ws):
+        WORK.update(inner=1, points=len(z))
+        return inner(market, ad, z, start, ws)
+
+    def counted_kernel(alpha, beta, rhs, start=None):
+        WORK.update(kernel=1, elements=np.size(rhs))
+        return kernel(alpha, beta, rhs, start)
+
+    nash._inner_log_ratios, nash.solve_exp_linear = counted_inner, counted_kernel
 
 
 def pool():
@@ -154,21 +179,28 @@ def cli_fingerprint() -> tuple:
     return digest.hexdigest(), exits, verified
 
 
+def work() -> str:
+    return " ".join(f"{k} {WORK[k]}" for k in ("inner", "points", "kernel", "elements"))
+
+
 def main() -> int:
+    count_work()
     lines = {}
     for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
+        WORK.clear()
         digest, outcomes, roots = fingerprint(markets())
         counts = " ".join(
             f"{k} {outcomes[k]}" for k in ("certified", "failed", "refused", "solver_error")
         )
         histogram = ", ".join(f"{k}: {v}" for k, v in sorted(roots.items()))
-        lines[name] = f"{name:6} {digest}  {counts}  roots {{{histogram}}}"
+        lines[name] = f"{name:6} {digest}  {counts}  roots {{{histogram}}}  {work()}"
         print(f"{lines[name]}  {time.perf_counter() - t0:.1f} s")
     t0 = time.perf_counter()
+    WORK.clear()
     digest, exits, verified = cli_fingerprint()
     lines["cli"] = (f"cli    {digest}  exit {dict(sorted(exits.items()))}  "
-                    f"verify {dict(sorted(verified.items()))}")
+                    f"verify {dict(sorted(verified.items()))}  {work()}")
     print(f"{lines['cli']}  {time.perf_counter() - t0:.1f} s")
     expected = {line.split()[0]: line for line in EXPECTED.read_text().splitlines()}
     differ = [name for name in {**lines, **expected} if lines.get(name) != expected.get(name)]

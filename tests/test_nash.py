@@ -457,12 +457,31 @@ def _kernel_calls(module):
     return mock.patch.object(module, "solve_exp_linear", wraps=module.solve_exp_linear)
 
 
+def first_step_past_caps(m, ad, z, u, y) -> bool:
+    """Whether one Newton step on ``G`` and ``W`` from ``(u, y)`` at ``z``, taken
+    state by state through the dense Jacobian, leaves some ``u_i`` above its cap."""
+    a = z[:, None] + ad.security_values()
+    deltas, dminus, lambdas = (x[:, None] for x in (m.deltas, m.delta_minus, m.lambdas))
+    n, s = u.shape
+    residual = np.vstack([dminus * np.expm1(u) + deltas * (u - y) - a, y - lambdas.T @ u])
+    jac = np.zeros((s, n + 1, n + 1))
+    jac[:, np.arange(n), np.arange(n)] = (dminus * np.exp(u) + deltas).T
+    jac[:, :n, n] = -m.deltas
+    jac[:, n, :n] = -m.lambdas
+    jac[:, n, n] = 1.0
+    step = np.linalg.solve(jac, -residual.T[..., None])[..., 0].T
+    caps = np.log((m.n_agents - 1) * m.delta_total / m.delta_minus)[:, None]
+    return bool(np.any(u + step[:n] > caps))
+
+
 class TestWarmStarts:
     @given(case=warm_cases())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_warm_inner_solve_matches_cold(self, case):
         """Started from the solution at another point of the box, the inner
-        solve reaches the cold solve's ``(u, y)`` without a cold start."""
+        solve reaches the cold solve's ``(u, y)``: without a cold start where
+        its first step stays under the caps, and by the cold start alone, one
+        kernel call and the cold bits, where that step crosses them."""
         m, shares, near_shares = case
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, shares)
@@ -472,7 +491,11 @@ class TestWarmStarts:
             start = inner_solve(m, ad, _ir_point(ad, near_shares)[None])
             with _kernel_calls(nash) as kernel:
                 u_warm, y_warm = inner_solve(m, ad, z[None], start)
-        assert kernel.call_count == 0
+        if first_step_past_caps(m, ad, z, start[0][0], start[1][0]):
+            assert kernel.call_count == 1
+            assert np.array_equal(u_warm, u) and np.array_equal(y_warm, y)
+        else:
+            assert kernel.call_count == 0
         assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
         assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
 
@@ -495,8 +518,9 @@ class TestWarmStarts:
 
     @pytest.mark.parametrize("level", [1e3, 300.0], ids=["overflows", "too-slow"])
     def test_far_start_falls_back_to_cold(self, level):
-        """A start whose first step overflows, or from which Newton descends
-        too slowly to converge, is redone cold without a warning."""
+        """A start whose first step overflows, or from which Newton would
+        descend too slowly to converge, lands past the caps and is redone cold
+        at once, without a warning."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
@@ -509,20 +533,51 @@ class TestWarmStarts:
         assert kernel.call_count == 1
         assert np.array_equal(u_far, u) and np.array_equal(y_far, y)
 
+    def test_warm_solve_past_the_pass_limit_falls_back_to_cold(self, monkeypatch):
+        """A warm start half a unit under the caps takes 7 passes and the cold
+        start 5, so with ``INNER_MAX_ITER`` at 6 the warm solve gives up and is
+        redone cold: one kernel call, the cold result."""
+        m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
+        ad = solve_arrow_debreu(m)
+        z = _ir_point(ad, np.ones(4))[None]
+        caps = np.log(3 * m.delta_total / m.delta_minus)
+        u_start = np.broadcast_to(caps[:, None] - 0.5, (1, 4, 200)).copy()
+        start = (u_start, (m.lambdas @ u_start[0])[None])
+        monkeypatch.setattr(nash, "INNER_MAX_ITER", 6)
+        u, y = inner_solve(m, ad, z)
+        with _kernel_calls(nash) as kernel:
+            u_warm, y_warm = inner_solve(m, ad, z, start)
+        assert kernel.call_count == 1
+        assert np.array_equal(u_warm, u) and np.array_equal(y_warm, y)
+
     def test_first_step_check_redoes_a_far_start_cold(self, monkeypatch):
         """Extreme-sweep trial 64's first Newton step moves ``z`` by about 1400,
         so the centre's solution, its warm start, lies 79 in ``u`` from the new
-        root.  Its first step is finite but lands outside the super-solution
-        set, and the check redoes it cold at once: one kernel call, the cold
-        result.  Without the check the warm solve creeps there in 86 passes."""
-        m = extreme_market(64)
+        root.  Its first step is finite but lands past the caps, where no root
+        lies, and the check redoes it cold at once: one kernel call, the cold
+        result.  Without the check the warm solve creeps there in 76 passes."""
+        self.assert_first_round_redone_cold(monkeypatch, extreme_market(64))
+
+    def test_first_step_check_ends_a_crawl(self, monkeypatch):
+        """On stress market (7, 9, 14) the first trial round is 4 entries of 6
+        agents on 200 states, warm from the starts' solutions.  Every first
+        step lands past the caps but on a super-solution, so a check on the
+        super-solution set lets all four through, and two of them then crawl
+        down to their roots for 67 and 73 passes.  The check on the caps
+        redoes all four cold at once."""
+        self.assert_first_round_redone_cold(monkeypatch, stress_market(7, 9, 14))
+
+    @staticmethod
+    def assert_first_round_redone_cold(monkeypatch, m):
+        """The first trial round of ``solve_nash`` on ``m``, warm from the
+        starts' solutions, costs one kernel call and gives the cold result."""
         ad = solve_arrow_debreu(m)
         calls = []
         inner = nash._inner_log_ratios
         monkeypatch.setattr(nash, "_inner_log_ratios", lambda *a: calls.append(a) or inner(*a))
         solve_nash(m, ad=ad)
         monkeypatch.undo()
-        z, start = calls[1][2:4]  # the first trial point, warm from the centre
+        z, start = calls[1][2:4]  # the first trial round, warm from the starts
         with _kernel_calls(nash) as kernel:
             u, y = inner_solve(m, ad, z, start)
         u_cold, y_cold = inner_solve(m, ad, z)

@@ -990,13 +990,17 @@ class TestCli:
         for payload in hist["measures"].values():
             assert payload["mass"] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
-    @pytest.mark.parametrize("expr", ["1e17 + 0*X", "1e17 + 16*(X > 0)"],
-                             ids=["constant-beyond-2-53", "range-of-one-spacing"])
+    @pytest.mark.parametrize(
+        "expr",
+        ["1e17 + 0*X", "1e17 + 16*(X > 0)", "maximum(minimum(1e308*X, 1.7e308), -1.7e308)"],
+        ids=["constant-beyond-2-53", "range-of-one-spacing", "range-beyond-the-largest-float"],
+    )
     def test_histogram_bins_have_width_at_any_magnitude(self, tmp_path, capsys, expr):
         """Past 2**53, ``c + 1`` rounds back to ``c``, and a range one float
         spacing wide cannot hold 50 bins: the range is widened until the edges
-        increase, so the bundle holds finite masses and densities and is
-        valid JSON, without NaN or Infinity."""
+        increase.  A range wider than the largest float is split into bins
+        without forming its width.  Either way the bundle holds finite masses
+        and densities and is valid JSON, without NaN or Infinity."""
         out = tmp_path / "h.json"
         assert cli_main(["replicate", "beta-symmetric", "--hist", expr, "--out", str(out)]) == 0
 
