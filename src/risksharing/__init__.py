@@ -13,7 +13,9 @@ Library layout:
 
 All operations are pure functions of immutable inputs (each solver's
 result is determined by its arguments), so concurrent invocation is safe;
-per-state work is vectorised with fixed-order reductions.
+per-state work is vectorised with fixed-order reductions, and on long
+state axes runs on blocks of states in worker threads, one per CPU, with
+the one-block result bit for bit.
 """
 
 from .agents import Agent, Market, cara_utility, endowment_to_beliefs

@@ -106,9 +106,11 @@ def _histograms(args, market, variables, payoffs) -> dict:
         # Edges from the halves, so that `hi - lo` is never formed: it may overflow.
         edges = 2.0 * np.linspace(lo / 2, hi / 2, int(bins) + 1)
         if not np.all(np.diff(edges) > 0):
-            # A constant, or a range narrower than `bins` float spacings: widen it.
-            ulp = np.spacing(max(abs(lo), abs(hi)))
-            hi = lo + max(hi - lo, 1.0, 4.0 * int(bins) * ulp)
+            # A constant, or a range narrower than `bins` float spacings: widen it,
+            # down from `hi` where up from `lo` would pass the largest float.
+            top = max(abs(lo), abs(hi))
+            width = max(hi - lo, 1.0, 4.0 * int(bins) * (top - float(np.nextafter(top, 0.0))))
+            lo, hi = (lo, lo + width) if lo + width < np.inf else (hi - width, hi)
             edges = np.linspace(lo, hi, int(bins) + 1)
         idx = np.clip(np.digitize(values, edges) - 1, 0, int(bins) - 1)
         per_measure = {}

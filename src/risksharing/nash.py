@@ -27,6 +27,8 @@ a public-map call builds its own in :func:`_evaluate_one`.  The inner solve,
 :func:`_evaluate` and :func:`_jacobians` write their stacked temporaries
 into views of its leading rows, which shrink as starts leave; what they
 return is allocated apart, so no result shares memory with another search.
+On long state axes the kernel and the inner solve's passes run on blocks of
+states in worker threads, with the one-block result bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
 from .measures import Measure, RandomVariable, normalize_log_density, normalized_weights
-from .roots import solve_exp_linear
+from .roots import over_blocks, solve_exp_linear
 
 INNER_MAX_ITER = 100
 DISTANCE_RTOL = 1e-10  # the largest distance, per unit delta_total, of an end taken as a root
@@ -89,15 +91,17 @@ def _peak(x) -> float:
 class _Workspace:
     """The scratch arrays of one equilibrium search, for stacks of up to ``k`` entries.
 
-    ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` two ``(k, 1, S)``
-    ones.  A stacked call of ``m`` entries writes into views of their leading
-    ``m`` rows through ``out=``; nothing it returns is such a view, and no
-    buffer holds a value from one call to the next.
+    ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` four ``(k, 1, S)``
+    ones: the inner solve's ``y``, its carried agent's ``v``, and the ``|y|``
+    and carried spread that each pass's step leaves for its stop.  A stacked
+    call of ``m`` entries writes into views of their leading ``m`` rows
+    through ``out=``; nothing it returns is such a view, and no buffer holds
+    a value from one call to the next.
     """
 
     def __init__(self, k: int, n: int, s: int):
         self.stacks = np.empty((9, k, n, s))
-        self.planes = np.empty((2, k, 1, s))
+        self.planes = np.empty((4, k, 1, s))
 
 
 def _compact(keep, arrays) -> list:
@@ -108,6 +112,19 @@ def _compact(keep, arrays) -> list:
             for x in arrays:
                 x[j] = x[r]
     return [x[: len(kept)] for x in arrays]
+
+
+def _joined(parts):
+    """The per-entry results of :func:`_inner_log_ratios`' step on each block of
+    states, joined into those of one step on all the states."""
+    w_done, du_max, under = zip(*parts)
+    w_done = np.all(w_done, axis=0)
+    du_max = np.max(du_max, axis=0) if w_done.any() else None
+    return w_done, du_max, None if under[0] is None else np.all(under, axis=0)
+
+
+def _all_blocks(parts):
+    return np.all(parts, axis=0)
 
 
 def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, start, ws):
@@ -149,11 +166,21 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     :func:`_newton` or :func:`_evaluate_one`.  The solving entries
     hold the leading rows of every buffer: ``start`` is copied into them
     once, each pass writes into them, and when entries leave, the rows of
-    the others move up, so the views shrink as entries leave.  Only the
-    returned ``(u, y)`` is allocated per call.
+    the others move up, so the views shrink as entries leave.  Per call it
+    allocates the returned ``(u, y)`` and, for a cold start, the kernel's
+    result; a pass allocates only ``(K, 1, S)`` temporaries.
+
+    On a long state axis a pass runs on blocks of states in worker threads
+    (:func:`~risksharing.roots.over_blocks`).  The step's blocks return per
+    entry whether ``W`` was within tolerance, the largest ``du`` and whether
+    ``u`` stays under the caps, which the calling thread joins; the stop's
+    bound then runs on the blocks too.  Nothing sums over states, and each
+    entry stops on all its states at once, so the result is that of one
+    block bit for bit.
     """
     n_stack, n_states = len(z), market.space.n_states
-    stacks, (y_rows, v_rows) = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
+    stacks, planes = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
+    y_rows, v_rows, abs_y_rows, spread_rows = planes
     a, a_scale, u_start = stacks[0], stacks[1], stacks[8]
     sec_ad = ad.security_values()
     deltas = market.deltas[:, None]
@@ -173,8 +200,6 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
-    # Below 4096 states the sampled screen of the stop costs more calls than it saves.
-    screen = [slice(None, None, 16)] if n_states >= 4096 else []
 
     def newton(rows, u, y, warm):
         """Joint Newton for the entries ``rows`` from ``(u, y)``, their ``a`` in the
@@ -187,38 +212,28 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         v = np.subtract(u[:, dom], y, out=v_rows[: len(rows), :width])
         failed = []
 
-        def g_tolerance(cols):
-            """G's tolerance at the pass's point on the states ``cols``, written into ``lam_u``."""
-            y_abs, scale = abs_y[..., cols], a_scale_rows[..., cols]
-            out = np.multiply(deltas, y_abs, out=lam_u[..., cols])
-            out += scale
-            out[:, dom] = scale[:, dom] + np.abs(spread_dom[..., cols])
-            out[:, dom] += growth[:, dom, cols] * y_abs
-            out *= 1e-14
-            return out
-
-        # The leading rows of the workspace's buffers belong to the entries
-        # still solving; each pass writes its (K, n, S) values into them.
-        for k in range(INNER_MAX_ITER):
-            em1, growth, d, g, lam_u, du = stacks[2:8, : len(rows)]
+        def step(u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread):
+            """One Newton step on a block of states, in place.  Per entry: whether
+            W was within its tolerance before it, then the largest ``du`` (if any
+            entry's was) and, on a first warm step, whether ``u`` is under the caps."""
             np.expm1(u, out=em1)
             np.add(em1, 1.0, out=growth)
             growth *= dminus
             np.add(growth, deltas, out=d)
-            spread_dom = deltas[dom] * v
+            np.multiply(deltas[dom], v, out=spread)
             np.subtract(u, y, out=g)
             g *= deltas
-            g[:, dom] = spread_dom
+            g[:, dom] = spread
             em1 *= dminus
             g += em1
             g -= a_rows
             np.multiply(lambdas, u, out=lam_u)
             lam_u[:, dom] = lambdas[dom] * v
             w = rest * y - np.sum(lam_u, axis=1, keepdims=True)
-            abs_y = np.abs(y)
+            np.abs(y, out=abs_y)
             abs_sum = np.sum(np.abs(lam_u, out=lam_u), axis=1, keepdims=True)
             w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
-            done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
+            w_done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
             # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
             lam_d = np.divide(lambdas, d, out=lam_u)
             s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
@@ -230,27 +245,47 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             v += du[:, dom] - dy
             u += du
             u[:, dom] = v + y
-            bad = np.zeros_like(done)
-            if warm and k == 0:  # no root lies past the caps: a first step there is redone cold
-                bad = ~np.all(u <= caps[:, None], axis=(1, 2))
+            du_max = np.max(du, axis=(1, 2)) if w_done.any() else None
+            # No root lies past the caps: a first warm step there is redone cold.
+            under = np.all(u <= caps[:, None], axis=(1, 2)) if first_warm else None
+            return w_done, du_max, under
+
+        def stop(du, growth, bound, tol, abs_y, spread, scale):
+            """Per entry, whether the bound on G after the step is within half of
+            G's tolerance at the point before it, on a block of states."""
+            np.multiply(du, du, out=bound)
+            bound *= growth
+            bound *= c
+            np.multiply(deltas, abs_y, out=tol)
+            tol += scale
+            tol[:, dom] = scale[:, dom] + np.abs(spread)
+            tol[:, dom] += growth[:, dom] * abs_y
+            tol *= 1e-14
+            bound -= tol
+            return np.max(bound, axis=(1, 2)) <= 0.0
+
+        # The leading rows of the workspace's buffers belong to the entries
+        # still solving; each pass writes its (K, n, S) values into them.
+        for k in range(INNER_MAX_ITER):
+            m, first_warm = len(rows), warm and k == 0
+            em1, growth, d, g, lam_u, du = stacks[2:8, :m]
+            abs_y, spread = abs_y_rows[:m], spread_rows[:m, :width]
+            done, du_max, under = over_blocks(
+                step, (u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread), _joined
+            )
+            bad = np.zeros_like(done) if under is None else ~under
             # W is linear, so the step leaves it 0, and G_i differs from its
             # linearisation only through expm1: after the step it is exactly
             # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du, 0)).
             # An entry is done once this bound is at most half G's tolerance
-            # (the halves cancel below) and its W was within its tolerance
+            # (the halves cancel in ``stop``) and its W was within its tolerance
             # before the step, since rounding a large step in y may leave W
-            # past it.  The bound is evaluated only if some entry passes that
-            # screen and, on long state axes, on every 16th state first.
+            # past it.  The bound is evaluated only if some entry passes that.
             if done.any():
-                c = np.exp(np.maximum(np.max(du, axis=(1, 2)), 0.0))[:, None, None]
-                for cols in screen + [slice(None)]:
-                    bound = np.multiply(du[..., cols], du[..., cols], out=em1[..., cols])
-                    bound *= growth[..., cols]
-                    bound *= c
-                    bound -= g_tolerance(cols)
-                    done &= np.max(bound, axis=(1, 2)) <= 0.0
-                    if not done.any():
-                        break
+                c = np.exp(np.maximum(du_max, 0.0))[:, None, None]
+                done &= over_blocks(
+                    stop, (du, growth, em1, lam_u, abs_y, spread, a_scale_rows), _all_blocks
+                )
             if done.any() or bad.any():
                 for j in np.flatnonzero(done):
                     np.minimum(u[j], projected, out=u_out[rows[j]])

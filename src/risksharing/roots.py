@@ -11,9 +11,17 @@ per-state sharing securities, and the risk-neutral limit security.  A
 scalar outer root is found by Newton on its increasing condition, whose
 slope costs one pass over the states, safeguarded by bisection within an
 a-priori bound.
+
+Per-state work on a long state axis runs in contiguous blocks of states,
+one per CPU in the process's affinity mask, on a pool of worker threads
+(:func:`over_blocks`).
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -22,6 +30,62 @@ from .errors import SolverError
 ROOT_MAX_ITER = 200
 KERNEL_RTOL = 1e-14
 KERNEL_MAX_ITER = 200
+BLOCK_MIN = 16384  # the fewest states of a block; an axis too short for two stays unsplit
+
+
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform without affinity masks
+    WORKERS = os.cpu_count() or 1
+_pool, _pool_lock = None, threading.Lock()
+
+
+def _forget_pool():
+    """In a fork child the parent's worker threads are gone; a new pool is made on use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def over_blocks(fn, arrays, combine):
+    """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn`` on blocks of it.
+
+    A last axis of ``n`` elements splits into ``min(WORKERS, n // BLOCK_MIN)``
+    contiguous blocks.  ``fn`` gets the views of each block of every array;
+    the first block runs on the calling thread and the others on the pool,
+    each in a copy of the caller's context (numpy's ``errstate`` is a
+    context variable), and ``combine`` gets the results in block order once
+    every block is done.  numpy's loops release the GIL, so the blocks run
+    on as many cores.  ``fn`` must treat the last axis elementwise, so that
+    its results are those of one block bit for bit, and must not call
+    ``over_blocks``: blocks waiting on a saturated pool would deadlock.
+    The pool is made on first use, with one thread per CPU but the caller's.
+    """
+    global _pool
+    n = arrays[0].shape[-1] if arrays[0].ndim else 0
+    k = min(WORKERS, n // BLOCK_MIN)
+    if k < 2:
+        return fn(*arrays)
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="risksharing")
+        pool = _pool
+    blocks = [(..., slice(n * j // k, n * (j + 1) // k)) for j in range(k)]
+    rest = [
+        pool.submit(contextvars.copy_context().run, fn, *(x[b] for x in arrays))
+        for b in blocks[1:]
+    ]
+    try:
+        first = fn(*(x[blocks[0]] for x in arrays))
+    finally:
+        for f in rest:
+            f.exception()  # waits: no block outlives the call
+    return combine([first, *(f.result() for f in rest)])
 
 
 def logsumexp(a, axis=None):
@@ -49,36 +113,19 @@ def solve_exp_linear(alpha, beta, rhs, start=None):
     float-safety net.  Newton starts at ``start``, such as the solution at
     nearby data, clipped into the bracket; where ``start`` is None or not
     finite it starts at the upper end.  Residuals are driven to
-    ``KERNEL_RTOL * (1 + |rhs|)``.
+    ``KERNEL_RTOL * (1 + |rhs|)``.  Each element converges on its own, so
+    blocks of the last axis run their passes apart (:func:`over_blocks`)
+    and give the one-block result bit for bit.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     alpha, beta, rhs = np.broadcast_arrays(alpha, beta, rhs)
-
-    pos = rhs >= 0.0
-    lo = np.where(pos, 0.0, rhs / beta)
-    hi = np.where(pos, np.minimum(rhs / beta, np.log1p(np.maximum(rhs, 0.0) / alpha)), 0.0)
-
-    u = hi.copy() if start is None else np.where(np.isfinite(start), np.clip(start, lo, hi), hi)
-    tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
-    # The passes update ``u`` in place, with their temporaries allocated once.
-    g, du, active = np.empty_like(u), np.empty_like(u), np.empty(u.shape, dtype=bool)
-    for _ in range(KERNEL_MAX_ITER):
-        np.expm1(u, out=g)
-        g *= alpha
-        g += np.multiply(beta, u, out=du)
-        g -= rhs
-        if not np.greater(np.abs(g, out=du), tol, out=active).any():
-            break
-        np.exp(u, out=du)
-        du *= alpha
-        du += beta
-        np.divide(g, du, out=du)
-        du *= active  # leaves the converged elements where they are
-        u -= du
-        np.clip(u, lo, hi, out=u)
-    else:
+    u = np.empty(rhs.shape)
+    arrays = (u, alpha, beta, rhs)
+    if start is not None:
+        arrays += (np.broadcast_to(start, u.shape),)
+    if not over_blocks(_solve_block, arrays, all):
         g = alpha * np.expm1(u) + beta * u - rhs
         bad = np.abs(g) > 1e-12 * (1.0 + np.abs(rhs))
         if bad.any():
@@ -92,6 +139,33 @@ def solve_exp_linear(alpha, beta, rhs, start=None):
                 },
             )
     return u
+
+
+def _solve_block(u, alpha, beta, rhs, start=None) -> bool:
+    """The passes of :func:`solve_exp_linear` on one block, written into ``u``;
+    False if ``KERNEL_MAX_ITER`` passes leave some element unconverged."""
+    pos = rhs >= 0.0
+    lo = np.where(pos, 0.0, rhs / beta)
+    hi = np.where(pos, np.minimum(rhs / beta, np.log1p(np.maximum(rhs, 0.0) / alpha)), 0.0)
+    u[...] = hi if start is None else np.where(np.isfinite(start), np.clip(start, lo, hi), hi)
+    tol = KERNEL_RTOL * (1.0 + np.abs(rhs))
+    # The passes update ``u`` in place, with their temporaries allocated once.
+    g, du, active = np.empty_like(u), np.empty_like(u), np.empty(u.shape, dtype=bool)
+    for _ in range(KERNEL_MAX_ITER):
+        np.expm1(u, out=g)
+        g *= alpha
+        g += np.multiply(beta, u, out=du)
+        g -= rhs
+        if not np.greater(np.abs(g, out=du), tol, out=active).any():
+            return True
+        np.exp(u, out=du)
+        du *= alpha
+        du += beta
+        np.divide(g, du, out=du)
+        du *= active  # leaves the converged elements where they are
+        u -= du
+        np.clip(u, lo, hi, out=u)
+    return False
 
 
 def increasing_root(f, x0: float, bound: float):

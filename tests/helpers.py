@@ -1,8 +1,11 @@
 """Shared construction helpers for the test suite."""
 
+import threading
+
 import numpy as np
 
 from risksharing import Agent, Market, Measure, RandomVariable, StateSpace, normalize_log_density
+from risksharing import nash, roots
 from risksharing.scenario import gauss_hermite_rule
 
 
@@ -132,3 +135,25 @@ def hedge_market(seed, k):
 def measure(space, values):
     arr = np.asarray(values, dtype=float)
     return Measure(space, arr / arr.sum())
+
+
+def force_blocks(monkeypatch, workers, block_min):
+    """Split every last axis of at least ``2 * block_min`` elements into
+    ``min(workers, n // block_min)`` blocks, whatever the machine's CPUs.
+
+    Returns the list of the names of the threads that run each block of the
+    kernel and the inner solve, filled as they run."""
+    monkeypatch.setattr(roots, "BLOCK_MIN", block_min)
+    monkeypatch.setattr(roots, "WORKERS", workers)
+    threads, over_blocks = [], roots.over_blocks
+
+    def recorded(fn, arrays, combine):
+        def block(*views):
+            threads.append(threading.current_thread().name)
+            return fn(*views)
+
+        return over_blocks(block, arrays, combine)
+
+    for module in (roots, nash):
+        monkeypatch.setattr(module, "over_blocks", recorded)
+    return threads

@@ -45,6 +45,14 @@ they solve (``elements``).  These are deterministic, so the expected file
 checks them too.  The inner solve's passes per entry are not counted: it
 keeps no record of them.
 
+The pool's markets long enough for two blocks of states (``roots.BLOCK_MIN``)
+are solved in as many blocks as the process has CPUs, up to one per
+``BLOCK_MIN`` states, so their line would hide a difference between layouts.
+The run therefore solves them once more on one block, by setting
+``roots.WORKERS`` to 1 in this process, prints the block layout on stderr and
+exits 1 if any of their bytes differ.  The expected file does not depend on
+the machine's CPUs.
+
 The ``cli`` line hashes, command by command in order, the exit code, the
 standard output with the bundle path replaced by ``BUNDLE``, the bundle as
 sorted JSON without ``provenance.timestamp``, and the exit code of
@@ -69,6 +77,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from helpers import extreme_market, hedge_market, stress_market  # noqa: E402
 from risksharing import SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
+from risksharing import roots as blocks  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
 from risksharing.cli import main as cli_main  # noqa: E402
 from risksharing.scenario import BUILTIN_SCENARIOS  # noqa: E402
@@ -126,38 +135,63 @@ def hedge():
         yield hedge_market(seed, k)
 
 
-def fingerprint(markets) -> tuple:
-    """The hash, the outcome counts and the root-count histogram of ``markets``."""
-    digest, outcomes, roots = hashlib.sha256(), Counter(), Counter()
-
-    def add(*arrays):
-        for a in arrays:
-            digest.update(np.asarray(a, dtype=np.float64).tobytes())
-
-    for market in markets:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+def solved(market) -> tuple:
+    """The outcome of ``market``, the bytes the hash reads for it, and its root count."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ad = solve_arrow_debreu(market)
+        except SolverError as err:
+            outcome, error = "refused", err
+        else:
             try:
-                ad = solve_arrow_debreu(market)
+                eq = solve_nash(market, ad=ad)
             except SolverError as err:
-                outcome, error = "refused", err
+                outcome, error = "solver_error", err
             else:
-                try:
-                    eq = solve_nash(market, ad=ad)
-                except SolverError as err:
-                    outcome, error = "solver_error", err
-                else:
-                    ledger = nash_ledger(market, ad, eq)
-                    outcome = "certified" if all(e["pass"] for e in ledger) else "failed"
+                ledger = nash_ledger(market, ad, eq)
+                outcome = "certified" if all(e["pass"] for e in ledger) else "failed"
+    data = [outcome.encode()]
+    if outcome in ("refused", "solver_error"):
+        data.append(str(error).encode())
+        data.append(json.dumps(error.diagnostics, sort_keys=True, default=str).encode())
+        return outcome, data, None
+    arrays = (eq.z, eq.log_ratios, *eq.all_roots, eq.agent_values, [e["value"] for e in ledger])
+    data += [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+    return outcome, data, len(eq.all_roots)
+
+
+def fingerprint(markets, long=None) -> tuple:
+    """The hash, the outcome counts and the root-count histogram of ``markets``;
+    the bytes of each market long enough for two blocks go into the list ``long``."""
+    digest, outcomes, roots = hashlib.sha256(), Counter(), Counter()
+    for market in markets:
+        outcome, data, n_roots = solved(market)
         outcomes[outcome] += 1
-        digest.update(outcome.encode())
-        if outcome in ("refused", "solver_error"):
-            digest.update(str(error).encode())
-            digest.update(json.dumps(error.diagnostics, sort_keys=True, default=str).encode())
-            continue
-        roots[len(eq.all_roots)] += 1
-        add(eq.z, eq.log_ratios, *eq.all_roots, eq.agent_values, [e["value"] for e in ledger])
+        for chunk in data:
+            digest.update(chunk)
+        if n_roots is not None:
+            roots[n_roots] += 1
+        if long is not None and market.space.n_states >= 2 * blocks.BLOCK_MIN:
+            long.append((market, data))
     return digest.hexdigest(), outcomes, roots
+
+
+def one_block_differs(long) -> int:
+    """Re-solve the ``(market, bytes)`` pairs of ``long`` on one block of states,
+    print the block layout on stderr, and count the markets whose bytes differ."""
+    layout = Counter(
+        (m.space.n_states, min(blocks.WORKERS, m.space.n_states // blocks.BLOCK_MIN))
+        for m, _ in long
+    )
+    for (n_states, k), count in sorted(layout.items()):
+        print(f"one-block check: {count} pool markets of {n_states} states, solved in {k} "
+              f"blocks (WORKERS {blocks.WORKERS}, BLOCK_MIN {blocks.BLOCK_MIN})", file=sys.stderr)
+    workers, blocks.WORKERS = blocks.WORKERS, 1
+    try:
+        return sum(solved(market)[1] != data for market, data in long)
+    finally:
+        blocks.WORKERS = workers
 
 
 def cli_fingerprint() -> tuple:
@@ -185,11 +219,11 @@ def work() -> str:
 
 def main() -> int:
     count_work()
-    lines = {}
+    lines, long = {}, []
     for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
         WORK.clear()
-        digest, outcomes, roots = fingerprint(markets())
+        digest, outcomes, roots = fingerprint(markets(), long if name == "pool" else None)
         counts = " ".join(
             f"{k} {outcomes[k]}" for k in ("certified", "failed", "refused", "solver_error")
         )
@@ -206,7 +240,10 @@ def main() -> int:
     differ = [name for name in {**lines, **expected} if lines.get(name) != expected.get(name)]
     if differ:
         print(f"differs from {EXPECTED.name}: {', '.join(differ)}", file=sys.stderr)
-    return 1 if differ else 0
+    split = one_block_differs(long)
+    if split:
+        print(f"{split} of {len(long)} markets differ on one block of states", file=sys.stderr)
+    return 1 if differ or split else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Game equilibrium solver: inner system, distance, update map, full solves."""
 
 import dataclasses
+import os
+import signal
 import sys
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +19,8 @@ from helpers import (
     beta_market,
     common_beliefs_market,
     extreme_market,
+    force_blocks,
+    _tilted_market,
     random_market,
     stress_market,
 )
@@ -34,7 +39,7 @@ from risksharing import (
     solve_best_response,
     solve_nash,
 )
-from risksharing import best_response, nash
+from risksharing import best_response, nash, roots
 from risksharing.bundle import nash_ledger
 from risksharing.diagnostics import compute_diagnostics
 from risksharing.nash import _distance_from_prices, _evaluate_one, _jacobians
@@ -652,17 +657,19 @@ class TestWorkspace:
         assert kernel.call_count == 0
         assert peak <= 1_000_000
 
-    @pytest.mark.parametrize("case", ["8-agents", "dominant", "sampled-stop"])
-    def test_used_workspace_gives_the_bits_of_a_fresh_one(self, case):
+    @pytest.mark.parametrize("case", ["8-agents", "dominant", "blocks"])
+    def test_used_workspace_gives_the_bits_of_a_fresh_one(self, monkeypatch, case):
         """The inner solve, cold and warm, ``_evaluate`` and ``_jacobians`` return
         the same bytes in a workspace left by a larger stack and filled with NaN
         as in a fresh one: no buffer carries a value from one call to the next.
-        The cases reach the carried agent and the sampled stop screen."""
+        The cases reach the carried agent and three blocks of states."""
         m = {
             "8-agents": lambda: random_market(np.random.default_rng(0), 8, 500),
             "dominant": lambda: dominant_market(4),
-            "sampled-stop": lambda: random_market(np.random.default_rng(1), 2, 5000),
+            "blocks": lambda: random_market(np.random.default_rng(1), 2, 5000),
         }[case]()
+        if case == "blocks":
+            force_blocks(monkeypatch, 3, 1000)
         ad = solve_arrow_debreu(m)
         shares = np.random.default_rng(2).uniform(0.1, 1.0, (6, m.n_agents))
         z = np.stack([_ir_point(ad, w) for w in shares])
@@ -728,6 +735,108 @@ class TestWorkspace:
             for a in arrays(eq):
                 for later in threaded + in_turn:
                     assert not any(np.shares_memory(a, b) for b in arrays(later))
+
+
+def solution_bits(eq):
+    return [a.tobytes() for a in (eq.z, eq.log_ratios, *eq.all_roots)]
+
+
+class TestBlocks:
+    """On markets forced onto several blocks of states, the pool's failure modes
+    leave the one-block bits."""
+
+    @pytest.mark.parametrize("level", [300.0, 800.0], ids=["far", "overflowing"])
+    def test_far_warm_start_is_redone_cold(self, monkeypatch, level):
+        """A start at ``u = y = 300`` lands past the caps and one at 800
+        overflows; with warnings as errors, the blocks, each in a copy of the
+        caller's ``errstate``, redo both cold to the one-block bits."""
+        m = random_market(np.random.default_rng(3), n_agents=4, n_states=600)
+        ad = solve_arrow_debreu(m)
+        z = _ir_point(ad, np.ones(4))[None]
+        u, y = inner_solve(m, ad, z)
+        far = (np.full_like(u, level), np.full_like(y, level))
+        threads = force_blocks(monkeypatch, 3, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _kernel_calls(nash) as kernel:
+                u_far, y_far = inner_solve(m, ad, z, far)
+        assert kernel.call_count == 1
+        assert u_far.tobytes() == u.tobytes() and y_far.tobytes() == y.tobytes()
+        assert any(name.startswith("risksharing") for name in threads)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_blocks_that_stop_apart_give_the_one_block_bits(self, monkeypatch, workers):
+        """Belief tilts that grow along the state axis, and warm starts far
+        only on their last states, make the blocks disagree: the last needs
+        passes after the first is within its tolerances, and only the last
+        steps past the caps.  Each entry decides on all its states at once,
+        so the inner solve, cold and warm, and the game's solve give the
+        one-block bits and kernel calls."""
+        rng = np.random.default_rng(8)
+        n_states = 1200
+        tilts = rng.normal(0.0, 1.0, (3, n_states)) * np.linspace(0.1, 2.0, n_states)
+        m = _tilted_market(rng.uniform(0.3, 3.0, 3), rng.dirichlet(np.full(n_states, 5.0)), tilts)
+        ad = solve_arrow_debreu(m)
+        z = np.stack([_ir_point(ad, w) for w in rng.uniform(0.1, 1.0, (2, 3))])
+        caps = np.log(2 * m.delta_total / m.delta_minus)[:, None]
+        start = [x[::-1].copy() for x in inner_solve(m, ad, z)]
+        start[0][0, :, -n_states // 4 :] -= 1.0
+        start[0][1, :, -n_states // 4 :] = caps + 1.0
+
+        def solves():
+            with _kernel_calls(nash) as kernel:
+                inner = (*inner_solve(m, ad, z), *inner_solve(m, ad, z, start))
+            bits = [a.tobytes() for a in inner]
+            return bits, kernel.call_count, solution_bits(solve_nash(m, ad=ad))
+
+        want = solves()
+        threads = force_blocks(monkeypatch, workers, 300)
+        assert solves() == want
+        assert any(name.startswith("risksharing") for name in threads)
+
+    def test_two_callers_at_once_get_the_serial_bits(self, monkeypatch):
+        m = random_market(np.random.default_rng(5), n_agents=3, n_states=600)
+        ad = solve_arrow_debreu(m)
+        want = solution_bits(solve_nash(m, ad=ad))
+        threads = force_blocks(monkeypatch, 3, 200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as callers:
+                futures = [callers.submit(solve_nash, m, ad) for _ in range(2)]
+                got = [solution_bits(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want, want]
+        assert any(name.startswith("risksharing") for name in threads)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_fork_child_solves_on_a_pool_of_its_own(self, monkeypatch):
+        """The parent's worker threads do not exist in a fork child, so a
+        child that reused its pool would wait on them forever."""
+        m = random_market(np.random.default_rng(5), n_agents=3, n_states=600)
+        ad = solve_arrow_debreu(m)
+        want = solution_bits(solve_nash(m, ad=ad))
+        force_blocks(monkeypatch, 3, 200)
+        assert solution_bits(solve_nash(m, ad=ad)) == want and roots._pool is not None
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that forking a threaded process may deadlock.
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded")
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if solution_bits(solve_nash(m, ad=ad)) == want else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if not done[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the fork child did not finish its solve within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @st.composite

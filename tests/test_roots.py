@@ -1,6 +1,7 @@
 """Root-finding kernels: vectorised exp-linear solves and the safeguarded scalar Newton."""
 
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from scipy.special import logsumexp as scipy_logsumexp
 
+from helpers import force_blocks
 from risksharing import roots
 from risksharing.errors import SolverError
 from risksharing.roots import KERNEL_RTOL, increasing_root, logsumexp, solve_exp_linear
@@ -226,6 +228,52 @@ class TestIncreasingRoot:
         assert root == pytest.approx(3.0, abs=1e-14)
         assert xs[2] == 0.5 * (xs[0] + xs[1])
         assert all(0.0 <= x <= xs[1] for x in xs)
+
+
+class TestBlocks:
+    """Forced onto blocks of its last axis in worker threads, the kernel gives
+    the one-block bits, and on failure the one-block diagnostics."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("started", [False, True], ids=["cold", "started"])
+    def test_stacked_blocks_give_the_one_block_bits(self, monkeypatch, workers, started):
+        rng = np.random.default_rng(75)
+        alpha, beta = rng.uniform(0.1, 10.0, (2, 1)), rng.uniform(0.1, 10.0, (2, 1))
+        rhs = rng.normal(0.0, 30.0, (3, 2, 1000))
+        start = None
+        if started:
+            start = rhs / beta + rng.normal(0.0, 1.0, rhs.shape)
+            start[..., ::7] = np.nan
+        want = solve_exp_linear(alpha, beta, rhs, start)
+        threads = force_blocks(monkeypatch, workers, 100)
+        got = solve_exp_linear(alpha, beta, rhs, start)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        caller = threading.current_thread().name
+        assert len(threads) == workers and threads.count(caller) == 1
+        assert all(name.startswith("risksharing") for name in threads if name != caller)
+
+    def test_a_0d_rhs_is_one_block(self, monkeypatch):
+        want = solve_exp_linear(2.0, 3.0, 5.0, start=7.0)
+        threads = force_blocks(monkeypatch, 4, 1)
+        got = solve_exp_linear(2.0, 3.0, 5.0, start=7.0)
+        assert got.shape == () and got.tobytes() == want.tobytes()
+        assert threads == [threading.current_thread().name]
+
+    def test_a_block_that_does_not_converge_names_the_global_worst_state(self, monkeypatch):
+        """One pass leaves two states unconverged, in the first and the last
+        block; the error is the one-block error, and ``worst_index`` is the
+        flat index of the worst state in the whole array."""
+        alpha, beta, rhs = np.ones((2, 1)), np.ones((2, 1)), np.zeros((3, 2, 1000))
+        rhs[0, 0, 10], rhs[2, 1, 990] = 0.5, 50.0
+        monkeypatch.setattr(roots, "KERNEL_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="did not converge") as one:
+            solve_exp_linear(alpha, beta, rhs)
+        threads = force_blocks(monkeypatch, 4, 100)
+        with pytest.raises(SolverError, match="did not converge") as blocks:
+            solve_exp_linear(alpha, beta, rhs)
+        assert len(threads) == 4
+        assert blocks.value.diagnostics == one.value.diagnostics
+        assert one.value.diagnostics["worst_index"] == np.ravel_multi_index((2, 1, 990), rhs.shape)
 
 
 def test_logsumexp_matches_scipy():

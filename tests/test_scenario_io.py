@@ -1,6 +1,9 @@
 """Scenario files, state-space construction, bundles, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -273,6 +276,15 @@ class TestMarketBuilding:
 
 
 class TestCli:
+    def test_importing_the_cli_leaves_the_thread_pool_out(self):
+        """``concurrent.futures`` is imported when a long state axis first
+        needs worker threads, not with the package: it costs a few ms after
+        numpy, and every command runs in a fresh interpreter."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import sys, risksharing.cli; sys.exit('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_nash_on_common_beliefs_certified(self, tmp_path, capsys):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)
         out = tmp_path / "out.json"
@@ -992,13 +1004,26 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "expr",
-        ["1e17 + 0*X", "1e17 + 16*(X > 0)", "maximum(minimum(1e308*X, 1.7e308), -1.7e308)"],
-        ids=["constant-beyond-2-53", "range-of-one-spacing", "range-beyond-the-largest-float"],
+        [
+            "1e17 + 0*X",
+            "1e17 + 16*(X > 0)",
+            "maximum(minimum(1e308*X, 1.7e308), -1.7e308)",
+            "1.7976931348623157e308 + 0*X",
+            "-1.7976931348623157e308 + 0*X",
+        ],
+        ids=[
+            "constant-beyond-2-53",
+            "range-of-one-spacing",
+            "range-beyond-the-largest-float",
+            "constant-at-the-largest-float",
+            "constant-at-the-lowest-float",
+        ],
     )
     def test_histogram_bins_have_width_at_any_magnitude(self, tmp_path, capsys, expr):
         """Past 2**53, ``c + 1`` rounds back to ``c``, and a range one float
         spacing wide cannot hold 50 bins: the range is widened until the edges
-        increase.  A range wider than the largest float is split into bins
+        increase, down from the top where widening up would pass the largest
+        float.  A range wider than the largest float is split into bins
         without forming its width.  Either way the bundle holds finite masses
         and densities and is valid JSON, without NaN or Infinity."""
         out = tmp_path / "h.json"
