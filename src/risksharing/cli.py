@@ -13,7 +13,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+if "numpy" not in sys.modules:
+    # This process is the command itself.  It makes no BLAS call large
+    # enough to share, so BLAS gets one thread unless the caller chose.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 

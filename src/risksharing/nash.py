@@ -400,16 +400,24 @@ def _jacobians(market: Market, evaluations: list, ws):
     big_q = np.exp(tilt, out=tilt)
     big_q *= np.divide(ratio, np.sum(big_q, axis=2, keepdims=True), out=spread)  # Q_i * r_i
     # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
-    d_values = deltas * np.einsum("kis,kjs->kij", big_q, dy)
+    d_values = deltas * _row_products(big_q, dy)
     d_values[:, diag, diag] += np.sum(big_q, axis=2)
     d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
     q_r = np.multiply(q, ratio, out=ratio)
     np.subtract(sec, prices[:, :, None], out=spread)
     spread *= q
     np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
-    d_prices = np.einsum("kis,kjs->kij", spread, dy)
+    d_prices = _row_products(spread, dy)
     d_prices[:, diag, diag] += np.sum(q_r, axis=2)
     return d_f[:, :, 1:] - d_f[:, :, :1], d_prices[:, :, 1:] - d_prices[:, :, :1]
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``einsum("kis,kjs->kij", a, b)`` one entry at a time: past numpy's
+    8,192-element buffer a stacked call's sums depend on the stack height,
+    and each start must equal its search alone."""
+    return np.concatenate([np.einsum("kis,kjs->kij", a[k : k + 1], b[k : k + 1])
+                           for k in range(len(a))])
 
 
 def _distance_from_prices(market: Market, eps: np.ndarray) -> float:

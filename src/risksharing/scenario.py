@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .agents import DELTA_MAX, DELTA_MIN, Agent, Market, endowment_to_beliefs
 from .errors import ContractError, DimensionError, ValidationError
@@ -90,19 +89,23 @@ class Scenario:
         return _validate(doc)
 
 
-class _TreeLoader(yaml.SafeLoader):
-    """The safe loader refusing aliases, which validation would walk once per reference."""
-
-    def compose_node(self, parent, index):
-        if self.check_event(yaml.AliasEvent):
-            event = self.peek_event()
-            raise ValidationError(f"scenario file {self.name} uses the alias *{event.anchor} at "
-                                  f"line {event.start_mark.line + 1}; aliases are refused")
-        return super().compose_node(parent, index)
-
-
 def read_scenario(path) -> dict:
-    """The scenario document in ``path``, parsed but not validated."""
+    """The scenario document in ``path``, parsed but not validated.
+
+    The YAML parser is imported here: most commands read no scenario file.
+    """
+    import yaml
+
+    class _TreeLoader(yaml.SafeLoader):
+        """The safe loader refusing aliases, which validation would walk once per reference."""
+
+        def compose_node(self, parent, index):
+            if self.check_event(yaml.AliasEvent):
+                event = self.peek_event()
+                raise ValidationError(f"scenario file {self.name} uses the alias *{event.anchor} "
+                                      f"at line {event.start_mark.line + 1}; aliases are refused")
+            return super().compose_node(parent, index)
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=_TreeLoader)

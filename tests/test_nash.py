@@ -885,6 +885,12 @@ class TestLockstepStarts:
     def test_extreme_markets(self, trial):
         assert_lockstep_matches_alone(extreme_market(trial))
 
+    def test_more_states_than_numpy_buffers(self):
+        """Past numpy's 8,192-element buffer a stacked reduction can depend
+        on the stack height; the starts must not."""
+        m = random_market(np.random.default_rng(1), n_agents=3, n_states=9_000)
+        assert_lockstep_matches_alone(m)
+
 
 class TestRootBookkeeping:
     def test_merges_near_ends_keeps_distinct_roots_and_skips_failed_starts(self, monkeypatch):

@@ -275,15 +275,53 @@ class TestMarketBuilding:
         assert len(err) == 1 and "'solver'" in err[0] and not out.exists()
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh(code: str, **env) -> str:
+    """What ``code`` prints in a fresh interpreter on this checkout, with no
+    BLAS thread variable set but those in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 class TestCli:
+    def test_importing_the_package_loads_no_numpy(self):
+        """Names load their modules on first use, so the CLI can set the
+        BLAS threads before numpy loads."""
+        assert run_fresh("import sys, risksharing; print('numpy' in sys.modules)") == "False"
+
     def test_importing_the_cli_leaves_the_thread_pool_out(self):
         """``concurrent.futures`` is imported when a long state axis first
-        needs worker threads, not with the package: it costs a few ms after
-        numpy, and every command runs in a fresh interpreter."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        code = "import sys, risksharing.cli; sys.exit('concurrent.futures' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        needs worker threads, and ``yaml`` when a scenario file is read, not
+        with the CLI: every command runs in a fresh interpreter."""
+        code = "import sys, risksharing.cli; print('concurrent.futures' in sys.modules)"
+        assert run_fresh(code) == "False"
+
+    def test_importing_the_cli_leaves_yaml_out(self):
+        assert run_fresh("import sys, risksharing.cli; print('yaml' in sys.modules)") == "False"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+    def test_a_command_runs_blas_on_one_thread(self):
+        """A fresh command starts no idle BLAS worker: one thread after numpy loads."""
+        code = ("import os, risksharing.cli; "
+                "print(len(os.listdir('/proc/self/task')), *map(os.environ.get, %r))"
+                % (BLAS_VARS,))
+        assert run_fresh(code) == "1 1 1 1"
+
+    def test_a_callers_blas_threads_win(self):
+        code = "import os, risksharing.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_importing_the_cli_after_numpy_leaves_the_environment(self):
+        """Tests, the benchmark and library callers load numpy first, and
+        their environment is theirs."""
+        code = ("import os, numpy; before = dict(os.environ); "
+                "import risksharing.cli; print(dict(os.environ) == before)")
+        assert run_fresh(code) == "True"
 
     def test_nash_on_common_beliefs_certified(self, tmp_path, capsys):
         path = write_yaml(tmp_path, COMMON_BELIEFS_DOC)

@@ -2,8 +2,9 @@
 
 Checked with the standard library's ``ast``: a name bound by an import
 counts as read when the module's code mentions it anywhere else.
-``__init__.py`` is skipped, since its imports are the package's
-re-exports, and so is ``from __future__``, which binds no name.
+``__init__.py`` is checked too: its public names load on first use and
+are not imported there.  ``from __future__`` is skipped, since it binds
+no name.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "risksharing"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
