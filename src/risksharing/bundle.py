@@ -283,8 +283,8 @@ def assemble_bundle(scenario, sections: dict, ledger: list, provenance_extra: di
 
 
 def write_bundle(doc: dict, path) -> None:
-    """Whole-file atomic write with deterministic layout."""
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    """Whole-file atomic write of compact, key-sorted JSON, which CPython encodes in C."""
+    text = json.dumps(doc, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)

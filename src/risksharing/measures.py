@@ -46,22 +46,26 @@ def _check_weights(weights: np.ndarray, what: str) -> None:
 class StateSpace:
     """Ordered finite collection of world states with baseline probabilities."""
 
-    labels: tuple
+    _labels: tuple | None  # None for the default labels s0, s1, ..., built when read
     baseline_weights: np.ndarray
 
     def __init__(self, baseline_weights, labels=None):
         weights = _as_float_array(baseline_weights)
         _check_weights(weights, "StateSpace")
-        if labels is None:
-            labels = tuple(f"s{k}" for k in range(weights.size))
-        else:
+        if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != weights.size:
                 raise DimensionError("labels and baseline_weights differ in length")
+            if all(a == f"s{k}" for k, a in enumerate(labels)):
+                labels = None
         weights = weights.copy()
         weights.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "baseline_weights", weights)
+
+    @property
+    def labels(self) -> tuple:
+        return self._labels or tuple(f"s{k}" for k in range(self.n_states))
 
     @property
     def n_states(self) -> int:
@@ -75,12 +79,12 @@ class StateSpace:
             return True
         if not isinstance(other, StateSpace):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(
+        return self._labels == other._labels and np.array_equal(
             self.baseline_weights, other.baseline_weights
         )
 
     def __hash__(self):
-        return hash((self.labels, self.baseline_weights.tobytes()))
+        return hash((self._labels, self.baseline_weights.tobytes()))
 
 
 def _same_space(a, b) -> StateSpace:

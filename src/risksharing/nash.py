@@ -17,10 +17,10 @@ exact Jacobians: from the centre of the individually rational box for two
 agents, where the root is unique, and also from its corners for three or
 more, where all distinct roots found are reported.
 
-The starts run in lockstep along a leading start axis, each one record of
-its own point, step, trace and phase (:func:`_newton`).  A trial point's
-evaluation is one record of plain arrays (:func:`_evaluate`); only the
-root's becomes measures and random variables, in :func:`_assemble`.
+The starts run in lockstep along a leading start axis, in chunks under
+``STACK_BUDGET``, each one record of its point, step, trace and phase
+(:func:`_newton`).  A trial point's evaluation is one record of plain arrays
+(:func:`_evaluate`); only the root's outlives its chunk, for :func:`_assemble`.
 
 Each search owns one workspace (:class:`_Workspace`), built in :func:`_newton`;
 a public-map call builds its own in :func:`_evaluate_one`.  The inner solve,
@@ -48,6 +48,10 @@ INNER_MAX_ITER = 100
 DISTANCE_RTOL = 1e-10  # the largest distance, per unit delta_total, of an end taken as a root
 Z_SUM_TOL = 1e-9
 _SEARCH, _PRICE, _DONE = range(3)  # the phases of a Newton start, in order
+# Elements in a (K, n, S) lockstep buffer: starts run in chunks of max(1, this // (n*S)).
+# Each chunk more pays one search's per-call overhead; at 8 agents a split first pays off
+# near 15,000 elements a start, and 2**17 splits 9 starts only from 14,564 elements a start.
+STACK_BUDGET = 131_072
 
 
 @dataclass(frozen=True)
@@ -567,6 +571,15 @@ def _starts(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
     return np.stack(starts)
 
 
+def _owned(e: _Evaluation) -> _Evaluation:
+    """``e``, its per-state arrays copied out of stacks of other entries too; ``u`` read-only."""
+    if e.u.base.size == e.u.size:
+        return e
+    e = e._replace(**{name: getattr(e, name).copy() for name in ("u", "y", "sec", "q")})
+    e.u.setflags(write=False)
+    return e
+
+
 def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
     """The equilibrium at ``z`` from its evaluation ``e``."""
     revealed = tuple(
@@ -599,7 +612,8 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
     delta_total``, a bound on float noise, since the equilibria are the
     zero-distance points; Newton keeps going well below it so
     post-equilibrium identities hold to tighter tolerances.  Every distinct
-    root is reported, smallest ``max|price|`` first.
+    root is reported, smallest ``max|price|`` first.  Chunks of starts
+    (``STACK_BUDGET``) change nothing: each start searches as it would alone.
 
     Pure given its inputs: repeated calls return identical results, and
     concurrent use is safe.
@@ -609,18 +623,24 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
     tol = DISTANCE_RTOL * market.delta_total
     eps_target = 1e-12 * max(1.0, market.delta_total)
 
-    ends = []  # (distance, max|price|, z, trace, evaluation) per start
-    for z, e, trace in _newton(market, ad, _starts(market, ad), eps_target):
-        dist = price = float("inf")
-        if e is not None:
-            dist, price = _distance_from_prices(market, e.prices), _peak(e.prices)
-        ends.append((dist, price, z, trace, e))
-    found = []  # (z, evaluation) per distinct root
+    starts = _starts(market, ad)
+    size = max(1, STACK_BUDGET // (market.n_agents * market.space.n_states))
+    # Only the reported root, the sort's first end within tol below, keeps its evaluation.
+    ends, root = [], None  # (distance, max|price|, z, trace) per start; (max|price|, evaluation)
+    for k in range(0, len(starts), size):
+        for z, e, trace in _newton(market, ad, starts[k : k + size], eps_target):
+            dist = price = float("inf")
+            if e is not None:
+                dist, price = _distance_from_prices(market, e.prices), _peak(e.prices)
+            if dist <= tol and (root is None or price < root[0]):
+                root = price, _owned(e)
+            ends.append((dist, price, z, trace))
+    found = []  # z per distinct root
     # At a root the distance is float noise around zero; of several ends at
     # one root, the one with the smallest prices is kept.
-    for dist, _, z, _, e in sorted(ends, key=lambda end: end[1]):
-        if dist <= tol and not any(_peak(z - r) <= 1e-7 * (1.0 + _peak(r)) for r, _ in found):
-            found.append((z, e))
+    for dist, _, z, _ in sorted(ends, key=lambda end: end[1]):
+        if dist <= tol and not any(_peak(z - r) <= 1e-7 * (1.0 + _peak(r)) for r in found):
+            found.append(z)
     if not found:
         best = min(ends, key=lambda end: end[0])
         raise SolverError(
@@ -632,4 +652,4 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
                 "residual_traces": [end[3][-5:] for end in ends],
             },
         )
-    return _assemble(market, *found[0], all_roots=[z for z, _ in found])
+    return _assemble(market, found[0], root[1], all_roots=found)

@@ -53,6 +53,14 @@ The run therefore solves them once more on one block, by setting
 exits 1 if any of their bytes differ.  The expected file does not depend on
 the machine's CPUs.
 
+No family's markets are long enough for ``solve_nash`` to split its Newton
+starts into chunks (``nash.STACK_BUDGET``), so every line above comes from
+starts run in one lockstep stack.  The run therefore solves the ``stress``
+and ``hedge`` families once more with ``nash.STACK_BUDGET`` set to 1, so
+that every start runs in a chunk of its own, prints the chunk layout on
+stderr and exits 1 if any market's bytes differ, a ``SolverError``'s
+diagnostics as sorted JSON among them.
+
 The ``cli`` line hashes, command by command in order, the exit code, the
 standard output with the bundle path replaced by ``BUNDLE``, the bundle as
 sorted JSON without ``provenance.timestamp``, and the exit code of
@@ -161,9 +169,10 @@ def solved(market) -> tuple:
     return outcome, data, len(eq.all_roots)
 
 
-def fingerprint(markets, long=None) -> tuple:
+def fingerprint(markets, long=None, every=None) -> tuple:
     """The hash, the outcome counts and the root-count histogram of ``markets``;
-    the bytes of each market long enough for two blocks go into the list ``long``."""
+    the bytes of each market long enough for two blocks go into the list
+    ``long``, and those of every market into the list ``every``."""
     digest, outcomes, roots = hashlib.sha256(), Counter(), Counter()
     for market in markets:
         outcome, data, n_roots = solved(market)
@@ -174,6 +183,8 @@ def fingerprint(markets, long=None) -> tuple:
             roots[n_roots] += 1
         if long is not None and market.space.n_states >= 2 * blocks.BLOCK_MIN:
             long.append((market, data))
+        if every is not None:
+            every.append((market, data))
     return digest.hexdigest(), outcomes, roots
 
 
@@ -192,6 +203,27 @@ def one_block_differs(long) -> int:
         return sum(solved(market)[1] != data for market, data in long)
     finally:
         blocks.WORKERS = workers
+
+
+def one_chunk_differs(kept) -> int:
+    """Re-solve the ``(market, bytes)`` pairs of each family in the map ``kept``
+    with every Newton start in a chunk of its own, print the chunk layout on
+    stderr, and count the markets whose bytes differ."""
+    budget, layout = nash.STACK_BUDGET, Counter()
+    for name, pairs in kept.items():
+        for m, _ in pairs:
+            n_starts = m.n_agents + 1 if m.n_agents > 2 else 1  # at most
+            size = max(1, budget // (m.n_agents * m.space.n_states))
+            layout[name, m.n_agents, min(n_starts, size)] += 1
+    for (name, n_agents, size), count in sorted(layout.items()):
+        print(f"one-chunk check: {count} {name} markets of {n_agents} agents, their starts in "
+              f"chunks of up to {size} re-run one to a chunk (STACK_BUDGET {budget} -> 1)",
+              file=sys.stderr)
+    nash.STACK_BUDGET = 1
+    try:
+        return sum(solved(m)[1] != data for pairs in kept.values() for m, data in pairs)
+    finally:
+        nash.STACK_BUDGET = budget
 
 
 def cli_fingerprint() -> tuple:
@@ -219,11 +251,13 @@ def work() -> str:
 
 def main() -> int:
     count_work()
-    lines, long = {}, []
+    lines, long, kept = {}, [], {"stress": [], "hedge": []}
     for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
         t0 = time.perf_counter()
         WORK.clear()
-        digest, outcomes, roots = fingerprint(markets(), long if name == "pool" else None)
+        digest, outcomes, roots = fingerprint(
+            markets(), long if name == "pool" else None, kept.get(name)
+        )
         counts = " ".join(
             f"{k} {outcomes[k]}" for k in ("certified", "failed", "refused", "solver_error")
         )
@@ -243,7 +277,11 @@ def main() -> int:
     split = one_block_differs(long)
     if split:
         print(f"{split} of {len(long)} markets differ on one block of states", file=sys.stderr)
-    return 1 if differ or split else 0
+    chunked = one_chunk_differs(kept)
+    if chunked:
+        total = sum(map(len, kept.values()))
+        print(f"{chunked} of {total} markets differ with one start a chunk", file=sys.stderr)
+    return 1 if differ or split or chunked else 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ from risksharing.bundle import (
     LEDGER_TOLERANCES,
     _decoder,
     br_ledger,
+    market_from_dict,
+    market_to_dict,
     record_from_dict,
     record_to_dict,
+    write_bundle,
 )
 from risksharing.cli import main as cli_main
 from risksharing.limits import LimitReport, one_agent_limit_report
@@ -75,6 +78,22 @@ def test_round_trip_is_bit_exact(records):
             assert _bits(getattr(again, f.name)) == _bits(getattr(record, f.name)), f.name
             if isinstance(getattr(again, f.name), (Measure, RandomVariable)):
                 assert getattr(again, f.name).space is market.space
+
+
+def test_market_section_lists_the_default_labels(tmp_path):
+    """A space built without labels stores none, yet the ``market`` section of
+    its bundle lists ``s0, s1, ...`` as ever, and reads back to an equal space."""
+    market = random_market(np.random.default_rng(4), n_agents=3, n_states=40)
+    write_bundle({"market": market_to_dict(market)}, tmp_path / "b.json")
+    section = json.loads((tmp_path / "b.json").read_text())["market"]
+    assert section == {
+        "deltas": market.deltas.tolist(),
+        "baseline_weights": market.space.baseline_weights.tolist(),
+        "labels": [f"s{k}" for k in range(40)],
+        "belief_weights": [a.beliefs.weights.tolist() for a in market.agents],
+    }
+    space = market_from_dict(section).space
+    assert space == market.space and hash(space) == hash(market.space)
 
 
 @pytest.mark.parametrize("agent", [1.9, "1", True], ids=["float", "string", "bool"])

@@ -5,6 +5,8 @@ formulas in the docstrings, independently of the implementation.
 """
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -125,6 +127,38 @@ MARKET2 = Market([Agent(1.0, P2), Agent(2.0, BASE2)])
 def test_foreign_state_space_is_refused(call):
     with pytest.raises(DimensionError, match="different state spaces"):
         call()
+
+
+class TestStateSpaceLabels:
+    def test_default_labels_equal_explicit_ones(self):
+        """A space built without labels reads ``s0, s1, ...``, and equals and
+        hashes like the same space given those labels."""
+        w = np.full(5, 0.2)
+        default, explicit = StateSpace(w), StateSpace(w, labels=[f"s{k}" for k in range(5)])
+        assert default.labels == explicit.labels == ("s0", "s1", "s2", "s3", "s4")
+        assert default == explicit and hash(default) == hash(explicit)
+        named = StateSpace(w, labels="abcde")
+        assert named.labels == tuple("abcde") and named != default
+
+    def test_comparing_and_hashing_build_no_labels(self):
+        w = np.full(3, 1.0 / 3.0)
+        a, b, c = StateSpace(w), StateSpace(w, labels=["s0", "s1", "s2"]), StateSpace(w, "xyz")
+        built = property(lambda self: pytest.fail("labels were built"))
+        with mock.patch.object(StateSpace, "labels", built):
+            assert a == b and a != c and len({a, b, c}) == 2
+
+    def test_a_long_space_allocates_little_beside_its_weights(self):
+        """Building a 100,000-state space allocates under 1 MB beyond its
+        weights; one label string per state took 6.8 MB."""
+        w = np.full(100_000, 1e-5)
+        tracemalloc.start()
+        try:
+            space = StateSpace(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - space.baseline_weights.nbytes < 1_000_000
+        assert space.labels[-1] == "s99999" and len(space.labels) == 100_000
 
 
 class TestNormalizeLogDensity:

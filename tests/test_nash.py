@@ -1,8 +1,10 @@
 """Game equilibrium solver: inner system, distance, update map, full solves."""
 
 import dataclasses
+import json
 import os
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -20,6 +22,7 @@ from helpers import (
     common_beliefs_market,
     extreme_market,
     force_blocks,
+    hedge_market,
     _tilted_market,
     random_market,
     stress_market,
@@ -657,6 +660,28 @@ class TestWorkspace:
         assert kernel.call_count == 0
         assert peak <= 1_000_000
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+    def test_solve_memory_per_state_stays_small(self):
+        """An (8 agents, 20,000 states) solve, in a fresh interpreter, raises the
+        peak RSS by under 4 kB a state: its nine starts run one to a chunk and
+        only the reported root keeps per-state arrays (9.2 kB a state when the
+        nine ran in one stack and every end kept its evaluation)."""
+        code = (
+            "import resource, numpy as np\n"
+            "from helpers import random_market\n"
+            "from risksharing import solve_arrow_debreu, solve_nash\n"
+            "m = random_market(np.random.default_rng(5), n_agents=8, n_states=20_000)\n"
+            "ad = solve_arrow_debreu(m)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "solve_nash(m, ad=ad)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(here, "..", "src"), here])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert int(proc.stdout) * 1024 / 20_000 < 4_000
+
     @pytest.mark.parametrize("case", ["8-agents", "dominant", "blocks"])
     def test_used_workspace_gives_the_bits_of_a_fresh_one(self, monkeypatch, case):
         """The inner solve, cold and warm, ``_evaluate`` and ``_jacobians`` return
@@ -890,6 +915,41 @@ class TestLockstepStarts:
         on the stack height; the starts must not."""
         m = random_market(np.random.default_rng(1), n_agents=3, n_states=9_000)
         assert_lockstep_matches_alone(m)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_chunks_match_one_stack(self, monkeypatch, per_chunk):
+        """Starts run in chunks under ``STACK_BUDGET`` reach, byte for byte,
+        what they reach in one lockstep stack, on more states than numpy buffers."""
+        m = random_market(np.random.default_rng(1), n_agents=3, n_states=9_000)
+        ad = solve_arrow_debreu(m)
+        newton, sizes = nash._newton, []
+        monkeypatch.setattr(nash, "_newton", lambda *a: sizes.append(len(a[2])) or newton(*a))
+        monkeypatch.setattr(nash, "STACK_BUDGET", 10**9)
+        whole = solve_nash(m, ad=ad)
+        monkeypatch.setattr(nash, "STACK_BUDGET", per_chunk * m.n_agents * m.space.n_states)
+        chunked = solve_nash(m, ad=ad)
+        assert sizes == [4] + [per_chunk] * (4 // per_chunk)
+
+        def arrays(eq):
+            return [a.tobytes() for a in (eq.z, *eq.all_roots, eq.log_ratios, eq.pricing.weights)]
+
+        assert arrays(chunked) == arrays(whole)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_chunks_fail_with_the_diagnostics_of_one_stack(self, monkeypatch, per_chunk):
+        """A market that no start solves raises the same ``SolverError``, with
+        the same diagnostics, whether its starts run in chunks or in one stack."""
+        m = hedge_market(11, 301)
+
+        def failure():
+            with pytest.raises(SolverError) as err:
+                solve_nash(m)
+            return str(err.value), json.dumps(err.value.diagnostics, sort_keys=True)
+
+        monkeypatch.setattr(nash, "STACK_BUDGET", 10**9)
+        whole = failure()
+        monkeypatch.setattr(nash, "STACK_BUDGET", per_chunk * m.n_agents * m.space.n_states)
+        assert failure() == whole
 
 
 class TestRootBookkeeping:
