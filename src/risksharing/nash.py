@@ -571,15 +571,6 @@ def _starts(market: Market, ad: ArrowDebreuEquilibrium) -> np.ndarray:
     return np.stack(starts)
 
 
-def _owned(e: _Evaluation) -> _Evaluation:
-    """``e``, its per-state arrays copied out of stacks of other entries too; ``u`` read-only."""
-    if e.u.base.size == e.u.size:
-        return e
-    e = e._replace(**{name: getattr(e, name).copy() for name in ("u", "y", "sec", "q")})
-    e.u.setflags(write=False)
-    return e
-
-
 def _assemble(market, z, e: _Evaluation, all_roots) -> NashEquilibrium:
     """The equilibrium at ``z`` from its evaluation ``e``."""
     revealed = tuple(
@@ -633,7 +624,7 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
             if e is not None:
                 dist, price = _distance_from_prices(market, e.prices), _peak(e.prices)
             if dist <= tol and (root is None or price < root[0]):
-                root = price, _owned(e)
+                root = price, e
             ends.append((dist, price, z, trace))
     found = []  # z per distinct root
     # At a root the distance is float noise around zero; of several ends at

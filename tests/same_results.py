@@ -207,23 +207,23 @@ def one_block_differs(long) -> int:
 
 def one_chunk_differs(kept) -> int:
     """Re-solve the ``(market, bytes)`` pairs of each family in the map ``kept``
-    with every Newton start in a chunk of its own, print the chunk layout on
-    stderr, and count the markets whose bytes differ."""
-    budget, layout = nash.STACK_BUDGET, Counter()
-    for name, pairs in kept.items():
-        for m, _ in pairs:
-            n_starts = m.n_agents + 1 if m.n_agents > 2 else 1  # at most
-            size = max(1, budget // (m.n_agents * m.space.n_states))
-            layout[name, m.n_agents, min(n_starts, size)] += 1
-    for (name, n_agents, size), count in sorted(layout.items()):
-        print(f"one-chunk check: {count} {name} markets of {n_agents} agents, their starts in "
-              f"chunks of up to {size} re-run one to a chunk (STACK_BUDGET {budget} -> 1)",
-              file=sys.stderr)
+    with every Newton start in a chunk of its own, print on stderr the chunks
+    ``nash._newton`` received, and count the markets whose bytes differ."""
+    budget, newton, sizes, layout, differ = nash.STACK_BUDGET, nash._newton, [], Counter(), 0
     nash.STACK_BUDGET = 1
+    nash._newton = lambda *args: sizes.append(len(args[2])) or newton(*args)
     try:
-        return sum(solved(m)[1] != data for pairs in kept.values() for m, data in pairs)
+        for name, pairs in kept.items():
+            for m, data in pairs:
+                sizes.clear()
+                differ += solved(m)[1] != data
+                layout[name, m.n_agents, sum(sizes), len(sizes)] += 1
     finally:
-        nash.STACK_BUDGET = budget
+        nash.STACK_BUDGET, nash._newton = budget, newton
+    for (name, n_agents, n_starts, n_chunks), count in sorted(layout.items()):
+        print(f"one-chunk check: {count} {name} markets of {n_agents} agents, {n_starts} starts "
+              f"re-run in {n_chunks} chunks (STACK_BUDGET {budget} -> 1)", file=sys.stderr)
+    return differ
 
 
 def cli_fingerprint() -> tuple:

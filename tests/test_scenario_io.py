@@ -373,9 +373,15 @@ class TestCli:
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         cli_main(["nash", str(path), "--out", str(out1)])
         cli_main(["nash", str(path), "--out", str(out2)])
-        lines1 = [l for l in out1.read_text().splitlines() if '"timestamp"' not in l]
-        lines2 = [l for l in out2.read_text().splitlines() if '"timestamp"' not in l]
-        assert lines1 == lines2
+        docs, texts = [], []
+        for out in (out1, out2):
+            text = out.read_text()
+            docs.append(json.loads(text))
+            stamp = f'"timestamp": {json.dumps(docs[-1]["provenance"].pop("timestamp"))}'
+            assert text.count(stamp) == 1
+            texts.append(text.replace(stamp, '"timestamp": null'))
+        assert docs[0] == docs[1]
+        assert texts[0] == texts[1]
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
