@@ -37,13 +37,15 @@ committed ``tests/same_results.expected``, names each family whose line
 differs and exits 1 if any does.  A change that moves results on purpose
 writes its new lines, timings removed, into that file and says so.
 
-Each line ends with the work the family cost, counted by wrapping two names
-of ``risksharing.nash``: the calls of ``_inner_log_ratios`` (``inner``) and
-the transfer vectors they solve at (``points``), and the calls of the kernel
+Each line ends with the work the family cost, counted by wrapping three
+names of ``risksharing.nash``: the calls of ``_inner_log_ratios`` (``inner``)
+and the transfer vectors they solve at (``points``); the calls of the kernel
 ``solve_exp_linear`` as ``nash`` imports it (``kernel``) and the elements
-they solve (``elements``).  These are deterministic, so the expected file
-checks them too.  The inner solve's passes per entry are not counted: it
-keeps no record of them.
+they solve (``elements``); and the calls of ``over_blocks`` as ``nash``
+imports it whose ``combine`` is ``nash._joined``, one per lockstep Newton
+pass of the inner solve, as the sum of their stack heights (``passes``) and
+the most of them in one ``_inner_log_ratios`` call (``longest``).  These are
+deterministic, so the expected file checks them too.
 
 The pool's markets long enough for two blocks of states (``roots.BLOCK_MIN``)
 are solved in as many blocks as the process has CPUs, up to one per
@@ -105,19 +107,30 @@ WORK = Counter()
 
 
 def count_work():
-    """Wrap ``nash._inner_log_ratios`` and ``nash.solve_exp_linear`` so that
-    every call adds its count and size to ``WORK``."""
-    inner, kernel = nash._inner_log_ratios, nash.solve_exp_linear
+    """Wrap ``nash._inner_log_ratios``, ``nash.solve_exp_linear`` and
+    ``nash.over_blocks`` so that every call adds its count and size to ``WORK``."""
+    inner, kernel, blocks_of = nash._inner_log_ratios, nash.solve_exp_linear, nash.over_blocks
+    calls = Counter()  # the lockstep passes of the running inner solve
 
     def counted_inner(market, ad, z, start, ws):
         WORK.update(inner=1, points=len(z))
-        return inner(market, ad, z, start, ws)
+        calls.clear()
+        result = inner(market, ad, z, start, ws)
+        WORK["longest"] = max(WORK["longest"], calls["passes"])
+        return result
 
     def counted_kernel(alpha, beta, rhs, start=None):
         WORK.update(kernel=1, elements=np.size(rhs))
         return kernel(alpha, beta, rhs, start)
 
+    def counted_blocks(fn, arrays, combine):
+        if combine is nash._joined:
+            calls.update(passes=1)
+            WORK.update(passes=len(arrays[0]))
+        return blocks_of(fn, arrays, combine)
+
     nash._inner_log_ratios, nash.solve_exp_linear = counted_inner, counted_kernel
+    nash.over_blocks = counted_blocks
 
 
 def pool():
@@ -246,7 +259,8 @@ def cli_fingerprint() -> tuple:
 
 
 def work() -> str:
-    return " ".join(f"{k} {WORK[k]}" for k in ("inner", "points", "kernel", "elements"))
+    keys = ("inner", "points", "kernel", "elements", "passes", "longest")
+    return " ".join(f"{k} {WORK[k]}" for k in keys)
 
 
 def main() -> int:
