@@ -8,14 +8,14 @@ M-matrix Jacobian, so one joint Newton iteration per state, started at a
 super-solution, decreases monotonically to its root; one Newton step from
 any point lands on a super-solution.  So each outer Newton start solves
 its first point cold and every later trial point warm, from the last
-accepted point's solution, redone cold where the first warm step lands
-past the endogenous caps, where no root lies, or the warm solve fails.  The
-zero-price condition is met at the fixed points of the certainty-equivalent
-update map ``phi``, found for every agent count by one backtracking Newton
-iteration on ``phi(z) - z`` and a last Newton step on the prices, both with
-exact Jacobians: from the centre of the individually rational box for two
-agents, where the root is unique, and also from its corners for three or
-more, where all distinct roots found are reported.
+accepted point's solution, its first step projected onto the endogenous
+caps, past which no root lies; only a warm solve that does not converge is
+redone cold.  The zero-price condition is met at the fixed points of the
+certainty-equivalent update map ``phi``, found for every agent count by one
+backtracking Newton iteration on ``phi(z) - z`` and a last Newton step on the
+prices, both with exact Jacobians: from the centre of the individually
+rational box for two agents, where the root is unique, and also from its
+corners for three or more, where all distinct roots found are reported.
 
 The starts run in lockstep along a leading start axis, in chunks under
 ``STACK_BUDGET``, each one record of its point, step, trace and phase
@@ -121,10 +121,9 @@ def _compact(keep, arrays) -> list:
 def _joined(parts):
     """The per-entry results of :func:`_inner_log_ratios`' step on each block of
     states, joined into those of one step on all the states."""
-    w_done, du_max, under = zip(*parts)
+    w_done, du_max = zip(*parts)
     w_done = np.all(w_done, axis=0)
-    du_max = np.max(du_max, axis=0) if w_done.any() else None
-    return w_done, du_max, None if under[0] is None else np.all(under, axis=0)
+    return w_done, np.max(du_max, axis=0) if w_done.any() else None
 
 
 def _all_blocks(parts):
@@ -150,12 +149,13 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     ``s = 1 - sum_i lambda_i * delta_i / D_i``.  The cold start is
     ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
     at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
-    ``(u, y)`` rows solved at nearby points, is a warm start instead; an
-    entry whose first step leaves some ``u_i`` past its cap, where no root
-    lies (or not finite, on a far start that overflows), or that does not
-    converge within ``INNER_MAX_ITER`` passes, is redone from the cold
-    start, all such entries in one kernel call.  From past a cap, Newton on
-    ``expm1`` falls about one unit of ``u`` a pass.  A cold solve fails
+    ``(u, y)`` rows solved at nearby points, is a warm start instead.  From
+    past a cap, where no root lies, Newton on ``expm1`` falls about one unit
+    of ``u`` a pass, so a first warm step that leaves some ``u_i`` past its
+    cap is projected onto the caps, and its entry does not stop at that
+    pass.  An entry that does not converge within ``INNER_MAX_ITER`` passes
+    (a far start that overflows among them) is redone from the cold start,
+    all such entries in one kernel call.  A cold solve fails
     where ``W(y0) < 0`` or it does not converge; the kernel's own failure
     fails every entry of its call.  An entry leaves the stack, with the
     point after its step, at the pass whose step leaves ``W`` at 0 and ``G``
@@ -176,11 +176,11 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
 
     On a long state axis a pass runs on blocks of states in worker threads
     (:func:`~risksharing.roots.over_blocks`).  The step's blocks return per
-    entry whether ``W`` was within tolerance, the largest ``du`` and whether
-    ``u`` stays under the caps, which the calling thread joins; the stop's
-    bound then runs on the blocks too.  Nothing sums over states, and each
-    entry stops on all its states at once, so the result is that of one
-    block bit for bit.
+    entry whether ``W`` was within tolerance, and ``u`` under the caps, and
+    the largest ``du``, which the calling thread joins; the stop's bound then
+    runs on the blocks too.  Nothing sums over states, a projection moves
+    only states past a cap, and each entry stops on all its states at once,
+    so the result is that of one block bit for bit.
     """
     n_stack, n_states = len(z), market.space.n_states
     stacks, planes = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
@@ -207,19 +207,18 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
 
     def newton(rows, u, y, warm):
         """Joint Newton for the entries ``rows`` from ``(u, y)``, their ``a`` in the
-        leading rows of ``a``; returns those that fail."""
+        leading rows of ``a``; returns those that do not converge, in order."""
         a_rows, a_scale_rows = a[: len(rows)], a_scale[: len(rows)]
         # Tolerances scale with the terms, y's among them through dG/dy, not
         # with their sum, which cancels.
         np.abs(a_rows, out=a_scale_rows)
         a_scale_rows += 1.0
         v = np.subtract(u[:, dom], y, out=v_rows[: len(rows), :width])
-        failed = []
 
         def step(u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread):
             """One Newton step on a block of states, in place.  Per entry: whether
-            W was within its tolerance before it, then the largest ``du`` (if any
-            entry's was) and, on a first warm step, whether ``u`` is under the caps."""
+            W was within its tolerance before it, and on a first warm step ``u``
+            under the caps, then the largest ``du`` (if any entry's was)."""
             np.expm1(u, out=em1)
             np.add(em1, 1.0, out=growth)
             growth *= dminus
@@ -249,10 +248,14 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             v += du[:, dom] - dy
             u += du
             u[:, dom] = v + y
-            du_max = np.max(du, axis=(1, 2)) if w_done.any() else None
-            # No root lies past the caps: a first warm step there is redone cold.
-            under = np.all(u <= caps[:, None], axis=(1, 2)) if first_warm else None
-            return w_done, du_max, under
+            if first_warm:  # no root lies past the caps: project onto them, and do not stop
+                under = np.all(u <= caps[:, None], axis=(1, 2))
+                if not under.all():
+                    np.subtract(caps[dom, None], y, out=v, where=u[:, dom] > caps[dom, None])
+                    np.minimum(u, caps[:, None], out=u)
+                    u[:, dom] = v + y
+                w_done &= under
+            return w_done, np.max(du, axis=(1, 2)) if w_done.any() else None
 
         def stop(du, growth, bound, tol, abs_y, spread, scale):
             """Per entry, whether the bound on G after the step is within half of
@@ -274,10 +277,9 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             m, first_warm = len(rows), warm and k == 0
             em1, growth, d, g, lam_u, du = stacks[2:8, :m]
             abs_y, spread = abs_y_rows[:m], spread_rows[:m, :width]
-            done, du_max, under = over_blocks(
+            done, du_max = over_blocks(
                 step, (u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread), _joined
             )
-            bad = np.zeros_like(done) if under is None else ~under
             # W is linear, so the step leaves it 0, and G_i differs from its
             # linearisation only through expm1: after the step it is exactly
             # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du, 0)).
@@ -290,24 +292,22 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
                 done &= over_blocks(
                     stop, (du, growth, em1, lam_u, abs_y, spread, a_scale_rows), _all_blocks
                 )
-            if done.any() or bad.any():
+            if done.any():
                 for j in np.flatnonzero(done):
                     np.minimum(u[j], projected, out=u_out[rows[j]])
                     y_out[rows[j]] = y[j, 0]
-                failed += rows[bad].tolist()
-                keep = ~(done | bad)
-                if not keep.any():
-                    return failed
-                rows = rows[keep]
-                u, y, v, a_rows, a_scale_rows = _compact(keep, (u, y, v, a_rows, a_scale_rows))
-        return failed + rows.tolist()
+                rows = rows[~done]
+                if not len(rows):
+                    break
+                u, y, v, a_rows, a_scale_rows = _compact(~done, (u, y, v, a_rows, a_scale_rows))
+        return rows
 
     rows = np.arange(n_stack)
     if start is not None:
-        with np.errstate(all="ignore"):  # a far start may overflow; it then falls back
+        with np.errstate(all="ignore"):  # a projected entry's stop factor may overflow
             u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
             np.add(z[:, :, None], sec_ad, out=a)
-            rows = np.array(sorted(newton(rows, u, y, True)), dtype=int)
+            rows = newton(rows, u, y, True)
     if len(rows):
         a_rows, y, rhs = a[: len(rows)], y_rows[: len(rows)], stacks[5, : len(rows)]
         np.add(z[rows][:, :, None], sec_ad, out=a_rows)
@@ -321,10 +321,10 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         else:
             lam_u = np.multiply(lambdas, u, out=stacks[6, : len(rows)])
             sound = np.all(y - np.sum(lam_u, axis=1, keepdims=True) >= 0.0, axis=(1, 2))
-            failed = rows[~sound].tolist()
+            failed = rows[~sound]
             if sound.any():
                 u, y, _ = _compact(sound, (u, y, a_rows))
-                failed += newton(rows[sound], u, y, False)
+                failed = np.concatenate([failed, newton(rows[sound], u, y, False)])
         u_out[failed] = np.nan
         y_out[failed] = np.nan
     return u_out, y_out
