@@ -13,13 +13,7 @@ import numpy as np
 
 from .agents import Agent, Market, cara_utility
 from .errors import SolverError
-from .measures import (
-    Measure,
-    RandomVariable,
-    _same_space,
-    geometric_mean_measure,
-    relative_entropy,
-)
+from .measures import Measure, RandomVariable, _same_space, geometric_mean_measure
 
 CLEARING_TOL = 1e-9
 
@@ -51,7 +45,7 @@ def solve_arrow_debreu(market: Market) -> ArrowDebreuEquilibrium:
     gains = []
     for i, agent in enumerate(market.agents):
         log_dens = market.log_beliefs[i] - logq
-        gain = agent.delta * relative_entropy(pricing, agent.beliefs)
+        gain = -agent.delta * float(np.sum(pricing.weights * log_dens))  # delta * KL(q | P_i)
         securities.append(agent.delta * log_dens + gain)
         gains.append(gain)
 

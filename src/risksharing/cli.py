@@ -122,8 +122,7 @@ def _histograms(args, market, variables, payoffs) -> dict:
         idx = np.clip(np.digitize(values, edges) - 1, 0, int(bins) - 1)
         per_measure = {}
         for mname, weights in payoffs.get("measures", {}).items():
-            mass = np.zeros(int(bins))
-            np.add.at(mass, idx, weights)
+            mass = np.bincount(idx, weights=weights, minlength=int(bins))
             width = edges[1] - edges[0]
             per_measure[mname] = {
                 "mass": mass.tolist(),
@@ -185,6 +184,16 @@ def _measures_for(market, ad=None, eq=None, br=None):
     return {"measures": measures, "payoffs": payoffs}
 
 
+def _best_response(market, agent: int, eq=None):
+    """The response of ``agent`` to the others' reports revealed at the game
+    equilibrium ``eq``, or to their beliefs without it: the record, its
+    ledger entries and its bundle section."""
+    mode = "truthful" if eq is None else "nash-revealed"
+    beliefs = [a.beliefs for a in market.agents] if eq is None else eq.revealed
+    br = solve_best_response(market, agent, [b for j, b in enumerate(beliefs) if j != agent])
+    return br, br_ledger(market, br), record_to_dict(br) | {"others_mode": mode}
+
+
 def run_ad(args, scenario: Scenario) -> int:
     market, variables, info = build_market(scenario)
     _check_hist(args, market, variables, [f"CSTAR{k}" for k in range(market.n_agents)])
@@ -237,10 +246,8 @@ def run_nash(args, scenario: Scenario, br_agent: int | None = None) -> int:
     }
     br = None
     if br_agent is not None:
-        reports = [a.beliefs for j, a in enumerate(market.agents) if j != br_agent]
-        br = solve_best_response(market, br_agent, reports)
-        ledger += br_ledger(market, br)
-        sections["best_response"] = record_to_dict(br) | {"others_mode": "truthful"}
+        br, entries, sections["best_response"] = _best_response(market, br_agent)
+        ledger += entries
         rows.append((f"response_value_{br_agent}", br.response_value))
     _print_table(f"risk-sharing game equilibrium: {scenario.name}", rows)
     sections["histograms"] = _histograms(
@@ -255,17 +262,11 @@ def run_best_response(args, scenario: Scenario) -> int:
     if not (0 <= i < market.n_agents):
         raise ValidationError(f"agent index {i} out of range")
     _check_hist(args, market, variables, [f"CR{i}"])
-    if args.truthful_others:
-        reports = [market.agents[j].beliefs for j in range(market.n_agents) if j != i]
-        mode = "truthful"
-    else:
-        eq = solve_nash(market)
-        reports = [eq.revealed[j] for j in range(market.n_agents) if j != i]
-        mode = "nash-revealed"
-    br = solve_best_response(market, i, reports)
-    ledger = br_ledger(market, br)
+    eq = None if args.truthful_others else solve_nash(market)
+    br, ledger, section = _best_response(market, i, eq)
     _print_table(
-        f"best probability response: {scenario.name}, agent {i} vs {mode} reports",
+        f"best probability response: {scenario.name}, agent {i} "
+        f"vs {section['others_mode']} reports",
         [
             ("states", market.space.n_states),
             ("response_value", br.response_value),
@@ -276,7 +277,7 @@ def run_best_response(args, scenario: Scenario) -> int:
         ],
     )
     sections = {
-        "best_response": record_to_dict(br) | {"others_mode": mode},
+        "best_response": section,
         "histograms": _histograms(args, market, variables, _measures_for(market, br=br)),
     }
     return _finish(args, scenario, market, sections, ledger, info, "br")
