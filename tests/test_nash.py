@@ -816,10 +816,9 @@ class TestBlocks:
     leave the one-block bits."""
 
     def test_far_warm_start_is_projected_as_on_one_block(self, monkeypatch):
-        """A start at ``u = y = 300`` lands past the caps on every block of
-        states, and each block projects its own states onto them: with
-        warnings as errors, three blocks give the bits of one, without a
-        kernel call."""
+        """A start at ``u = y = 300`` lands past the caps, and each block of
+        states projects its own states onto them: with warnings as errors,
+        three blocks give the bits of one, without a kernel call."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=600)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
