@@ -4,18 +4,19 @@ For each zero-sum vector ``z`` (one coordinate per agent) there is a unique
 collection of candidate securities solving a coupled per-state system; the
 equilibria are exactly the ``z`` at which every candidate security has zero
 price under the induced valuation.  The per-state system is convex with an
-M-matrix Jacobian, so one joint Newton iteration per state, started at a
-super-solution, decreases monotonically to its root; one Newton step from
-any point lands on a super-solution.  So each outer Newton start solves
-its first point cold and every later trial point warm, from the last
-accepted point's solution, its first step projected onto the endogenous
-caps, past which no root lies; only a warm solve that does not converge is
-redone cold.  The zero-price condition is met at the fixed points of the
-certainty-equivalent update map ``phi``, found for every agent count by one
-backtracking Newton iteration on ``phi(z) - z`` and a last Newton step on the
-prices, both with exact Jacobians: from the centre of the individually
-rational box for two agents, where the root is unique, and also from its
-corners for three or more, where all distinct roots found are reported.
+M-matrix Jacobian, so one Newton step from any point lands on a
+super-solution, from where one joint Newton iteration per state decreases
+monotonically to its root.  Each outer Newton start solves its first point
+cold, from the system linearised at zero, and every later trial point
+warm, from the last accepted point's solution; either way a first step is
+projected onto the endogenous caps, past which no root lies, and only a
+warm solve that does not converge is redone cold.  The zero-price
+condition is met at the fixed points of the certainty-equivalent update
+map ``phi``, found for every agent count by one backtracking Newton
+iteration on ``phi(z) - z`` and a last Newton step on the prices, both
+with exact Jacobians: from the centre of the individually rational box for
+two agents, where the root is unique, and also from its corners for three
+or more, where all distinct roots found are reported.
 
 The starts run in lockstep along a leading start axis, in chunks under
 ``STACK_BUDGET``, each one record of its point, step, trace and phase
@@ -97,10 +98,10 @@ class _Workspace:
 
     ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` four ``(k, 1, S)``
     ones: the inner solve's ``y``, its carried agent's ``v``, and the ``|y|``
-    and carried spread that each pass's step leaves for its stop.  A stacked
-    call of ``m`` entries writes into views of their leading ``m`` rows
-    through ``out=``; nothing it returns is such a view, and no buffer holds
-    a value from one call to the next.
+    and carried spread at the point before each pass's step, for its stop.
+    A stacked call of ``m`` entries writes into views of their leading ``m``
+    rows through ``out=``; nothing it returns is such a view, and no buffer
+    holds a value from one call to the next.
     """
 
     def __init__(self, k: int, n: int, s: int):
@@ -119,14 +120,8 @@ def _compact(keep, arrays) -> list:
 
 
 def _joined(parts):
-    """The per-entry results of :func:`_inner_log_ratios`' step on each block of
-    states, joined into those of one step on all the states."""
-    w_done, du_max = zip(*parts)
-    w_done = np.all(w_done, axis=0)
-    return w_done, np.max(du_max, axis=0) if w_done.any() else None
-
-
-def _all_blocks(parts):
+    """Per entry, whether :func:`_inner_log_ratios`' step stops it on every block
+    of states: whether one step on all the states stops it."""
     return np.all(parts, axis=0)
 
 
@@ -142,29 +137,30 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         W   = y - sum_i lambda_i * u_i = 0.
 
     The system is convex and its Jacobian ``[[diag(D), -delta], [-lambda^T, 1]]``
-    is an M-matrix, so Newton started where ``G, W >= 0`` decreases
-    monotonically to the root, and one Newton step from any point lands
-    where ``G, W >= 0`` (Ortega & Rheinboldt, 1970, 13.3).  A step is one
-    pass over the states through the Schur complement
-    ``s = 1 - sum_i lambda_i * delta_i / D_i``.  The cold start is
-    ``y0 = sum_i lambda_i * cap_i`` with ``u`` solved at ``y0``: every ratio
-    at the root lies below its cap, so ``W(y0) > 0``.  ``start``, the
-    ``(u, y)`` rows solved at nearby points, is a warm start instead.  From
-    past a cap, where no root lies, Newton on ``expm1`` falls about one unit
-    of ``u`` a pass, so a first warm step that leaves some ``u_i`` past its
-    cap is projected onto the caps, and its entry does not stop at that
-    pass.  An entry that does not converge within ``INNER_MAX_ITER`` passes
-    (a far start that overflows among them) is redone from the cold start,
-    all such entries in one kernel call.  A cold solve fails
-    where ``W(y0) < 0`` or it does not converge; the kernel's own failure
-    fails every entry of its call.  An entry leaves the stack, with the
-    point after its step, at the pass whose step leaves ``W`` at 0 and ``G``
-    within half its tolerance: ``W`` is linear, and after a step ``(du, dy)``
-    the exact ``G_i`` is ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``,
-    bounded without another pass over the states.  Each entry decides
-    alone, so its passes are those of a solve of it alone.  An agent holding
-    over half the total tolerance is carried as ``v = u - y``: its ``u`` is
-    close to ``y``, and ``y`` amplifies an error in ``v`` by ``1/lambda_minus``.
+    is an M-matrix, so one Newton step from any point lands where
+    ``G, W >= 0``, and Newton from there decreases monotonically to the root
+    (Ortega & Rheinboldt, 1970, 13.3).  A step is one pass over the states
+    through the Schur complement ``s = 1 - sum_i lambda_i * delta_i / D_i``.
+    The cold start is the fixed point of the system linearised at ``u = 0``,
+    ``y0 = sum_i lambda_i * a_i / sum_i lambda_i * delta_minus_i``, with ``u``
+    solved at ``y0``; ``start``, the ``(u, y)`` rows solved at nearby points,
+    is a warm start instead.  From past a cap, where no root lies, Newton on
+    ``expm1`` falls about one unit of ``u`` a pass, so every solve projects
+    a first step that leaves some ``u_i`` past its cap onto the caps, and
+    its entry does not stop at that pass.  A warm entry that does not
+    converge within ``INNER_MAX_ITER`` passes (a far start that overflows
+    among them) is redone from the cold start, all such entries in one
+    kernel call.  A cold solve fails where it does not converge; the
+    kernel's own failure fails every entry of its call.  An entry leaves the
+    stack, with the point after its step, at the pass whose step leaves
+    ``W`` at 0 and ``G`` within half its tolerance: ``W`` is linear, and
+    after a step ``(du, dy)`` the exact ``G_i`` is
+    ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``, which the step
+    bounds state by state without another pass over the states.  Each entry
+    decides alone, so its passes are those of a solve of it alone.  An agent
+    holding over half the total tolerance is carried as ``v = u - y``: its
+    ``u`` is close to ``y``, and ``y`` amplifies an error in ``v`` by
+    ``1/lambda_minus``.
 
     The stacks it works on belong to ``ws``, the workspace built in
     :func:`_newton` or :func:`_evaluate_one`.  The solving entries
@@ -176,11 +172,10 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
 
     On a long state axis a pass runs on blocks of states in worker threads
     (:func:`~risksharing.roots.over_blocks`).  The step's blocks return per
-    entry whether ``W`` was within tolerance, and ``u`` under the caps, and
-    the largest ``du``, which the calling thread joins; the stop's bound then
-    runs on the blocks too.  Nothing sums over states, a projection moves
-    only states past a cap, and each entry stops on all its states at once,
-    so the result is that of one block bit for bit.
+    entry whether it stops on their states, which the calling thread joins.
+    Nothing sums over states, a projection moves only states past a cap, the
+    stop's bound is each state's own, and each entry stops on all its states
+    at once, so the result is that of one block bit for bit.
     """
     n_stack, n_states = len(z), market.space.n_states
     stacks, planes = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
@@ -205,7 +200,7 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
 
-    def newton(rows, u, y, warm):
+    def newton(rows, u, y):
         """Joint Newton for the entries ``rows`` from ``(u, y)``, their ``a`` in the
         leading rows of ``a``; returns those that do not converge, in order."""
         a_rows, a_scale_rows = a[: len(rows)], a_scale[: len(rows)]
@@ -215,10 +210,9 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         a_scale_rows += 1.0
         v = np.subtract(u[:, dom], y, out=v_rows[: len(rows), :width])
 
-        def step(u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread):
-            """One Newton step on a block of states, in place.  Per entry: whether
-            W was within its tolerance before it, and on a first warm step ``u``
-            under the caps, then the largest ``du`` (if any entry's was)."""
+        def step(u, y, v, a_rows, scale, em1, growth, d, g, lam_u, du, abs_y, spread):
+            """One Newton step on a block of states, in place, a first one projected
+            onto the caps.  Per entry: whether the step stops it."""
             np.expm1(u, out=em1)
             np.add(em1, 1.0, out=growth)
             growth *= dminus
@@ -248,50 +242,44 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             v += du[:, dom] - dy
             u += du
             u[:, dom] = v + y
-            if first_warm:  # no root lies past the caps: project onto them, and do not stop
+            if first:  # no root lies past the caps: project onto them, and do not stop
                 under = np.all(u <= caps[:, None], axis=(1, 2))
                 if not under.all():
                     np.subtract(caps[dom, None], y, out=v, where=u[:, dom] > caps[dom, None])
                     np.minimum(u, caps[:, None], out=u)
                     u[:, dom] = v + y
                 w_done &= under
-            return w_done, np.max(du, axis=(1, 2)) if w_done.any() else None
-
-        def stop(du, growth, bound, tol, abs_y, spread, scale):
-            """Per entry, whether the bound on G after the step is within half of
-            G's tolerance at the point before it, on a block of states."""
-            np.multiply(du, du, out=bound)
+            # W is linear, so the step leaves it 0, and G_i differs from its
+            # linearisation only through expm1: after the step it is exactly
+            # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du_i, 0)).
+            # An entry stops once this bound is at most half G's tolerance at
+            # the point before the step (the halves cancel) and its W was
+            # within its tolerance before the step, since rounding a large
+            # step in y may leave W past it.  A block forms the bound only if
+            # some entry passes that there.
+            if not w_done.any():
+                return w_done
+            bound = np.maximum(du, 0.0, out=em1)
+            np.exp(bound, out=bound)
+            bound *= du
+            bound *= du
             bound *= growth
-            bound *= c
-            np.multiply(deltas, abs_y, out=tol)
+            tol = np.multiply(deltas, abs_y, out=lam_u)
             tol += scale
             tol[:, dom] = scale[:, dom] + np.abs(spread)
             tol[:, dom] += growth[:, dom] * abs_y
             tol *= 1e-14
             bound -= tol
-            return np.max(bound, axis=(1, 2)) <= 0.0
+            return w_done & (np.max(bound, axis=(1, 2)) <= 0.0)
 
         # The leading rows of the workspace's buffers belong to the entries
         # still solving; each pass writes its (K, n, S) values into them.
         for k in range(INNER_MAX_ITER):
-            m, first_warm = len(rows), warm and k == 0
+            m, first = len(rows), k == 0
             em1, growth, d, g, lam_u, du = stacks[2:8, :m]
             abs_y, spread = abs_y_rows[:m], spread_rows[:m, :width]
-            done, du_max = over_blocks(
-                step, (u, y, v, a_rows, em1, growth, d, g, lam_u, du, abs_y, spread), _joined
-            )
-            # W is linear, so the step leaves it 0, and G_i differs from its
-            # linearisation only through expm1: after the step it is exactly
-            # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du, 0)).
-            # An entry is done once this bound is at most half G's tolerance
-            # (the halves cancel in ``stop``) and its W was within its tolerance
-            # before the step, since rounding a large step in y may leave W
-            # past it.  The bound is evaluated only if some entry passes that.
-            if done.any():
-                c = np.exp(np.maximum(du_max, 0.0))[:, None, None]
-                done &= over_blocks(
-                    stop, (du, growth, em1, lam_u, abs_y, spread, a_scale_rows), _all_blocks
-                )
+            arrays = (u, y, v, a_rows, a_scale_rows, em1, growth, d, g, lam_u, du, abs_y, spread)
+            done = over_blocks(step, arrays, _joined)
             if done.any():
                 for j in np.flatnonzero(done):
                     np.minimum(u[j], projected, out=u_out[rows[j]])
@@ -304,14 +292,16 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
 
     rows = np.arange(n_stack)
     if start is not None:
-        with np.errstate(all="ignore"):  # a projected entry's stop factor may overflow
+        with np.errstate(all="ignore"):  # a first step or the stop's factor may overflow
             u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
             np.add(z[:, :, None], sec_ad, out=a)
-            rows = newton(rows, u, y, True)
+            rows = newton(rows, u, y)
     if len(rows):
         a_rows, y, rhs = a[: len(rows)], y_rows[: len(rows)], stacks[5, : len(rows)]
         np.add(z[rows][:, :, None], sec_ad, out=a_rows)
-        y.fill(float(market.lambdas @ caps))
+        # y at the fixed point of the system linearised at u = 0.
+        np.sum(np.multiply(lambdas, a_rows, out=rhs), axis=1, keepdims=True, out=y)
+        y /= float(market.lambdas @ market.delta_minus)
         np.multiply(deltas, y, out=rhs)
         rhs += a_rows
         try:
@@ -319,12 +309,8 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
         except SolverError:
             failed = rows
         else:
-            lam_u = np.multiply(lambdas, u, out=stacks[6, : len(rows)])
-            sound = np.all(y - np.sum(lam_u, axis=1, keepdims=True) >= 0.0, axis=(1, 2))
-            failed = rows[~sound]
-            if sound.any():
-                u, y, _ = _compact(sound, (u, y, a_rows))
-                failed = np.concatenate([failed, newton(rows[sound], u, y, False)])
+            with np.errstate(all="ignore"):
+                failed = newton(rows, u, y)
         u_out[failed] = np.nan
         y_out[failed] = np.nan
     return u_out, y_out

@@ -398,7 +398,7 @@ class TestExactJacobian:
 
         Each round solves one trial point per start still searching, all in
         one stacked inner solve, so the stack size of every call is pinned:
-        52 trial points on the 8-agent market, 20 on the 3-agent one.
+        51 trial points on the 8-agent market, 20 on the 3-agent one.
         Forward-difference columns would add n - 1 more per Newton step.
         """
         sizes = []
@@ -406,7 +406,7 @@ class TestExactJacobian:
         monkeypatch.setattr(
             nash, "_inner_log_ratios", lambda *a: sizes.append(len(a[2])) or inner(*a)
         )
-        for n_agents, stacks in ((8, [9, 9, 9, 9, 8, 8]), (3, [4, 4, 4, 4, 4])):
+        for n_agents, stacks in ((8, [9, 9, 9, 9, 8, 7]), (3, [4, 4, 4, 4, 4])):
             sizes.clear()
             solve_nash(random_market(np.random.default_rng(0), n_agents=n_agents, n_states=500))
             assert sizes == stacks
@@ -572,6 +572,32 @@ class TestWarmStarts:
         assert kernel.call_count == 0
         assert np.all(np.abs(u_far - u) <= 1e-12 * (1.0 + np.abs(u)))
         assert np.all(np.abs(y_far - y) <= 1e-12 * (1.0 + np.abs(y)))
+
+    def test_cold_start_below_w_zero_enters_like_a_warm_one(self, monkeypatch):
+        """A cold start need not lie where ``W >= 0``: with the kernel's ``u`` of
+        entry 0 raised by 5, ``W`` at its start falls below 0, yet its first
+        step is projected onto the caps as a warm one is, and the entry
+        reaches the unraised solve's ``(u, y)`` within 1e-12; the other
+        entries keep their bits."""
+        m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
+        ad = solve_arrow_debreu(m)
+        z = nash._starts(m, ad)
+        u, y = inner_solve(m, ad, z)
+        kernel = nash.solve_exp_linear
+
+        def raised(dminus, deltas, rhs):
+            u = kernel(dminus, deltas, rhs)
+            u[0] += 5.0
+            return u
+
+        monkeypatch.setattr(nash, "solve_exp_linear", raised)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_raised, y_raised = inner_solve(m, ad, z)
+        assert np.all(np.abs(u_raised[0] - u[0]) <= 1e-12 * (1.0 + np.abs(u[0])))
+        assert np.all(np.abs(y_raised[0] - y[0]) <= 1e-12 * (1.0 + np.abs(y[0])))
+        assert u_raised[1:].tobytes() == u[1:].tobytes()
+        assert y_raised[1:].tobytes() == y[1:].tobytes()
 
     def test_warm_solve_past_the_pass_limit_falls_back_to_cold(self, monkeypatch):
         """A warm start half a unit under the caps takes 7 passes and the cold
@@ -1136,8 +1162,9 @@ class TestStartRecord:
 
 def _failing_kernel(monkeypatch, entry=None):
     """Make the inner solve's kernel fail: raise ``SolverError`` on every call,
-    or, with ``entry``, return a cold start with ``W(y0) < 0`` for that entry
-    of each stack that has it."""
+    or, with ``entry``, return for that entry of each stack that has it a cold
+    start whose first step overflows, so that it never converges within
+    ``INNER_MAX_ITER`` passes."""
     kernel = nash.solve_exp_linear
 
     def failing(dminus, deltas, rhs):
@@ -1145,7 +1172,7 @@ def _failing_kernel(monkeypatch, entry=None):
             raise SolverError("kernel failed")
         u = kernel(dminus, deltas, rhs)
         if len(u) > entry:
-            u[entry] += 1e3  # sum_i lambda_i * u_i rises by 1e3, above y0
+            u[entry] += 1e3  # expm1 overflows on the first step
         return u
 
     monkeypatch.setattr(nash, "solve_exp_linear", failing)
@@ -1174,7 +1201,7 @@ class TestInnerSolveFailure:
                 for field in e._fields:
                     assert np.array_equal(getattr(e, field), getattr(e_alone, field)), field
 
-    @pytest.mark.parametrize("entry", [None, 0], ids=["kernel-raises", "unsound-start"])
+    @pytest.mark.parametrize("entry", [None, 0], ids=["kernel-raises", "overflowing-start"])
     @pytest.mark.parametrize("public", [phi_map, nash_distance])
     def test_public_maps_raise_solver_error_carrying_z(self, monkeypatch, entry, public):
         m = random_market(np.random.default_rng(3), n_agents=3, n_states=100)
@@ -1186,7 +1213,7 @@ class TestInnerSolveFailure:
         assert err.value.diagnostics == {"z": z.tolist()}
 
     @pytest.mark.parametrize(
-        "n_agents, entry", [(3, None), (2, 0)], ids=["kernel-raises", "unsound-start"]
+        "n_agents, entry", [(3, None), (2, 0)], ids=["kernel-raises", "overflowing-start"]
     )
     def test_solve_nash_raises_with_one_trace_per_start(self, monkeypatch, n_agents, entry):
         m = random_market(np.random.default_rng(3), n_agents=n_agents, n_states=100)
