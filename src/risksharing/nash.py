@@ -9,8 +9,9 @@ super-solution, from where one joint Newton iteration per state decreases
 monotonically to its root.  Each outer Newton start solves its first point
 cold, from the system linearised at zero, and every later trial point
 warm, from the last accepted point's solution; either way a first step is
-projected onto the endogenous caps, past which no root lies, and only a
-warm solve that does not converge is redone cold.  The zero-price
+projected onto the endogenous caps, past which no root lies.  A trial
+point whose inner solve does not converge counts as no decrease, and the
+search halves its step, as for any failed trial.  The zero-price
 condition is met at the fixed points of the certainty-equivalent update
 map ``phi``, found for every agent count by one backtracking Newton
 iteration on ``phi(z) - z`` and a last Newton step on the prices, both
@@ -143,24 +144,23 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     through the Schur complement ``s = 1 - sum_i lambda_i * delta_i / D_i``.
     The cold start is the fixed point of the system linearised at ``u = 0``,
     ``y0 = sum_i lambda_i * a_i / sum_i lambda_i * delta_minus_i``, with ``u``
-    solved at ``y0``; ``start``, the ``(u, y)`` rows solved at nearby points,
-    is a warm start instead.  From past a cap, where no root lies, Newton on
-    ``expm1`` falls about one unit of ``u`` a pass, so every solve projects
-    a first step that leaves some ``u_i`` past its cap onto the caps, and
-    its entry does not stop at that pass.  A warm entry that does not
-    converge within ``INNER_MAX_ITER`` passes (a far start that overflows
-    among them) is redone from the cold start, all such entries in one
-    kernel call.  A cold solve fails where it does not converge; the
-    kernel's own failure fails every entry of its call.  An entry leaves the
-    stack, with the point after its step, at the pass whose step leaves
-    ``W`` at 0 and ``G`` within half its tolerance: ``W`` is linear, and
-    after a step ``(du, dy)`` the exact ``G_i`` is
-    ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``, which the step
-    bounds state by state without another pass over the states.  Each entry
-    decides alone, so its passes are those of a solve of it alone.  An agent
-    holding over half the total tolerance is carried as ``v = u - y``: its
-    ``u`` is close to ``y``, and ``y`` amplifies an error in ``v`` by
-    ``1/lambda_minus``.
+    solved at ``y0`` by the kernel; ``start``, the ``(u, y)`` rows solved at
+    nearby points, is a warm start instead, and calls no kernel.  From past a
+    cap, where no root lies, Newton on ``expm1`` falls about one unit of
+    ``u`` a pass, so every solve projects a first step that leaves some
+    ``u_i`` past its cap onto the caps, and its entry does not stop at that
+    pass.  An entry that does not converge within ``INNER_MAX_ITER`` passes
+    fails, a far start whose first step overflows among them, and so does
+    every entry of a call whose kernel raises; :func:`_newton` counts a
+    failed trial point as no decrease.  An entry leaves the stack, with the
+    point after its step, at the pass whose step leaves ``W`` at 0 and ``G``
+    within half its tolerance: ``W`` is linear, and after a step ``(du, dy)``
+    the exact ``G_i`` is ``delta_minus_i * exp(u_i) * (expm1(du_i) - du_i)``,
+    which the step bounds state by state without another pass over the
+    states.  Each entry decides alone, so its passes are those of a solve of
+    it alone.  An agent holding over half the total tolerance is carried as
+    ``v = u - y``: its ``u`` is close to ``y``, and ``y`` amplifies an error
+    in ``v`` by ``1/lambda_minus``.
 
     The stacks it works on belong to ``ws``, the workspace built in
     :func:`_newton` or :func:`_evaluate_one`.  The solving entries
@@ -199,86 +199,99 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
+    np.add(z[:, :, None], sec_ad, out=a)
+    if start is None:
+        # y at the fixed point of the system linearised at u = 0.
+        y, rhs = y_rows, stacks[5]
+        np.sum(np.multiply(lambdas, a, out=rhs), axis=1, keepdims=True, out=y)
+        y /= float(market.lambdas @ market.delta_minus)
+        np.multiply(deltas, y, out=rhs)
+        rhs += a
+        try:
+            u = solve_exp_linear(dminus, deltas, rhs)
+        except SolverError:
+            u_out.fill(np.nan)
+            y_out.fill(np.nan)
+            return u_out, y_out
+    else:
+        u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
+    # Tolerances scale with the terms, y's among them through dG/dy, not
+    # with their sum, which cancels.
+    np.abs(a, out=a_scale)
+    a_scale += 1.0
 
-    def newton(rows, u, y):
-        """Joint Newton for the entries ``rows`` from ``(u, y)``, their ``a`` in the
-        leading rows of ``a``; returns those that do not converge, in order."""
-        a_rows, a_scale_rows = a[: len(rows)], a_scale[: len(rows)]
-        # Tolerances scale with the terms, y's among them through dG/dy, not
-        # with their sum, which cancels.
-        np.abs(a_rows, out=a_scale_rows)
-        a_scale_rows += 1.0
-        v = np.subtract(u[:, dom], y, out=v_rows[: len(rows), :width])
+    def step(u, y, v, a_rows, scale, em1, growth, d, g, lam_u, du, abs_y, spread):
+        """One Newton step on a block of states, in place, a first one projected
+        onto the caps.  Per entry: whether the step stops it."""
+        np.expm1(u, out=em1)
+        np.add(em1, 1.0, out=growth)
+        growth *= dminus
+        np.add(growth, deltas, out=d)
+        np.multiply(deltas[dom], v, out=spread)
+        np.subtract(u, y, out=g)
+        g *= deltas
+        g[:, dom] = spread
+        em1 *= dminus
+        g += em1
+        g -= a_rows
+        np.multiply(lambdas, u, out=lam_u)
+        lam_u[:, dom] = lambdas[dom] * v
+        w = rest * y - np.sum(lam_u, axis=1, keepdims=True)
+        np.abs(y, out=abs_y)
+        abs_sum = np.sum(np.abs(lam_u, out=lam_u), axis=1, keepdims=True)
+        w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
+        w_done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
+        # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
+        lam_d = np.divide(lambdas, d, out=lam_u)
+        s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
+        dy = -(w + np.sum(np.multiply(lam_d, g, out=em1), axis=1, keepdims=True)) / s
+        np.multiply(deltas, dy, out=du)
+        du -= g
+        du /= d
+        y += dy
+        v += du[:, dom] - dy
+        u += du
+        u[:, dom] = v + y
+        if first:  # no root lies past the caps: project onto them, and do not stop
+            under = np.all(u <= caps[:, None], axis=(1, 2))
+            if not under.all():
+                np.subtract(caps[dom, None], y, out=v, where=u[:, dom] > caps[dom, None])
+                np.minimum(u, caps[:, None], out=u)
+                u[:, dom] = v + y
+            w_done &= under
+        # W is linear, so the step leaves it 0, and G_i differs from its
+        # linearisation only through expm1: after the step it is exactly
+        # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du_i, 0)).
+        # An entry stops once this bound is at most half G's tolerance at
+        # the point before the step (the halves cancel) and its W was
+        # within its tolerance before the step, since rounding a large
+        # step in y may leave W past it.  A block forms the bound only if
+        # some entry passes that there.
+        if not w_done.any():
+            return w_done
+        bound = np.maximum(du, 0.0, out=em1)
+        np.exp(bound, out=bound)
+        bound *= du
+        bound *= du
+        bound *= growth
+        tol = np.multiply(deltas, abs_y, out=lam_u)
+        tol += scale
+        tol[:, dom] = scale[:, dom] + np.abs(spread)
+        tol[:, dom] += growth[:, dom] * abs_y
+        tol *= 1e-14
+        bound -= tol
+        return w_done & (np.max(bound, axis=(1, 2)) <= 0.0)
 
-        def step(u, y, v, a_rows, scale, em1, growth, d, g, lam_u, du, abs_y, spread):
-            """One Newton step on a block of states, in place, a first one projected
-            onto the caps.  Per entry: whether the step stops it."""
-            np.expm1(u, out=em1)
-            np.add(em1, 1.0, out=growth)
-            growth *= dminus
-            np.add(growth, deltas, out=d)
-            np.multiply(deltas[dom], v, out=spread)
-            np.subtract(u, y, out=g)
-            g *= deltas
-            g[:, dom] = spread
-            em1 *= dminus
-            g += em1
-            g -= a_rows
-            np.multiply(lambdas, u, out=lam_u)
-            lam_u[:, dom] = lambdas[dom] * v
-            w = rest * y - np.sum(lam_u, axis=1, keepdims=True)
-            np.abs(y, out=abs_y)
-            abs_sum = np.sum(np.abs(lam_u, out=lam_u), axis=1, keepdims=True)
-            w_tol = 1e-14 * (1.0 + rest * abs_y + abs_sum)
-            w_done = np.all(np.abs(w) <= w_tol, axis=(1, 2))
-            # s = 1 - sum_i lambda_i*delta_i/D_i, summed without cancellation.
-            lam_d = np.divide(lambdas, d, out=lam_u)
-            s = np.sum(np.multiply(lam_d, growth, out=em1), axis=1, keepdims=True)
-            dy = -(w + np.sum(np.multiply(lam_d, g, out=em1), axis=1, keepdims=True)) / s
-            np.multiply(deltas, dy, out=du)
-            du -= g
-            du /= d
-            y += dy
-            v += du[:, dom] - dy
-            u += du
-            u[:, dom] = v + y
-            if first:  # no root lies past the caps: project onto them, and do not stop
-                under = np.all(u <= caps[:, None], axis=(1, 2))
-                if not under.all():
-                    np.subtract(caps[dom, None], y, out=v, where=u[:, dom] > caps[dom, None])
-                    np.minimum(u, caps[:, None], out=u)
-                    u[:, dom] = v + y
-                w_done &= under
-            # W is linear, so the step leaves it 0, and G_i differs from its
-            # linearisation only through expm1: after the step it is exactly
-            # growth_i*(expm1(du_i) - du_i) <= growth_i*du_i^2/2*exp(max(du_i, 0)).
-            # An entry stops once this bound is at most half G's tolerance at
-            # the point before the step (the halves cancel) and its W was
-            # within its tolerance before the step, since rounding a large
-            # step in y may leave W past it.  A block forms the bound only if
-            # some entry passes that there.
-            if not w_done.any():
-                return w_done
-            bound = np.maximum(du, 0.0, out=em1)
-            np.exp(bound, out=bound)
-            bound *= du
-            bound *= du
-            bound *= growth
-            tol = np.multiply(deltas, abs_y, out=lam_u)
-            tol += scale
-            tol[:, dom] = scale[:, dom] + np.abs(spread)
-            tol[:, dom] += growth[:, dom] * abs_y
-            tol *= 1e-14
-            bound -= tol
-            return w_done & (np.max(bound, axis=(1, 2)) <= 0.0)
-
-        # The leading rows of the workspace's buffers belong to the entries
-        # still solving; each pass writes its (K, n, S) values into them.
+    # The leading rows of the workspace's buffers belong to the entries
+    # still solving; each pass writes its (K, n, S) values into them.
+    rows = np.arange(n_stack)
+    with np.errstate(all="ignore"):  # a first step or the stop's factor may overflow
+        v = np.subtract(u[:, dom], y, out=v_rows[:, :width])
         for k in range(INNER_MAX_ITER):
             m, first = len(rows), k == 0
             em1, growth, d, g, lam_u, du = stacks[2:8, :m]
             abs_y, spread = abs_y_rows[:m], spread_rows[:m, :width]
-            arrays = (u, y, v, a_rows, a_scale_rows, em1, growth, d, g, lam_u, du, abs_y, spread)
+            arrays = (u, y, v, a, a_scale, em1, growth, d, g, lam_u, du, abs_y, spread)
             done = over_blocks(step, arrays, _joined)
             if done.any():
                 for j in np.flatnonzero(done):
@@ -287,32 +300,9 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
                 rows = rows[~done]
                 if not len(rows):
                     break
-                u, y, v, a_rows, a_scale_rows = _compact(~done, (u, y, v, a_rows, a_scale_rows))
-        return rows
-
-    rows = np.arange(n_stack)
-    if start is not None:
-        with np.errstate(all="ignore"):  # a first step or the stop's factor may overflow
-            u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
-            np.add(z[:, :, None], sec_ad, out=a)
-            rows = newton(rows, u, y)
-    if len(rows):
-        a_rows, y, rhs = a[: len(rows)], y_rows[: len(rows)], stacks[5, : len(rows)]
-        np.add(z[rows][:, :, None], sec_ad, out=a_rows)
-        # y at the fixed point of the system linearised at u = 0.
-        np.sum(np.multiply(lambdas, a_rows, out=rhs), axis=1, keepdims=True, out=y)
-        y /= float(market.lambdas @ market.delta_minus)
-        np.multiply(deltas, y, out=rhs)
-        rhs += a_rows
-        try:
-            u = solve_exp_linear(dminus, deltas, rhs)
-        except SolverError:
-            failed = rows
-        else:
-            with np.errstate(all="ignore"):
-                failed = newton(rows, u, y)
-        u_out[failed] = np.nan
-        y_out[failed] = np.nan
+                u, y, v, a, a_scale = _compact(~done, (u, y, v, a, a_scale))
+    u_out[rows] = np.nan
+    y_out[rows] = np.nan
     return u_out, y_out
 
 

@@ -539,10 +539,10 @@ class TestWarmStarts:
             assert_within_inner_tolerances(m, ad, z[0], u[0], y[0])
 
     @pytest.mark.parametrize("level", [1e3], ids=["overflows"])
-    def test_far_start_falls_back_to_cold(self, level):
+    def test_far_start_fails(self, level):
         """A start whose first step overflows is not finite after its projection
         onto the caps, so it never converges and, after ``INNER_MAX_ITER``
-        passes, is redone cold: one kernel call, the cold bits, no warning."""
+        passes, fails: NaN rows, no kernel call, no warning."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
@@ -552,8 +552,8 @@ class TestWarmStarts:
             warnings.simplefilter("error")
             with _kernel_calls(nash) as kernel:
                 u_far, y_far = inner_solve(m, ad, z, far)
-        assert kernel.call_count == 1
-        assert np.array_equal(u_far, u) and np.array_equal(y_far, y)
+        assert kernel.call_count == 0
+        assert np.all(np.isnan(u_far)) and np.all(np.isnan(y_far))
 
     def test_far_start_is_projected_onto_the_caps(self):
         """From ``u = y = 300`` Newton on ``expm1`` would fall about one unit of
@@ -599,22 +599,28 @@ class TestWarmStarts:
         assert u_raised[1:].tobytes() == u[1:].tobytes()
         assert y_raised[1:].tobytes() == y[1:].tobytes()
 
-    def test_warm_solve_past_the_pass_limit_falls_back_to_cold(self, monkeypatch):
-        """A warm start half a unit under the caps takes 7 passes and the cold
-        start 5, so with ``INNER_MAX_ITER`` at 6 the warm solve gives up and is
-        redone cold: one kernel call, the cold result."""
+    def test_warm_solve_past_the_pass_limit_fails(self, monkeypatch):
+        """A warm start half a unit under the caps takes 7 passes, so with
+        ``INNER_MAX_ITER`` at 6 the warm solve gives up and fails: NaN rows,
+        no kernel call, no warning.  At 7 it reaches the cold result."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=200)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
         caps = np.log(3 * m.delta_total / m.delta_minus)
         u_start = np.broadcast_to(caps[:, None] - 0.5, (1, 4, 200)).copy()
         start = (u_start, (m.lambdas @ u_start[0])[None])
-        monkeypatch.setattr(nash, "INNER_MAX_ITER", 6)
         u, y = inner_solve(m, ad, z)
-        with _kernel_calls(nash) as kernel:
-            u_warm, y_warm = inner_solve(m, ad, z, start)
-        assert kernel.call_count == 1
-        assert np.array_equal(u_warm, u) and np.array_equal(y_warm, y)
+        for limit in (6, 7):
+            monkeypatch.setattr(nash, "INNER_MAX_ITER", limit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with _kernel_calls(nash) as kernel:
+                    u_warm, y_warm = inner_solve(m, ad, z, start)
+            assert kernel.call_count == 0
+            if limit == 6:
+                assert np.all(np.isnan(u_warm)) and np.all(np.isnan(y_warm))
+        assert np.all(np.abs(u_warm - u) <= 1e-12 * (1.0 + np.abs(u)))
+        assert np.all(np.abs(y_warm - y) <= 1e-12 * (1.0 + np.abs(y)))
 
     def test_first_step_check_projects_a_far_start(self, monkeypatch):
         """Extreme-sweep trial 64's first Newton step moves ``z`` by about 1400,
@@ -865,22 +871,28 @@ class TestBlocks:
         assert any(name.startswith("risksharing") for name in threads)
 
     @pytest.mark.parametrize("level", [800.0], ids=["overflowing"])
-    def test_far_warm_start_is_redone_cold(self, monkeypatch, level):
+    def test_far_warm_start_fails_as_on_one_block(self, monkeypatch, level):
         """A start at ``u = y = 800`` overflows and never converges; with warnings
-        as errors, the blocks, each in a copy of the caller's ``errstate``, redo
-        it cold to the one-block bits."""
+        as errors, the blocks, each in a copy of the caller's ``errstate``, fail
+        it to the one-block bits, NaN, without a kernel call."""
         m = random_market(np.random.default_rng(3), n_agents=4, n_states=600)
         ad = solve_arrow_debreu(m)
         z = _ir_point(ad, np.ones(4))[None]
-        u, y = inner_solve(m, ad, z)
-        far = (np.full_like(u, level), np.full_like(y, level))
+        far = tuple(np.full_like(x, level) for x in inner_solve(m, ad, z))
         threads = force_blocks(monkeypatch, 3, 200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with _kernel_calls(nash) as kernel:
-                u_far, y_far = inner_solve(m, ad, z, far)
-        assert kernel.call_count == 1
-        assert u_far.tobytes() == u.tobytes() and y_far.tobytes() == y.tobytes()
+
+        def far_solve():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with _kernel_calls(nash) as kernel:
+                    u, y = inner_solve(m, ad, z, far)
+            assert kernel.call_count == 0
+            assert np.all(np.isnan(u)) and np.all(np.isnan(y))
+            return u.tobytes(), y.tobytes()
+
+        in_blocks = far_solve()
+        monkeypatch.setattr(roots, "WORKERS", 1)
+        assert far_solve() == in_blocks
         assert any(name.startswith("risksharing") for name in threads)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -1157,6 +1169,39 @@ class TestStartRecord:
         z, e, trace = ends[k]
         assert np.array_equal(z, starts[k]) and e is None and trace == [np.inf]
         assert all(size < len(starts) for size in sizes[1:])
+        assert_others_match_alone(ends, alone, k)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_failed_trial_point_halves_its_step(self, monkeypatch, k):
+        """A trial point whose inner solve does not converge is not redone: with
+        start ``k`` entering its first warm round at ``u = y = 800``, whose
+        first step overflows, its next trial point is its point plus half the
+        step, it still ends at the root it reaches alone, within the radius
+        that merges ends, and every other start reaches what it reaches alone."""
+        m, ad, starts, eps_target, alone = _market_and_starts()
+        inner, tried = nash._inner_log_ratios, []
+
+        def far_first_warm_round(market, ad, z, start, ws):
+            if start is not None:
+                if not tried:
+                    u, y = list(start[0]), list(start[1])
+                    u[k], y[k] = np.full_like(u[k], 800.0), np.full_like(y[k], 800.0)
+                    start = (u, y)
+                tried.append(z.copy())
+            return inner(market, ad, z, start, ws)
+
+        monkeypatch.setattr(nash, "_inner_log_ratios", far_first_warm_round)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = nash._newton(m, ad, starts, eps_target)
+        assert len(tried[0]) == len(tried[1]) == len(starts)  # every start tries a point
+        step = tried[0][k] - starts[k]
+        scale = 4.0 * np.finfo(float).eps * np.max(np.abs(tried[0][k]) + np.abs(starts[k]))
+        assert np.all(np.abs(tried[1][k] - (starts[k] + 0.5 * step)) <= scale)
+        z, e, _ = ends[k]
+        z_alone = alone[k][0]
+        assert _distance_from_prices(m, e.prices) <= nash.DISTANCE_RTOL * m.delta_total
+        assert np.max(np.abs(z - z_alone)) <= 1e-7 * (1.0 + np.max(np.abs(z_alone)))
         assert_others_match_alone(ends, alone, k)
 
 
