@@ -16,6 +16,10 @@ line: the SHA-256 of the results, the outcome counts and the histogram of
   ``HEDGE_MARKETS``, the markets of the root-hedge search whose game solve
   raises ``SolverError``; their line is the baseline for a change that
   solves them;
+- ``range``: 300 markets over the documented range of tolerances: for t in
+  0..299, ``random_market(default_rng([35, t]), n_states=50)`` (2 to 4
+  agents) with its tolerances redrawn from the same generator, log-uniform
+  on [``DELTA_MIN``, ``DELTA_MAX``];
 - ``cli``: the commands in ``CLI_COMMANDS``, run in process through
   ``risksharing.cli.main`` into a temporary directory: ``replicate`` of each
   built-in scenario, ``nash perfbench/scenarios/cli-nash.yaml --seed 0..3``,
@@ -41,11 +45,13 @@ Each line ends with the work the family cost, counted by wrapping three
 names of ``risksharing.nash``: the calls of ``_inner_log_ratios`` (``inner``)
 and the transfer vectors they solve at (``points``); the calls of the kernel
 ``solve_exp_linear`` as ``nash`` imports it (``kernel``) and the elements
-they solve (``elements``); and the calls of ``over_blocks`` as ``nash``
+they solve (``elements``); the calls of ``over_blocks`` as ``nash``
 imports it whose ``combine`` is ``nash._joined``, one per lockstep Newton
 pass of the inner solve, as the sum of their stack heights (``passes``) and
-the most of them in one ``_inner_log_ratios`` call (``longest``).  These are
-deterministic, so the expected file checks them too.
+the most of them in one ``_inner_log_ratios`` call (``longest``); and the
+entries that ``_inner_log_ratios`` returns NaN, its failed solves
+(``unsolved``).  These are deterministic, so the expected file checks them
+too.
 
 The pool's markets long enough for two blocks of states (``roots.BLOCK_MIN``)
 are solved in as many blocks as the process has CPUs, up to one per
@@ -85,8 +91,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from helpers import extreme_market, hedge_market, stress_market  # noqa: E402
-from risksharing import SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
+from helpers import extreme_market, hedge_market, random_market, stress_market  # noqa: E402
+from risksharing import Agent, Market, SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
+from risksharing.agents import DELTA_MAX, DELTA_MIN  # noqa: E402
 from risksharing import roots as blocks  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
 from risksharing.cli import main as cli_main  # noqa: E402
@@ -116,6 +123,7 @@ def count_work():
         WORK.update(inner=1, points=len(z))
         calls.clear()
         result = inner(market, ad, z, start, ws)
+        WORK.update(unsolved=int(np.sum(np.isnan(result[1][:, 0]))))
         WORK["longest"] = max(WORK["longest"], calls["passes"])
         return result
 
@@ -154,6 +162,14 @@ def sweep():
 def hedge():
     for seed, k in HEDGE_MARKETS:
         yield hedge_market(seed, k)
+
+
+def documented_range():
+    for t in range(300):
+        rng = np.random.default_rng([35, t])
+        market = random_market(rng, n_states=50)
+        deltas = 10 ** rng.uniform(np.log10(DELTA_MIN), np.log10(DELTA_MAX), market.n_agents)
+        yield Market([Agent(d, a.beliefs) for d, a in zip(deltas, market.agents)])
 
 
 def solved(market) -> tuple:
@@ -259,14 +275,16 @@ def cli_fingerprint() -> tuple:
 
 
 def work() -> str:
-    keys = ("inner", "points", "kernel", "elements", "passes", "longest")
+    keys = ("inner", "points", "kernel", "elements", "passes", "longest", "unsolved")
     return " ".join(f"{k} {WORK[k]}" for k in keys)
 
 
 def main() -> int:
     count_work()
     lines, long, kept = {}, [], {"stress": [], "hedge": []}
-    for name, markets in (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge)):
+    families = (("pool", pool), ("stress", stress), ("sweep", sweep), ("hedge", hedge),
+                ("range", documented_range))
+    for name, markets in families:
         t0 = time.perf_counter()
         WORK.clear()
         digest, outcomes, roots = fingerprint(
