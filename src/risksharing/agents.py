@@ -52,8 +52,12 @@ class Market:
         self.deltas = np.array([a.delta for a in agents], dtype=float)
         self.delta_total = float(self.deltas.sum())
         self.lambdas = self.deltas / self.delta_total
-        self.delta_minus = self.delta_total - self.deltas
-        self.lambda_minus = 1.0 - self.lambdas
+        # The sums of the other tolerances: delta_total - delta_i rounds to 0
+        # once delta_i exceeds the rest by about 1e16, inside the tolerance range.
+        before = np.cumsum(self.deltas)
+        after = np.cumsum(self.deltas[::-1])[::-1]
+        self.delta_minus = np.append(0.0, before[:-1]) + np.append(after[1:], 0.0)
+        self.lambda_minus = self.delta_minus / self.delta_total
 
     @property
     def n_agents(self) -> int:

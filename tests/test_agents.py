@@ -142,3 +142,10 @@ class TestMarket:
         np.testing.assert_allclose(m.delta_minus, [3.0, 1.0])
         np.testing.assert_allclose(m.lambda_minus, [0.75, 0.25])
         assert m.lambdas.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_complements_of_a_dominant_tolerance_are_exact(self):
+        """A tolerance 1e17 times the other's: ``delta_total - delta_0`` rounds
+        to 0, but the complement is the other tolerance itself."""
+        m = Market([Agent(1.84e11, BASE), Agent(1.36e-6, BASE)])
+        assert m.delta_minus[0] == 1.36e-6 and m.delta_minus[1] == 1.84e11
+        assert m.lambda_minus[0] > 0.0

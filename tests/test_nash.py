@@ -398,7 +398,7 @@ class TestExactJacobian:
 
         Each round solves one trial point per start still searching, all in
         one stacked inner solve, so the stack size of every call is pinned:
-        51 trial points on the 8-agent market, 20 on the 3-agent one.
+        52 trial points on the 8-agent market, 20 on the 3-agent one.
         Forward-difference columns would add n - 1 more per Newton step.
         """
         sizes = []
@@ -406,7 +406,7 @@ class TestExactJacobian:
         monkeypatch.setattr(
             nash, "_inner_log_ratios", lambda *a: sizes.append(len(a[2])) or inner(*a)
         )
-        for n_agents, stacks in ((8, [9, 9, 9, 9, 8, 7]), (3, [4, 4, 4, 4, 4])):
+        for n_agents, stacks in ((8, [9, 9, 9, 9, 8, 8]), (3, [4, 4, 4, 4, 4])):
             sizes.clear()
             solve_nash(random_market(np.random.default_rng(0), n_agents=n_agents, n_states=500))
             assert sizes == stacks
