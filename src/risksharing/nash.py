@@ -581,6 +581,8 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
     post-equilibrium identities hold to tighter tolerances.  Every distinct
     root is reported, smallest ``max|price|`` first.  Chunks of starts
     (``STACK_BUDGET``) change nothing: each start searches as it would alone.
+    With no root, ``SolverError`` carries the best end and each start's
+    whole ``max|F|`` trace.
 
     Pure given its inputs: repeated calls return identical results, and
     concurrent use is safe.
@@ -616,7 +618,7 @@ def solve_nash(market: Market, ad: ArrowDebreuEquilibrium | None = None) -> Nash
                 "best_z": best[2].tolist(),
                 "best_distance": best[0],
                 "tolerance": tol,
-                "residual_traces": [end[3][-5:] for end in ends],
+                "residual_traces": [end[3] for end in ends],
             },
         )
     return _assemble(market, found[0], root[1], all_roots=found)

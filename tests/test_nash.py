@@ -313,13 +313,17 @@ class TestPlateauMarkets:
         assert not failing
 
     def test_failure_carries_one_trace_per_start(self, monkeypatch):
+        """Each start's ``max|F|`` trace, every entry of it, some longer than 5."""
         m = stress_market(7, 9, 53)
+        ad = solve_arrow_debreu(m)
+        ends = nash._newton(m, ad, nash._starts(m, ad), 1e-12 * max(1.0, m.delta_total))
         monkeypatch.setattr(nash, "DISTANCE_RTOL", -1.0)
         with pytest.raises(SolverError) as err:
-            solve_nash(m)
+            solve_nash(m, ad=ad)
         diag = err.value.diagnostics
         assert len(diag["residual_traces"]) == m.n_agents + 1
-        assert all(len(t) >= 1 for t in diag["residual_traces"])
+        assert diag["residual_traces"] == [trace for _, _, trace in ends]
+        assert max(map(len, diag["residual_traces"])) > 5
         assert diag["best_distance"] > -1.0
         assert len(diag["best_z"]) == m.n_agents
 
