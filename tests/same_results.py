@@ -92,8 +92,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from helpers import extreme_market, hedge_market, random_market, stress_market  # noqa: E402
-from risksharing import Agent, Market, SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
-from risksharing.agents import DELTA_MAX, DELTA_MIN  # noqa: E402
+from risksharing import SolverError, nash, solve_arrow_debreu, solve_nash  # noqa: E402
+from risksharing.agents import DELTA_MAX, DELTA_MIN, Agent, Market  # noqa: E402
 from risksharing import roots as blocks  # noqa: E402
 from risksharing.bundle import nash_ledger  # noqa: E402
 from risksharing.cli import main as cli_main  # noqa: E402
