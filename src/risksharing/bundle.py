@@ -20,7 +20,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from .agents import Agent, Market, cara_utility
+from .agents import Agent, Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .limits import LimitReport, Table
 from .measures import Measure, RandomVariable, StateSpace, relative_entropy, variance
 from .nash import NashEquilibrium
+from .roots import folded_over_blocks
 
 SCHEMA_VERSION = 1
 
@@ -139,53 +140,81 @@ def record_from_dict(cls, doc: dict, space: StateSpace):
 
 
 def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
-    sec = ad.security_values()
-    q = ad.pricing.weights
-    clearing = float(np.max(np.abs(sec.sum(axis=0))))
-    zero_price = float(np.max(np.abs(np.sum(sec * q, axis=1))))
-    # The random leg alone leaves each agent indifferent to no trade.
-    indiff = 0.0
-    logq = ad.pricing.log_weights()
-    for i, agent in enumerate(market.agents):
-        part = agent.delta * (market.log_beliefs[i] - logq)
-        indiff = max(indiff, abs(cara_utility(agent, RandomVariable(market.space, part))))
+    d = market.deltas[:, None]
+    # The random leg alone leaves each agent indifferent to no trade: its
+    # certainty equivalent (cara_utility) is -delta*log E[exp(-leg/delta)].
+    # On blocks of states: the clearing gap, the partial prices and the
+    # legs' exponents with their tops; then their exponentials' sums.
+    lam = np.empty((market.n_agents, market.space.n_states))
+    arrays = (lam, ad.pricing.weights, market.log_beliefs, market.belief_weights,
+              *(c.values for c in ad.securities))
+
+    def first(lam, q, log_b, beliefs, *rows):
+        sec = np.stack(rows)
+        np.divide(-(d * (log_b - np.log(q))), d, out=lam)
+        return np.max(np.abs(sec.sum(axis=0))), np.sum(sec * q, axis=1), lam.max(axis=1)
+
+    def mass(lam, q, log_b, beliefs, *rows):
+        return (np.sum(beliefs * np.exp(lam - top[:, None]), axis=1),)
+
+    clearing, prices, top = folded_over_blocks(first, arrays, np.maximum, np.add, np.maximum)
+    (total,) = folded_over_blocks(mass, arrays, np.add)
+    legs = -market.deltas * (top + np.log(total))
     return [
         _entry("ad_clearing", clearing),
-        _entry("ad_zero_price", zero_price),
-        _entry("ad_indifference", indiff),
+        _entry("ad_zero_price", float(np.max(np.abs(prices)))),
+        _entry("ad_indifference", max(0.0, *np.abs(legs))),
     ]
 
 
 def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium, diag=None) -> list:
     """The game's ledger; ``diag`` is the caller's ``compute_diagnostics``, if it has one."""
     entries = ad_ledger(market, ad)
-    sec = eq.security_values()
-    u = np.asarray(eq.log_ratios)
-    q = eq.pricing.weights
     deltas = market.deltas[:, None]
     dminus = market.delta_minus[:, None]
+    caps = np.log((market.n_agents - 1) * market.delta_total / market.delta_minus)[:, None]
+    logq = np.empty(market.space.n_states)
+    arrays = (logq, np.asarray(eq.log_ratios), eq.pricing.weights, ad.pricing.weights,
+              *(c.values for c in eq.securities), *(c.values for c in ad.securities))
 
-    entries.append(_entry("nash_clearing", float(np.max(np.abs(sec.sum(axis=0))))))
-    entries.append(_entry("nash_zero_price", float(np.max(np.abs(np.sum(sec * q, axis=1))))))
-    entries.append(
-        _entry(
-            "nash_representation",
-            float(np.max(np.abs(dminus * np.expm1(u) - sec))),
+    # On blocks of states: the gaps of clearing, of the representation and
+    # of the per-state characterisation at the solved transfers, the partial
+    # prices, the valuation's log reconstructed from the competitive pricing
+    # and the ratios with its top, and the bound; then the reconstruction's
+    # sums; then its gap.
+    def first(logq, u, q, q_ad, *rows):
+        sec, sec_ad = np.stack(rows[: market.n_agents]), np.stack(rows[market.n_agents :])
+        coupling = np.sum(market.lambdas[:, None] * u, axis=0)
+        system = sec + deltas * u - (eq.z[:, None] + sec_ad + deltas * coupling)
+        np.subtract(np.log(q_ad), coupling, out=logq)
+        return (
+            np.max(np.abs(sec.sum(axis=0))),
+            np.sum(sec * q, axis=1),
+            np.max(np.abs(dminus * np.expm1(u) - sec)),
+            np.max(np.abs(system)),
+            logq.max(),
+            np.min(caps - u),
+            np.all(np.isfinite(u)),
         )
+
+    def mass(logq, *_):
+        np.exp(np.subtract(logq, top, out=logq), out=logq)
+        return (logq.sum(),)
+
+    def reconstructed(w, u, q, *_):
+        return (np.max(np.abs(w / total - q)),)
+
+    ops = (np.maximum, np.add, np.maximum, np.maximum, np.maximum, np.minimum, np.logical_and)
+    clearing, prices, representation, system, top, bound_slack, finite = folded_over_blocks(
+        first, arrays, *ops
     )
-    # Per-state characterisation at the solved transfers.
-    coupling = np.sum(market.lambdas[:, None] * u, axis=0)
-    system = sec + deltas * u - (
-        eq.z[:, None] + ad.security_values() + deltas * coupling
-    )
-    entries.append(_entry("nash_system", float(np.max(np.abs(system)))))
-    # Valuation reconstruction from the competitive pricing and the ratios.
-    logq = ad.pricing.log_weights() - coupling
-    logq -= logq.max()
-    w = np.exp(logq)
-    entries.append(
-        _entry("nash_pricing_reconstruction", float(np.max(np.abs(w / w.sum() - q))))
-    )
+    (total,) = folded_over_blocks(mass, arrays, np.add)
+    (reconstruction,) = folded_over_blocks(reconstructed, arrays, np.maximum)
+    entries.append(_entry("nash_clearing", clearing))
+    entries.append(_entry("nash_zero_price", float(np.max(np.abs(prices)))))
+    entries.append(_entry("nash_representation", representation))
+    entries.append(_entry("nash_system", system))
+    entries.append(_entry("nash_pricing_reconstruction", reconstruction))
     if diag is None:
         diag = compute_diagnostics(market, ad, eq)
     entries.append(_entry("identity_suite", diag.max_identity_residual()))
@@ -194,9 +223,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
         _entry("z_bounds", float(np.min(eq.z + np.asarray(ad.agent_gains))))
     )
     entries.append(_entry("efficiency_order", ad.aggregate_gain - eq.aggregate_value))
-    caps = np.log((market.n_agents - 1) * market.delta_total / market.delta_minus)
-    bound_slack = float(np.min(caps[:, None] - u)) if np.all(np.isfinite(u)) else -np.inf
-    entries.append(_entry("endogenous_bounds", bound_slack))
+    entries.append(_entry("endogenous_bounds", bound_slack if finite else -np.inf))
     gap = 0.0
     for i in range(market.n_agents):
         others = [eq.revealed[j] for j in range(market.n_agents) if j != i]

@@ -16,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Market, cara_utility
+from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium
 from .errors import ContractError
-from .measures import (
-    expect,
-    normalize_log_density,
-    relative_entropy,
-    variance,
-    weights_from_logs,
-)
+from .measures import MIN_WEIGHT, Measure
 from .nash import NashEquilibrium
-from .roots import logsumexp
+from .roots import folded_over_blocks
 
 
 @dataclass(frozen=True)
@@ -65,118 +59,137 @@ def compute_diagnostics(
     if len(ad.securities) != market.n_agents or len(nash.securities) != market.n_agents:
         raise ContractError("inconsistent agent counts across inputs")
 
-    n_others = market.n_agents - 1
+    n = market.n_agents
+    n_others = n - 1
     deltas = market.deltas
     dminus = market.delta_minus
     lambdas = market.lambdas
-
-    sec = nash.security_values()
-    u = np.asarray(nash.log_ratios)
-    qstar = ad.pricing
-    qgame = nash.pricing
-    log_qgame = qgame.log_weights()
-
-    residuals: dict = {}
-
-    # The log-ratio encoding must reproduce the payoffs.
-    residuals["ratio_representation"] = float(
-        np.max(np.abs(dminus[:, None] * np.expm1(u) - sec))
-    )
-
-    # Certainty equivalents, recomputed from the securities.
-    u_game = np.array(
-        [cara_utility(agent, c) for agent, c in zip(market.agents, nash.securities)]
-    )
-    u_star = np.asarray(ad.agent_gains)
-    per_agent_delta = u_game - u_star
-    efficiency_loss = float(ad.aggregate_gain - u_game.sum())
-
-    marginal = tuple(weights_from_logs(space, log_qgame + ui) for ui in u)
-    # Construction drift: the unnormalised marginal densities integrate to
-    # one exactly at an equilibrium.
-    residuals["marginal_normalisation"] = float(
-        np.max(np.abs(np.exp(logsumexp(log_qgame + u, axis=1)) - 1.0))
-    )
-
+    d, dm = deltas[:, None], dminus[:, None]
     alpha = market.lambda_minus / n_others
-    entropy_terms = deltas * np.array([relative_entropy(qstar, qi) for qi in marginal])
-    undervaluation = np.array([expect(qstar, c) for c in nash.securities])
-    belief_distance = np.array(
-        [
-            relative_entropy(agent.beliefs, rev)
-            for agent, rev in zip(market.agents, nash.revealed)
-        ]
-    )
-    marginal_prices = np.array(
-        [expect(qi, c) for qi, c in zip(marginal, nash.securities)]
-    )
-
-    # Loss formula: aggregate shortfall equals the valuation-weighted
-    # log-mean of the lambda-geometric-mean of the price ratios.
-    log_mix = np.sum(lambdas[:, None] * u, axis=0)
-    loss_formula = market.delta_total * float(
-        np.log(np.sum(qgame.weights * np.exp(log_mix)))
-    )
-    residuals["loss_formula"] = (u_game.sum() - ad.aggregate_gain) - loss_formula
-
-    # Per-agent decomposition: value change = transfer + share of shortfall.
-    decomp = per_agent_delta - (nash.z + lambdas * (u_game.sum() - ad.aggregate_gain))
-    residuals["loss_decomposition"] = float(np.max(np.abs(decomp)))
-
-    # Aggregate entropy identity.
-    residuals["entropy_aggregate"] = efficiency_loss - float(entropy_terms.sum())
-
-    # Per-agent split into mispricing and entropy cost.
-    split = per_agent_delta - (undervaluation - entropy_terms)
-    residuals["entropy_split"] = float(np.max(np.abs(split)))
-
-    # Marginal measures tilt the game valuation and the agent's own beliefs
-    # the same way; cross-check through the belief route.
-    tilt_err = 0.0
-    for agent, qi, c in zip(market.agents, marginal, nash.securities):
-        via_beliefs = normalize_log_density(agent.beliefs, -c.values / agent.delta)
-        tilt_err = max(tilt_err, float(np.max(np.abs(qi.weights - via_beliefs.weights))))
-    residuals["marginal_vs_belief_tilt"] = tilt_err
-
-    # Pricing decomposition: game valuation is the alpha-mixture of the
-    # marginal measures.
-    mix = sum(a * qi.weights for a, qi in zip(alpha, marginal))
-    residuals["pricing_decomposition"] = float(np.max(np.abs(mix - qgame.weights)))
-
-    # Value identity: each agent's value is their entropy gain on the game
-    # valuation less the entropy gap to their marginal measure.
-    val_identity = u_game - np.array(
-        [
-            agent.delta
-            * (relative_entropy(qgame, agent.beliefs) - relative_entropy(qgame, qi))
-            for agent, qi in zip(market.agents, marginal)
-        ]
-    )
-    residuals["value_identity"] = float(np.max(np.abs(val_identity)))
-
-    # Marginal price is variance over complementary tolerance.
-    price_var = marginal_prices - np.array(
-        [variance(qgame, c) / dm for c, dm in zip(nash.securities, dminus)]
-    )
-    residuals["marginal_price_variance"] = float(np.max(np.abs(price_var)))
-
-    # Revealed-belief bounds; slacks are >= 0 up to float error.
     bound_cap = n_others / market.lambda_minus
-    slack_cap = np.inf
-    ratio_rows = []
-    for agent, rev, cap in zip(market.agents, nash.revealed, bound_cap):
-        lik = agent.beliefs.weights / rev.weights
-        ratio_rows.append(lik)
-        slack_cap = min(slack_cap, float(np.min(cap - lik)))
-    residuals["bound_likelihood_cap"] = slack_cap
-    mixture = sum(a * lik for a, lik in zip(alpha, ratio_rows))
-    residuals["bound_alpha_mixture"] = float(np.min(1.0 - mixture))
-    residuals["bound_plain_sum"] = float(np.min(sum(ratio_rows) - 1.0))
-    residuals["bound_belief_entropy"] = float(
-        np.min(np.log(bound_cap) - belief_distance)
+
+    u = np.asarray(nash.log_ratios)
+    # Per agent and state: the exponents of the marginal measures and of the
+    # beliefs tilted by the securities; per state, the game's log valuation.
+    marg, tilted = np.empty((2, *u.shape))
+    arrays = (u, marg, tilted, np.empty(u.shape[1]), ad.pricing.weights, nash.pricing.weights,
+              market.belief_weights, market.log_beliefs, *(c.values for c in nash.securities),
+              *(m.weights for m in nash.revealed))
+
+    # Every per-state pass below runs on blocks of states
+    # (:func:`~risksharing.roots.over_blocks`) and returns partial sums and
+    # extremes, folded in block order; each is the textbook formula of its
+    # quantity (relative entropy, expectation, variance, log-sum-exp).
+    def exponents(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
+        sec, rev = np.stack(rows[:n]), np.stack(rows[n:])
+        lam = np.divide(-sec, d)  # the exponent of each agent's certainty equivalent
+        np.add(np.log(qgame, out=log_qgame), u, out=marg)
+        np.add(log_b, lam, out=tilted)
+        lik = beliefs / rev
+        return (
+            np.max(np.abs(dm * np.expm1(u) - sec)),
+            lam.max(axis=1, keepdims=True),
+            marg.max(axis=1, keepdims=True),
+            tilted.max(axis=1, keepdims=True),
+            np.sum(qstar * sec, axis=1),  # undervaluation
+            np.sum(beliefs * (log_b - np.log(rev)), axis=1),  # belief distance
+            np.sum(qgame * np.exp(np.sum(lambdas[:, None] * u, axis=0))),
+            np.sum(qgame * sec, axis=1),
+            np.sum(qgame * (log_qgame - log_b), axis=1),
+            np.min(bound_cap[:, None] - lik),
+            np.min(1.0 - sum(a * x for a, x in zip(alpha, lik))),
+            np.min(sum(lik) - 1.0),
+        )
+
+    first = folded_over_blocks(
+        exponents, arrays, *[np.maximum] * 4, *[np.add] * 5, *[np.minimum] * 3
     )
-    residuals["bound_efficiency"] = efficiency_loss
-    residuals["bound_marginal_prices"] = float(np.min(marginal_prices))
+    representation, top_lam, top_marg, top_tilted, undervaluation, belief_distance = first[:6]
+    mix_mass, mean_sec, entropy_qgame_beliefs = first[6:9]
+
+    def exponentials(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
+        sec = np.stack(rows[:n])
+        lam = np.divide(-sec, d)
+        np.exp(np.subtract(lam, top_lam, out=lam), out=lam)
+        at_top = np.subtract(marg, top_marg, out=marg) == 0.0
+        np.exp(marg, out=marg)
+        np.exp(np.subtract(tilted, top_tilted, out=tilted), out=tilted)
+        dev = sec - mean_sec[:, None]
+        return (
+            np.sum(beliefs * lam, axis=1),
+            marg.sum(axis=1, keepdims=True),
+            np.sum(at_top, axis=1, keepdims=True, dtype=float),
+            np.sum(np.where(at_top, 0.0, marg), axis=1, keepdims=True),
+            tilted.sum(axis=1, keepdims=True),
+            np.sum(qgame * dev * dev, axis=1),
+        )
+
+    mass, marg_mass, ties, rest, tilted_mass, var_sec = folded_over_blocks(
+        exponentials, arrays, *[np.add] * 6
+    )
+
+    def measures(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
+        sec = np.stack(rows[:n])
+        for w, total in ((marg, marg_mass), (tilted, tilted_mass)):
+            w /= total
+            np.maximum(w, MIN_WEIGHT, out=w)
+        log_marg = np.log(marg)
+        return (
+            np.sum(qstar * (np.log(qstar) - log_marg), axis=1),
+            np.sum(marg * sec, axis=1),
+            np.sum(qgame * (log_qgame - log_marg), axis=1),
+            np.max(np.abs(marg - tilted)),
+            np.max(np.abs(sum(a * w for a, w in zip(alpha, marg)) - qgame)),
+        )
+
+    entropy_star, marginal_prices, entropy_qgame_marg, tilt_err, mixture_err = folded_over_blocks(
+        measures, arrays, np.add, np.add, np.add, np.maximum, np.maximum
+    )
+    marginal = tuple(Measure(market.space, w) for w in marg)
+    u_game = -deltas * (top_lam[:, 0] + np.log(mass))  # certainty equivalents, from the securities
+    per_agent_delta = u_game - np.asarray(ad.agent_gains)
+    efficiency_loss = float(ad.aggregate_gain - u_game.sum())
+    entropy_terms = deltas * entropy_star
+    log_total = np.log1p(rest / ties) + np.log(ties) + top_marg  # log-sum-exp, ties split off
+    residuals = {
+        # The log-ratio encoding must reproduce the payoffs.
+        "ratio_representation": representation,
+        # Construction drift: the unnormalised marginal densities integrate to
+        # one exactly at an equilibrium.
+        "marginal_normalisation": np.max(np.abs(np.exp(log_total[:, 0]) - 1.0)),
+        # Loss formula: aggregate shortfall equals the valuation-weighted
+        # log-mean of the lambda-geometric-mean of the price ratios.
+        "loss_formula": (u_game.sum() - ad.aggregate_gain)
+        - market.delta_total * float(np.log(mix_mass)),
+        # Per-agent decomposition: value change = transfer + share of shortfall.
+        "loss_decomposition": np.max(np.abs(
+            per_agent_delta - (nash.z + lambdas * (u_game.sum() - ad.aggregate_gain))
+        )),
+        # Aggregate entropy identity.
+        "entropy_aggregate": efficiency_loss - float(entropy_terms.sum()),
+        # Per-agent split into mispricing and entropy cost.
+        "entropy_split": np.max(np.abs(per_agent_delta - (undervaluation - entropy_terms))),
+        # Marginal measures tilt the game valuation and the agent's own beliefs
+        # the same way; cross-check through the belief route.
+        "marginal_vs_belief_tilt": tilt_err,
+        # Pricing decomposition: game valuation is the alpha-mixture of the
+        # marginal measures.
+        "pricing_decomposition": mixture_err,
+        # Value identity: each agent's value is their entropy gain on the game
+        # valuation less the entropy gap to their marginal measure.
+        "value_identity": np.max(np.abs(
+            u_game - deltas * (entropy_qgame_beliefs - entropy_qgame_marg)
+        )),
+        # Marginal price is variance over complementary tolerance.
+        "marginal_price_variance": np.max(np.abs(marginal_prices - var_sec / dminus)),
+        # Revealed-belief bounds; slacks are >= 0 up to float error.
+        "bound_likelihood_cap": first[9],
+        "bound_alpha_mixture": first[10],
+        "bound_plain_sum": first[11],
+        "bound_belief_entropy": np.min(np.log(bound_cap) - belief_distance),
+        "bound_efficiency": efficiency_loss,
+        "bound_marginal_prices": np.min(marginal_prices),
+    }
 
     return NashDiagnostics(
         efficiency_loss=efficiency_loss,

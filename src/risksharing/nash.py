@@ -29,22 +29,26 @@ a public-map call builds its own in :func:`_evaluate_one`.  The inner solve,
 :func:`_evaluate` and :func:`_jacobians` write their stacked temporaries
 into views of its leading rows, which shrink as starts leave; what they
 return is allocated apart, so no result shares memory with another search.
-On long state axes the kernel and the inner solve's passes run on blocks of
-states in worker threads, with the one-block result bit for bit.
+On long state axes the inner solve's set-up and passes, the kernel,
+:func:`_evaluate` and :func:`_jacobians` run on a layout of blocks of states
+fixed by the state count, in worker threads; the sums over the states add
+the blocks' partial sums in block order, so a result depends on the state
+count and never on the CPU count.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
-from .measures import Measure, RandomVariable, normalize_log_density, normalized_weights
-from .roots import over_blocks, solve_exp_linear
+from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
+from .roots import folded_over_blocks, over_blocks, solve_exp_linear
 
 INNER_MAX_ITER = 100
 DISTANCE_RTOL = 1e-10  # the largest distance, per unit delta_total, of an end taken as a root
@@ -95,19 +99,29 @@ def _peak(x) -> float:
 
 
 class _Workspace:
-    """The scratch arrays of one equilibrium search, for stacks of up to ``k`` entries.
+    """The scratch arrays of one equilibrium search against the competitive
+    equilibrium ``ad``, for stacks of up to ``k`` entries.
 
     ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` four ``(k, 1, S)``
     ones: the inner solve's ``y``, its carried agent's ``v``, and the ``|y|``
     and carried spread at the point before each pass's step, for its stop.
     A stacked call of ``m`` entries writes into views of their leading ``m``
     rows through ``out=``; nothing it returns is such a view, and no buffer
-    holds a value from one call to the next.
+    holds a value from one call to the next.  ``log_q``, the competitive log
+    pricing weights, is the search's constant, computed on first use, after
+    the first inner solve, so that it does not add to that solve's peak
+    memory.
     """
 
-    def __init__(self, k: int, n: int, s: int):
+    def __init__(self, ad: ArrowDebreuEquilibrium, k: int):
+        self.ad = ad
+        n, s = len(ad.securities), ad.pricing.space.n_states
         self.stacks = np.empty((9, k, n, s))
         self.planes = np.empty((4, k, 1, s))
+
+    @cached_property
+    def log_q(self) -> np.ndarray:
+        return np.log(self.ad.pricing.weights)
 
 
 def _compact(keep, arrays) -> list:
@@ -168,20 +182,21 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     once, each pass writes into them, and when entries leave, the rows of
     the others move up, so the views shrink as entries leave.  Per call it
     allocates the returned ``(u, y)`` and, for a cold start, the kernel's
-    result; a pass allocates only ``(K, 1, S)`` temporaries.
+    result; a pass allocates only ``(K, 1, S)`` temporaries.  ``a`` adds the
+    competitive securities row by row, so they are never stacked.
 
-    On a long state axis a pass runs on blocks of states in worker threads
-    (:func:`~risksharing.roots.over_blocks`).  The step's blocks return per
-    entry whether it stops on their states, which the calling thread joins.
-    Nothing sums over states, a projection moves only states past a cap, the
-    stop's bound is each state's own, and each entry stops on all its states
-    at once, so the result is that of one block bit for bit.
+    On a long state axis the set-up and each pass run on blocks of states
+    in worker threads (:func:`~risksharing.roots.over_blocks`).  The step's
+    blocks return per entry whether it stops on their states, which the
+    calling thread joins.  The solve sums over agents only, never over
+    states, a projection moves only states past a cap, the stop's bound is
+    each state's own, and each entry stops on all its states at once, so the
+    result is that of one block bit for bit.
     """
     n_stack, n_states = len(z), market.space.n_states
     stacks, planes = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
     y_rows, v_rows, abs_y_rows, spread_rows = planes
     a, a_scale, u_start = stacks[0], stacks[1], stacks[8]
-    sec_ad = ad.security_values()
     deltas = market.deltas[:, None]
     dminus = market.delta_minus[:, None]
     lambdas = market.lambdas[:, None]
@@ -199,14 +214,27 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
-    np.add(z[:, :, None], sec_ad, out=a)
+    y, rhs = y_rows, stacks[5]
+
+    def set_up(a, a_scale, y, rhs, u, *rows):  # a, its scale and the start on a block of states
+        for i, sec_ad in enumerate(rows[: market.n_agents]):
+            np.add(z[:, i, None], sec_ad, out=a[:, i])
+        # Tolerances scale with the terms, y's among them through dG/dy, not
+        # with their sum, which cancels.
+        np.abs(a, out=a_scale)
+        a_scale += 1.0
+        if start is None:  # y at the fixed point of the system linearised at u = 0
+            np.sum(np.multiply(lambdas, a, out=rhs), axis=1, keepdims=True, out=y)
+            y /= float(market.lambdas @ market.delta_minus)
+            np.multiply(deltas, y, out=rhs)
+            rhs += a
+        warm = rows[market.n_agents :]
+        for j in range(len(warm) // 2):
+            u[j], y[j, 0] = warm[j], warm[n_stack + j]
+
+    rows = [c.values for c in ad.securities] + ([] if start is None else [*start[0], *start[1]])
+    over_blocks(set_up, (a, a_scale, y, rhs, u_start, *rows), list)
     if start is None:
-        # y at the fixed point of the system linearised at u = 0.
-        y, rhs = y_rows, stacks[5]
-        np.sum(np.multiply(lambdas, a, out=rhs), axis=1, keepdims=True, out=y)
-        y /= float(market.lambdas @ market.delta_minus)
-        np.multiply(deltas, y, out=rhs)
-        rhs += a
         try:
             u = solve_exp_linear(dminus, deltas, rhs)
         except SolverError:
@@ -214,11 +242,7 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             y_out.fill(np.nan)
             return u_out, y_out
     else:
-        u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
-    # Tolerances scale with the terms, y's among them through dG/dy, not
-    # with their sum, which cancels.
-    np.abs(a, out=a_scale)
-    a_scale += 1.0
+        u = u_start
 
     def step(u, y, v, a_rows, scale, em1, growth, d, g, lam_u, du, abs_y, spread):
         """One Newton step on a block of states, in place, a first one projected
@@ -325,20 +349,34 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
     if not ok.all():
         z, u, y = z[ok], u[ok], y[ok]
     u.setflags(write=False)
-    sec = np.expm1(u)
-    sec *= market.delta_minus[:, None]
-    q = normalized_weights(np.log(ad.pricing.weights) - y)
-    # The agents' certainty equivalents: cara_utility per agent, stacked.
-    work = np.negative(sec, out=ws.stacks[0, : len(sec)])
-    work /= market.deltas[:, None]
-    top = work.max(axis=2, keepdims=True)
-    work -= top
-    np.exp(work, out=work)
-    work *= market.belief_weights
-    values = -market.deltas * (top[:, :, 0] + np.log(np.sum(work, axis=2)))
+    sec, q, work = np.empty(u.shape), np.empty(y.shape), ws.stacks[0, : len(u)]
+    arrays = (sec, q, work, u, y, ws.log_q, market.belief_weights)
+
+    # On blocks of states: the securities, the log weights of the valuation
+    # q and of the agents' certainty equivalents (cara_utility per agent,
+    # stacked) with their tops, then their shifted exponentials' sums, then
+    # q as normalized_weights floors it, and the prices.
+    def tops(sec, q, work, u, y, log_q, beliefs):
+        np.multiply(np.expm1(u, out=sec), market.delta_minus[:, None], out=sec)
+        np.subtract(log_q, y, out=q)
+        np.divide(np.negative(sec, out=work), market.deltas[:, None], out=work)
+        return q.max(axis=-1, keepdims=True), work.max(axis=2, keepdims=True)
+
+    def sums(sec, q, work, u, y, log_q, beliefs):
+        np.exp(np.subtract(q, top_q, out=q), out=q)
+        np.multiply(np.exp(np.subtract(work, top, out=work), out=work), beliefs, out=work)
+        return q.sum(axis=-1, keepdims=True), np.sum(work, axis=2)
+
+    def priced(sec, q, work):
+        np.maximum(np.divide(q, total, out=q), MIN_WEIGHT, out=q)
+        return (np.sum(np.multiply(sec, q[:, None], out=work), axis=2),)
+
+    top_q, top = folded_over_blocks(tops, arrays, np.maximum, np.maximum)
+    total, mass = folded_over_blocks(sums, arrays, np.add, np.add)
+    (prices,) = folded_over_blocks(priced, arrays[:3], np.add)
+    values = -market.deltas * (top[:, :, 0] + np.log(mass))
     shortfall = ad.aggregate_gain - values.sum(axis=1, keepdims=True)
     phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    prices = np.sum(np.multiply(sec, q[:, None], out=work), axis=2)
     rows = iter(map(_Evaluation, phi, phi - z, prices, u, y, sec, q, values))
     return [next(rows) if solved else None for solved in ok]
 
@@ -346,7 +384,7 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
 def _evaluate_one(market: Market, ad: ArrowDebreuEquilibrium, z) -> _Evaluation:
     """The evaluation at one transfer vector; SolverError if its inner solve fails."""
     z = _check_z(market, z)
-    ws = _Workspace(1, market.n_agents, market.space.n_states)
+    ws = _Workspace(ad, 1)
     (e,) = _evaluate(market, ad, z[None], None, ws)
     if e is None:
         raise SolverError("per-state security system failed", diagnostics={"z": z.tolist()})
@@ -364,31 +402,48 @@ def _jacobians(market: Market, evaluations: list, ws):
     ``E_q[dC_i/dz_j] - Cov_q(C_i, dy/dz_j)``.  The ``(K, n, S)`` arrays are
     views of ``ws``'s buffers, built in :func:`_newton`.
     """
-    sec, work, d, ratio, spread = ws.stacks[:5, : len(evaluations)]
+    k = len(evaluations)
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
-    np.stack([e.sec for e in evaluations], out=sec)
-    q = np.stack([e.q for e in evaluations], out=ws.planes[0, : len(evaluations), 0])[:, None]
     prices = np.stack([e.prices for e in evaluations])
     diag = np.arange(market.n_agents)
-    np.add(sec, market.delta_minus[:, None], out=work)  # dC/du
-    np.add(work, deltas, out=d)
-    np.divide(work, d, out=ratio)
-    d *= np.sum(np.multiply(lambdas, ratio, out=work), axis=1, keepdims=True)
-    dy = np.divide(lambdas, d, out=d)  # row j: dy/dz_j
-    tilt = np.subtract(market.log_beliefs, np.divide(sec, deltas, out=work), out=work)
-    tilt -= tilt.max(axis=2, keepdims=True)
-    big_q = np.exp(tilt, out=tilt)
-    big_q *= np.divide(ratio, np.sum(big_q, axis=2, keepdims=True), out=spread)  # Q_i * r_i
-    # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
-    d_values = deltas * _row_products(big_q, dy)
-    d_values[:, diag, diag] += np.sum(big_q, axis=2)
+    rows = [e.sec for e in evaluations] + [e.q for e in evaluations]
+    arrays = (*ws.stacks[:6, :k], ws.planes[0, :k], market.log_beliefs, *rows)
+
+    # On blocks of states: dy (in d), the partial price Jacobian, and the
+    # tilt of Q_i (in work) with its top; then its exponentials' sums; then
+    # Q_i * r_i (in work) and the partial value Jacobian.
+    def first(sec, work, d, ratio, spread, q_r, q, log_beliefs, *rows):
+        for j in range(k):
+            sec[j], q[j, 0] = rows[j], rows[k + j]
+        np.add(sec, market.delta_minus[:, None], out=work)  # dC/du
+        np.add(work, deltas, out=d)
+        np.divide(work, d, out=ratio)
+        d *= np.sum(np.multiply(lambdas, ratio, out=work), axis=1, keepdims=True)
+        np.divide(lambdas, d, out=d)  # row j: dy/dz_j
+        np.multiply(q, ratio, out=q_r)
+        np.subtract(sec, prices[:, :, None], out=spread)
+        spread *= q
+        np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
+        d_prices = _row_products(spread, d)
+        tilt = np.subtract(log_beliefs, np.divide(sec, deltas, out=work), out=work)
+        return tilt.max(axis=2, keepdims=True), d_prices, np.sum(q_r, axis=2)
+
+    def mass(sec, work, *_):
+        np.exp(np.subtract(work, top, out=work), out=work)
+        return (np.sum(work, axis=2, keepdims=True),)
+
+    def weighed(sec, big_q, d, ratio, spread, *_):
+        big_q *= np.divide(ratio, total, out=spread)
+        # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
+        return _row_products(big_q, d), np.sum(big_q, axis=2)
+
+    top, d_prices, q_r = folded_over_blocks(first, arrays, np.maximum, np.add, np.add)
+    (total,) = folded_over_blocks(mass, arrays, np.add)
+    d_values, big_q = folded_over_blocks(weighed, arrays, np.add, np.add)
+    d_values = deltas * d_values
+    d_values[:, diag, diag] += big_q
     d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
-    q_r = np.multiply(q, ratio, out=ratio)
-    np.subtract(sec, prices[:, :, None], out=spread)
-    spread *= q
-    np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
-    d_prices = _row_products(spread, dy)
-    d_prices[:, diag, diag] += np.sum(q_r, axis=2)
+    d_prices[:, diag, diag] += q_r
     return d_f[:, :, 1:] - d_f[:, :, :1], d_prices[:, :, 1:] - d_prices[:, :, :1]
 
 
@@ -486,7 +541,7 @@ def _newton(market, ad, z, eps_target):
     start, ``e`` None if it cannot be solved.
     """
     floor = -np.asarray(ad.agent_gains)
-    ws = _Workspace(len(z), market.n_agents, market.space.n_states)
+    ws = _Workspace(ad, len(z))
     starts = [
         _Start(p, e, [np.inf], _DONE) if e is None else _Start(p, e, [_peak(e.residual)])
         for p, e in zip(z, _evaluate(market, ad, z, None, ws))

@@ -12,14 +12,15 @@ scalar outer root is found by Newton on its increasing condition, whose
 slope costs one pass over the states, safeguarded by bisection within an
 a-priori bound.
 
-Per-state work on a long state axis runs in contiguous blocks of states,
-one per CPU in the process's affinity mask, on a pool of worker threads
-(:func:`over_blocks`).
+Per-state work on a long state axis runs on a layout of contiguous blocks
+of states fixed by the axis length, on a pool of worker threads, one per
+CPU in the process's affinity mask (:func:`over_blocks`).
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
 
@@ -50,42 +51,73 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _on_runs(fn, arrays, n: int, whole: bool) -> list:
+    """``fn``'s results on the views of each block of the last axis of ``arrays``,
+    in block order, or with ``whole`` on the views of each thread's run of blocks.
+
+    The ``n`` elements split into ``n // BLOCK_MIN`` contiguous blocks, a
+    layout fixed by ``n`` alone, dealt in contiguous runs to ``min(WORKERS,
+    blocks)`` threads: the first run on the calling thread and the others on
+    the pool, each in a copy of the caller's context (numpy's ``errstate`` is
+    a context variable).  numpy's loops release the GIL, so the runs go on
+    as many cores.  ``fn`` must not call back in here: runs waiting on a
+    saturated pool would deadlock.  The pool is made on first use, with one
+    thread per CPU but the caller's.
+    """
+    global _pool
+    k = n // BLOCK_MIN
+    t = min(WORKERS, k)
+    runs = [[slice(n * j // k, n * (j + 1) // k) for j in range(k * r // t, k * (r + 1) // t)]
+            for r in range(t)]
+
+    def task(run):
+        run = [slice(run[0].start, run[-1].stop)] if whole else run
+        return [fn(*(x[..., b] for x in arrays)) for b in run]
+
+    rest = []
+    if t > 1:
+        with _pool_lock:
+            if _pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="risksharing")
+            pool = _pool
+        rest = [pool.submit(contextvars.copy_context().run, task, run) for run in runs[1:]]
+    try:
+        first = task(runs[0])
+    finally:
+        for f in rest:
+            f.exception()  # waits: no run outlives the call
+    return [*first, *(x for f in rest for x in f.result())]
+
+
 def over_blocks(fn, arrays, combine):
     """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn`` on blocks of it.
 
-    A last axis of ``n`` elements splits into ``min(WORKERS, n // BLOCK_MIN)``
-    contiguous blocks.  ``fn`` gets the views of each block of every array;
-    the first block runs on the calling thread and the others on the pool,
-    each in a copy of the caller's context (numpy's ``errstate`` is a
-    context variable), and ``combine`` gets the results in block order once
-    every block is done.  numpy's loops release the GIL, so the blocks run
-    on as many cores.  ``fn`` must treat the last axis elementwise, so that
-    its results are those of one block bit for bit, and must not call
-    ``over_blocks``: blocks waiting on a saturated pool would deadlock.
-    The pool is made on first use, with one thread per CPU but the caller's.
+    ``fn`` must treat the last axis elementwise, so that its results are
+    those of one block bit for bit, and ``combine`` gets them in order.  On
+    one thread it runs block by block (:func:`_on_runs`), which keeps its
+    working set in cache; on several, on each thread's run at once, since
+    many short calls on several threads wait on each other for the GIL.  An
+    axis under ``2 * BLOCK_MIN`` elements is one block.
     """
-    global _pool
     n = arrays[0].shape[-1] if arrays[0].ndim else 0
-    k = min(WORKERS, n // BLOCK_MIN)
-    if k < 2:
-        return fn(*arrays)
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
+    return fn(*arrays) if n // BLOCK_MIN < 2 else combine(_on_runs(fn, arrays, n, WORKERS > 1))
 
-            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="risksharing")
-        pool = _pool
-    blocks = [(..., slice(n * j // k, n * (j + 1) // k)) for j in range(k)]
-    rest = [
-        pool.submit(contextvars.copy_context().run, fn, *(x[b] for x in arrays))
-        for b in blocks[1:]
-    ]
-    try:
-        first = fn(*(x[blocks[0]] for x in arrays))
-    finally:
-        for f in rest:
-            f.exception()  # waits: no block outlives the call
-    return combine([first, *(f.result() for f in rest)])
+
+def folded_over_blocks(fn, arrays, *ops) -> list:
+    """``fn(*arrays)``, or on a long last axis ``fn``'s partial results on each
+    block (:func:`_on_runs`), item ``i`` folded in block order by ``ops[i]``,
+    such as ``np.add`` for partial sums and ``np.maximum`` for partial maxima.
+
+    The folds follow the blocks, which the axis length alone fixes, so the
+    results depend on the number of elements and never on the CPU count.
+    """
+    n = arrays[0].shape[-1]
+    if n // BLOCK_MIN < 2:
+        return fn(*arrays)
+    parts = _on_runs(fn, arrays, n, False)
+    return [functools.reduce(op, items) for op, items in zip(ops, zip(*parts))]
 
 
 def logsumexp(a, axis=None):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 
 from risksharing import Agent, Market, Measure, RandomVariable, StateSpace, normalize_log_density
-from risksharing import nash, roots
+from risksharing import bundle, diagnostics, nash, roots
 from risksharing.scenario import gauss_hermite_rule
 
 
@@ -139,21 +139,29 @@ def measure(space, values):
 
 def force_blocks(monkeypatch, workers, block_min):
     """Split every last axis of at least ``2 * block_min`` elements into
-    ``min(workers, n // block_min)`` blocks, whatever the machine's CPUs.
+    ``n // block_min`` blocks, dealt in runs to ``min(workers, n // block_min)``
+    threads, whatever the machine's CPUs.
 
-    Returns the list of the names of the threads that run each block of the
-    kernel and the inner solve, filled as they run."""
+    Returns the list of the names of the threads that run each call of a
+    block function, filled as they run: one per run for ``over_blocks``, and
+    one per block for ``folded_over_blocks``."""
     monkeypatch.setattr(roots, "BLOCK_MIN", block_min)
     monkeypatch.setattr(roots, "WORKERS", workers)
-    threads, over_blocks = [], roots.over_blocks
+    threads = []
 
-    def recorded(fn, arrays, combine):
-        def block(*views):
-            threads.append(threading.current_thread().name)
-            return fn(*views)
+    def recorded(split):
+        def wrapper(fn, arrays, *rest):
+            def block(*views):
+                threads.append(threading.current_thread().name)
+                return fn(*views)
 
-        return over_blocks(block, arrays, combine)
+            return split(block, arrays, *rest)
 
-    for module in (roots, nash):
-        monkeypatch.setattr(module, "over_blocks", recorded)
+        return wrapper
+
+    for name in ("over_blocks", "folded_over_blocks"):
+        wrapper = recorded(getattr(roots, name))
+        for module in (roots, nash, diagnostics, bundle):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     return threads

@@ -54,12 +54,12 @@ entries that ``_inner_log_ratios`` returns NaN, its failed solves
 too.
 
 The pool's markets long enough for two blocks of states (``roots.BLOCK_MIN``)
-are solved in as many blocks as the process has CPUs, up to one per
-``BLOCK_MIN`` states, so their line would hide a difference between layouts.
-The run therefore solves them once more on one block, by setting
-``roots.WORKERS`` to 1 in this process, prints the block layout on stderr and
-exits 1 if any of their bytes differ.  The expected file does not depend on
-the machine's CPUs.
+are solved on ``n // BLOCK_MIN`` blocks, dealt to as many threads as the
+process has CPUs, up to one per block, so their line would hide a
+difference between CPU counts.  The run therefore solves them once more on
+one worker and once on two, by setting ``roots.WORKERS`` in this process,
+prints the block layout on stderr and exits 1 if any of their bytes differ
+from the line's.  The expected file does not depend on the machine's CPUs.
 
 No family's markets are long enough for ``solve_nash`` to split its Newton
 starts into chunks (``nash.STACK_BUDGET``), so every line above comes from
@@ -217,21 +217,21 @@ def fingerprint(markets, long=None, every=None) -> tuple:
     return digest.hexdigest(), outcomes, roots
 
 
-def one_block_differs(long) -> int:
-    """Re-solve the ``(market, bytes)`` pairs of ``long`` on one block of states,
-    print the block layout on stderr, and count the markets whose bytes differ."""
-    layout = Counter(
-        (m.space.n_states, min(blocks.WORKERS, m.space.n_states // blocks.BLOCK_MIN))
-        for m, _ in long
-    )
-    for (n_states, k), count in sorted(layout.items()):
-        print(f"one-block check: {count} pool markets of {n_states} states, solved in {k} "
-              f"blocks (WORKERS {blocks.WORKERS}, BLOCK_MIN {blocks.BLOCK_MIN})", file=sys.stderr)
-    workers, blocks.WORKERS = blocks.WORKERS, 1
+def workers_differ(long) -> int:
+    """Re-solve the ``(market, bytes)`` pairs of ``long`` on one worker and on two,
+    print the block layout on stderr, and count the solves whose bytes differ."""
+    layout = Counter(m.space.n_states for m, _ in long)
+    for n_states, count in sorted(layout.items()):
+        print(f"workers check: {count} pool markets of {n_states} states, solved in "
+              f"{n_states // blocks.BLOCK_MIN} blocks (BLOCK_MIN {blocks.BLOCK_MIN}) on 1 and 2 "
+              f"workers, and first on {blocks.WORKERS}", file=sys.stderr)
+    workers, differ = blocks.WORKERS, 0
     try:
-        return sum(solved(market)[1] != data for market, data in long)
+        for blocks.WORKERS in (1, 2):
+            differ += sum(solved(market)[1] != data for market, data in long)
     finally:
         blocks.WORKERS = workers
+    return differ
 
 
 def one_chunk_differs(kept) -> int:
@@ -306,9 +306,9 @@ def main() -> int:
     differ = [name for name in {**lines, **expected} if lines.get(name) != expected.get(name)]
     if differ:
         print(f"differs from {EXPECTED.name}: {', '.join(differ)}", file=sys.stderr)
-    split = one_block_differs(long)
+    split = workers_differ(long)
     if split:
-        print(f"{split} of {len(long)} markets differ on one block of states", file=sys.stderr)
+        print(f"{split} of {2 * len(long)} solves differ on one or two workers", file=sys.stderr)
     chunked = one_chunk_differs(kept)
     if chunked:
         total = sum(map(len, kept.values()))

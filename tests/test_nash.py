@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -72,11 +73,11 @@ def scalar_two_agent_security(market, ad, z0, tol=1e-14):
     return out
 
 
-def used_workspace(market, k):
+def used_workspace(ad, k):
     """A workspace as a search passes it on: sized for more entries than the
     ``k`` of the call, as ``_newton``'s is once starts leave, and every buffer
     NaN, so that a value read before it is written shows in the result."""
-    ws = nash._Workspace(k + 2, market.n_agents, market.space.n_states)
+    ws = nash._Workspace(ad, k + 2)
     ws.stacks.fill(np.nan)
     ws.planes.fill(np.nan)
     return ws
@@ -84,7 +85,7 @@ def used_workspace(market, k):
 
 def inner_solve(m, ad, z, start=None):
     """``_inner_log_ratios`` at the ``(K, n)`` stack ``z`` in a used workspace."""
-    return nash._inner_log_ratios(m, ad, z, start, used_workspace(m, len(z)))
+    return nash._inner_log_ratios(m, ad, z, start, used_workspace(ad, len(z)))
 
 
 class TestInnerSolve:
@@ -382,7 +383,7 @@ class TestExactJacobian:
             up, down = _evaluate_one(m, ad, z + dz), _evaluate_one(m, ad, z - dz)
             fd_residual[:, k] = (up.residual - down.residual) / (2.0 * h)
             fd_prices[:, k] = (up.prices - down.prices) / (2.0 * h)
-        for (exact,), fd in zip(_jacobians(m, [e], used_workspace(m, 1)), (fd_residual, fd_prices)):
+        for (exact,), fd in zip(_jacobians(m, [e], used_workspace(ad, 1)), (fd_residual, fd_prices)):
             assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_cases_reach_the_edges(self):
@@ -729,7 +730,7 @@ class TestWorkspace:
         m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
         ad = solve_arrow_debreu(m)
         z = nash._starts(m, ad)
-        ws = nash._Workspace(*z.shape, m.space.n_states)
+        ws = nash._Workspace(ad, len(z))
         start = nash._inner_log_ratios(m, ad, z, None, ws)
         with _kernel_calls(nash) as kernel:
             tracemalloc.start()
@@ -779,7 +780,7 @@ class TestWorkspace:
         ad = solve_arrow_debreu(m)
         shares = np.random.default_rng(2).uniform(0.1, 1.0, (6, m.n_agents))
         z = np.stack([_ir_point(ad, w) for w in shares])
-        ws = nash._Workspace(len(z), m.n_agents, m.space.n_states)
+        ws = nash._Workspace(ad, len(z))
         near = nash._evaluate(m, ad, z, None, ws)[::2]
         few = z[1::2]
         start = ([e.u for e in near], [e.y for e in near])
@@ -802,7 +803,7 @@ class TestWorkspace:
             ws.stacks.fill(np.nan)
             ws.planes.fill(np.nan)
             used = arrays(call(ws))
-            fresh = arrays(call(nash._Workspace(len(few), m.n_agents, m.space.n_states)))
+            fresh = arrays(call(nash._Workspace(ad, len(few))))
             assert used == fresh, name
 
     def test_solves_share_no_state(self):
@@ -905,8 +906,10 @@ class TestBlocks:
         only on their last states, make the blocks disagree: the last needs
         passes after the first is within its tolerances, and only the last
         steps past the caps.  Each entry decides on all its states at once,
-        so the inner solve, cold and warm, and the game's solve give the
-        one-block bits and kernel calls."""
+        so the inner solve, cold and warm, gives the one-block bits and
+        kernel calls.  The game's solve sums over the states block by
+        block, so its bits are those of the block layout, the same on one
+        worker as on several."""
         rng = np.random.default_rng(8)
         n_states = 1200
         tilts = rng.normal(0.0, 1.0, (3, n_states)) * np.linspace(0.1, 2.0, n_states)
@@ -926,14 +929,20 @@ class TestBlocks:
 
         want = solves()
         threads = force_blocks(monkeypatch, workers, 300)
-        assert solves() == want
+        got = solves()
+        assert got[:2] == want[:2]
         assert any(name.startswith("risksharing") for name in threads)
+        monkeypatch.setattr(roots, "WORKERS", 1)
+        assert solves() == got
 
     def test_two_callers_at_once_get_the_serial_bits(self, monkeypatch):
+        """Two solves at once on three blocks of states and three workers
+        give the bits of one solve on those blocks and one worker."""
         m = random_market(np.random.default_rng(5), n_agents=3, n_states=600)
         ad = solve_arrow_debreu(m)
+        threads = force_blocks(monkeypatch, 1, 200)
         want = solution_bits(solve_nash(m, ad=ad))
-        threads = force_blocks(monkeypatch, 3, 200)
+        monkeypatch.setattr(roots, "WORKERS", 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -945,14 +954,51 @@ class TestBlocks:
         assert got == [want, want]
         assert any(name.startswith("risksharing") for name in threads)
 
+    def test_the_certify_bits_depend_on_the_state_count_alone(self, monkeypatch):
+        """On three blocks of states, the game's solve, every diagnostics
+        residual and every ledger value are the same bytes on one, two and
+        three workers, though their sums run on the blocks."""
+        m = random_market(np.random.default_rng(6), n_agents=3, n_states=700)
+        ad = solve_arrow_debreu(m)
+        threads = force_blocks(monkeypatch, 1, 200)
+
+        def certify(workers):
+            monkeypatch.setattr(roots, "WORKERS", workers)
+            threads.clear()
+            eq = solve_nash(m, ad=ad)
+            residuals = compute_diagnostics(m, ad, eq).residuals
+            ledger = [e["value"] for e in nash_ledger(m, ad, eq)]
+            assert (len(set(threads)) > 1) == (workers > 1)  # the pool may be smaller
+            return solution_bits(eq), np.array(list(residuals.values())).tobytes(), ledger
+
+        one = certify(1)
+        assert certify(2) == one and certify(3) == one
+
+    def test_a_market_under_two_blocks_makes_no_pool_call(self, monkeypatch):
+        """399 states with blocks of at least 200 are one block: the whole
+        certify op runs on the calling thread and leaves the pool alone."""
+        m = random_market(np.random.default_rng(6), n_agents=3, n_states=399)
+        ad = solve_arrow_debreu(m)
+        threads = force_blocks(monkeypatch, 3, 200)
+
+        class NoPool:
+            def submit(self, *args):
+                raise AssertionError("a one-block market called the pool")
+
+        monkeypatch.setattr(roots, "_pool", NoPool())
+        eq = solve_nash(m, ad=ad)
+        assert all(e["pass"] for e in nash_ledger(m, ad, eq, compute_diagnostics(m, ad, eq)))
+        assert set(threads) == {threading.current_thread().name}
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_fork_child_solves_on_a_pool_of_its_own(self, monkeypatch):
         """The parent's worker threads do not exist in a fork child, so a
         child that reused its pool would wait on them forever."""
         m = random_market(np.random.default_rng(5), n_agents=3, n_states=600)
         ad = solve_arrow_debreu(m)
+        force_blocks(monkeypatch, 1, 200)
         want = solution_bits(solve_nash(m, ad=ad))
-        force_blocks(monkeypatch, 3, 200)
+        monkeypatch.setattr(roots, "WORKERS", 3)
         assert solution_bits(solve_nash(m, ad=ad)) == want and roots._pool is not None
         with warnings.catch_warnings():
             # Python 3.12 on warns that forking a threaded process may deadlock.
@@ -1237,11 +1283,11 @@ class TestInnerSolveFailure:
         ad = solve_arrow_debreu(m)
         z = nash._starts(m, ad)
         alone = [
-            nash._evaluate(m, ad, z[j : j + 1], None, used_workspace(m, 1))[0]
+            nash._evaluate(m, ad, z[j : j + 1], None, used_workspace(ad, 1))[0]
             for j in range(len(z))
         ]
         _failing_kernel(monkeypatch, entry)
-        out = nash._evaluate(m, ad, z, None, used_workspace(m, len(z)))
+        out = nash._evaluate(m, ad, z, None, used_workspace(ad, len(z)))
         assert len(out) == len(z)
         for j, (e, e_alone) in enumerate(zip(out, alone)):
             if entry is None or j == entry:

@@ -1,5 +1,6 @@
 """Root-finding kernels: vectorised exp-linear solves and the safeguarded scalar Newton."""
 
+import functools
 import operator
 import threading
 
@@ -232,7 +233,10 @@ class TestIncreasingRoot:
 
 class TestBlocks:
     """Forced onto blocks of its last axis in worker threads, the kernel gives
-    the one-block bits, and on failure the one-block diagnostics."""
+    the one-block bits, and on failure the one-block diagnostics.  An axis of
+    ``n`` elements makes ``n // BLOCK_MIN`` blocks, dealt in contiguous runs
+    to ``min(WORKERS, blocks)`` threads, the first run on the caller's; the
+    kernel is elementwise, so it solves each run as one view."""
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("started", [False, True], ids=["cold", "started"])
@@ -251,6 +255,24 @@ class TestBlocks:
         caller = threading.current_thread().name
         assert len(threads) == workers and threads.count(caller) == 1
         assert all(name.startswith("risksharing") for name in threads if name != caller)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_partial_sums_fold_over_blocks_fixed_by_the_length(self, monkeypatch, workers):
+        """1,000 elements make 10 blocks of 100 whatever the workers: each
+        block's partial sum and maximum, folded in block order, are the
+        bytes of the same fold done by hand, and the calling thread runs the
+        first of ``min(workers, 10)`` runs."""
+        x = np.random.default_rng(76).normal(0.0, 1.0, (3, 1000)) * np.logspace(0, 12, 1000)
+        parts = [(np.sum(x[:, b], axis=1), np.max(x[:, b], axis=1))
+                 for b in (slice(100 * j, 100 * (j + 1)) for j in range(10))]
+        want = [functools.reduce(op, items) for op, items in zip((np.add, np.maximum), zip(*parts))]
+        threads = force_blocks(monkeypatch, workers, 100)
+        got = roots.folded_over_blocks(
+            lambda v: (np.sum(v, axis=1), np.max(v, axis=1)), (x,), np.add, np.maximum
+        )
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got[0].tobytes() != np.sum(x, axis=1).tobytes()  # the blocks' sum, not one sum
+        assert len(threads) == 10 and threads.count(threading.current_thread().name) == 10 // workers
 
     def test_a_0d_rhs_is_one_block(self, monkeypatch):
         want = solve_exp_linear(2.0, 3.0, 5.0, start=7.0)
