@@ -149,19 +149,19 @@ def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
     arrays = (lam, ad.pricing.weights, market.log_beliefs, market.belief_weights,
               *(c.values for c in ad.securities))
 
-    def first(lam, q, log_b, beliefs, *rows):
+    def first(part, lam, q, log_b, beliefs, *rows):
         sec = np.stack(rows)
         np.divide(-(d * (log_b - np.log(q))), d, out=lam)
-        return np.max(np.abs(sec.sum(axis=0))), np.sum(sec * q, axis=1), lam.max(axis=1)
+        return part(np.maximum, np.abs(sec.sum(axis=0))), part(np.add, sec * q), part(np.maximum, lam)
 
-    def mass(lam, q, log_b, beliefs, *rows):
-        return (np.sum(beliefs * np.exp(lam - top[:, None]), axis=1),)
+    def mass(part, lam, q, log_b, beliefs, *rows):
+        return (part(np.add, beliefs * np.exp(lam - top)),)
 
-    clearing, prices, top = folded_over_blocks(first, arrays, np.maximum, np.add, np.maximum)
-    (total,) = folded_over_blocks(mass, arrays, np.add)
-    legs = -market.deltas * (top + np.log(total))
+    clearing, prices, top = folded_over_blocks(first, arrays)
+    (total,) = folded_over_blocks(mass, arrays)
+    legs = -market.deltas * (top + np.log(total))[:, 0]
     return [
-        _entry("ad_clearing", clearing),
+        _entry("ad_clearing", clearing[0]),
         _entry("ad_zero_price", float(np.max(np.abs(prices)))),
         _entry("ad_indifference", max(0.0, *np.abs(legs))),
     ]
@@ -182,39 +182,37 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
     # prices, the valuation's log reconstructed from the competitive pricing
     # and the ratios with its top, and the bound; then the reconstruction's
     # sums; then its gap.
-    def first(logq, u, q, q_ad, *rows):
+    def first(part, logq, u, q, q_ad, *rows):
         sec, sec_ad = np.stack(rows[: market.n_agents]), np.stack(rows[market.n_agents :])
         coupling = np.sum(market.lambdas[:, None] * u, axis=0)
         system = sec + deltas * u - (eq.z[:, None] + sec_ad + deltas * coupling)
         np.subtract(np.log(q_ad), coupling, out=logq)
         return (
-            np.max(np.abs(sec.sum(axis=0))),
-            np.sum(sec * q, axis=1),
-            np.max(np.abs(dminus * np.expm1(u) - sec)),
-            np.max(np.abs(system)),
-            logq.max(),
-            np.min(caps - u),
-            np.all(np.isfinite(u)),
+            part(np.maximum, np.abs(sec.sum(axis=0))),
+            part(np.add, sec * q),
+            part(np.maximum, np.abs(dminus * np.expm1(u) - sec)),
+            part(np.maximum, np.abs(system)),
+            part(np.maximum, logq),
+            part(np.minimum, caps - u),
+            part(np.logical_and, np.isfinite(u)),
         )
 
-    def mass(logq, *_):
-        np.exp(np.subtract(logq, top, out=logq), out=logq)
-        return (logq.sum(),)
+    def mass(part, logq, *_):
+        return (part(np.add, np.exp(np.subtract(logq, top, out=logq), out=logq)),)
 
-    def reconstructed(w, u, q, *_):
-        return (np.max(np.abs(w / total - q)),)
+    def reconstructed(part, w, u, q, *_):
+        return (part(np.maximum, np.abs(w / total - q)),)
 
-    ops = (np.maximum, np.add, np.maximum, np.maximum, np.maximum, np.minimum, np.logical_and)
     clearing, prices, representation, system, top, bound_slack, finite = folded_over_blocks(
-        first, arrays, *ops
+        first, arrays
     )
-    (total,) = folded_over_blocks(mass, arrays, np.add)
-    (reconstruction,) = folded_over_blocks(reconstructed, arrays, np.maximum)
-    entries.append(_entry("nash_clearing", clearing))
+    (total,) = folded_over_blocks(mass, arrays)
+    (reconstruction,) = folded_over_blocks(reconstructed, arrays)
+    entries.append(_entry("nash_clearing", np.max(clearing)))
     entries.append(_entry("nash_zero_price", float(np.max(np.abs(prices)))))
-    entries.append(_entry("nash_representation", representation))
-    entries.append(_entry("nash_system", system))
-    entries.append(_entry("nash_pricing_reconstruction", reconstruction))
+    entries.append(_entry("nash_representation", np.max(representation)))
+    entries.append(_entry("nash_system", np.max(system)))
+    entries.append(_entry("nash_pricing_reconstruction", np.max(reconstruction)))
     if diag is None:
         diag = compute_diagnostics(market, ad, eq)
     entries.append(_entry("identity_suite", diag.max_identity_residual()))
@@ -223,7 +221,7 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
         _entry("z_bounds", float(np.min(eq.z + np.asarray(ad.agent_gains))))
     )
     entries.append(_entry("efficiency_order", ad.aggregate_gain - eq.aggregate_value))
-    entries.append(_entry("endogenous_bounds", bound_slack if finite else -np.inf))
+    entries.append(_entry("endogenous_bounds", np.min(bound_slack) if np.all(finite) else -np.inf))
     gap = 0.0
     for i in range(market.n_agents):
         others = [eq.revealed[j] for j in range(market.n_agents) if j != i]

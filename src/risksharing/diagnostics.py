@@ -69,94 +69,88 @@ def compute_diagnostics(
     bound_cap = n_others / market.lambda_minus
 
     u = np.asarray(nash.log_ratios)
-    # Per agent and state: the exponents of the marginal measures and of the
-    # beliefs tilted by the securities; per state, the game's log valuation.
-    marg, tilted = np.empty((2, *u.shape))
-    arrays = (u, marg, tilted, np.empty(u.shape[1]), ad.pricing.weights, nash.pricing.weights,
-              market.belief_weights, market.log_beliefs, *(c.values for c in nash.securities),
-              *(m.weights for m in nash.revealed))
+    # Per agent and state: the exponents of the agents' certainty equivalents,
+    # of the marginal measures and of the beliefs tilted by the securities;
+    # per state, the game's log valuation.
+    lam, marg, tilted = np.empty((3, *u.shape))
+    arrays = (u, lam, marg, tilted, np.empty(u.shape[1]), ad.pricing.weights,
+              nash.pricing.weights, market.belief_weights, market.log_beliefs,
+              nash.security_values(), np.stack([m.weights for m in nash.revealed]))
 
     # Every per-state pass below runs on blocks of states
-    # (:func:`~risksharing.roots.over_blocks`) and returns partial sums and
-    # extremes, folded in block order; each is the textbook formula of its
-    # quantity (relative entropy, expectation, variance, log-sum-exp).
-    def exponents(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
-        sec, rev = np.stack(rows[:n]), np.stack(rows[n:])
-        lam = np.divide(-sec, d)  # the exponent of each agent's certainty equivalent
+    # (:func:`~risksharing.roots.folded_over_blocks`) and returns partial
+    # sums and extremes, folded in block order; each is the textbook formula
+    # of its quantity (relative entropy, expectation, variance, log-sum-exp).
+    def exponents(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
+        np.divide(-sec, d, out=lam)
         np.add(np.log(qgame, out=log_qgame), u, out=marg)
         np.add(log_b, lam, out=tilted)
         lik = beliefs / rev
         return (
-            np.max(np.abs(dm * np.expm1(u) - sec)),
-            lam.max(axis=1, keepdims=True),
-            marg.max(axis=1, keepdims=True),
-            tilted.max(axis=1, keepdims=True),
-            np.sum(qstar * sec, axis=1),  # undervaluation
-            np.sum(beliefs * (log_b - np.log(rev)), axis=1),  # belief distance
-            np.sum(qgame * np.exp(np.sum(lambdas[:, None] * u, axis=0))),
-            np.sum(qgame * sec, axis=1),
-            np.sum(qgame * (log_qgame - log_b), axis=1),
-            np.min(bound_cap[:, None] - lik),
-            np.min(1.0 - sum(a * x for a, x in zip(alpha, lik))),
-            np.min(sum(lik) - 1.0),
+            part(np.maximum, np.abs(dm * np.expm1(u) - sec)),
+            part(np.maximum, lam),
+            part(np.maximum, marg),
+            part(np.maximum, tilted),
+            part(np.add, qstar * sec),  # undervaluation
+            part(np.add, beliefs * (log_b - np.log(rev))),  # belief distance
+            part(np.add, qgame * np.exp(np.sum(lambdas[:, None] * u, axis=0))),
+            part(np.add, qgame * sec),
+            part(np.add, qgame * (log_qgame - log_b)),
+            part(np.minimum, bound_cap[:, None] - lik),
+            part(np.minimum, 1.0 - sum(a * x for a, x in zip(alpha, lik))),
+            part(np.minimum, sum(lik) - 1.0),
         )
 
-    first = folded_over_blocks(
-        exponents, arrays, *[np.maximum] * 4, *[np.add] * 5, *[np.minimum] * 3
-    )
+    first = [x[..., 0] for x in folded_over_blocks(exponents, arrays)]
     representation, top_lam, top_marg, top_tilted, undervaluation, belief_distance = first[:6]
     mix_mass, mean_sec, entropy_qgame_beliefs = first[6:9]
 
-    def exponentials(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
-        sec = np.stack(rows[:n])
-        lam = np.divide(-sec, d)
-        np.exp(np.subtract(lam, top_lam, out=lam), out=lam)
-        at_top = np.subtract(marg, top_marg, out=marg) == 0.0
+    def exponentials(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
+        np.exp(np.subtract(lam, top_lam[:, None], out=lam), out=lam)
+        at_top = np.subtract(marg, top_marg[:, None], out=marg) == 0.0
         np.exp(marg, out=marg)
-        np.exp(np.subtract(tilted, top_tilted, out=tilted), out=tilted)
+        np.exp(np.subtract(tilted, top_tilted[:, None], out=tilted), out=tilted)
         dev = sec - mean_sec[:, None]
         return (
-            np.sum(beliefs * lam, axis=1),
-            marg.sum(axis=1, keepdims=True),
-            np.sum(at_top, axis=1, keepdims=True, dtype=float),
-            np.sum(np.where(at_top, 0.0, marg), axis=1, keepdims=True),
-            tilted.sum(axis=1, keepdims=True),
-            np.sum(qgame * dev * dev, axis=1),
+            part(np.add, beliefs * lam),
+            part(np.add, marg),
+            part(np.add, at_top, reduce=lambda x: np.sum(x, axis=-1, keepdims=True, dtype=float)),
+            part(np.add, np.where(at_top, 0.0, marg)),
+            part(np.add, tilted),
+            part(np.add, qgame * dev * dev),
         )
 
-    mass, marg_mass, ties, rest, tilted_mass, var_sec = folded_over_blocks(
-        exponentials, arrays, *[np.add] * 6
-    )
+    mass, marg_mass, ties, rest, tilted_mass, var_sec = folded_over_blocks(exponentials, arrays)
 
-    def measures(u, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, *rows):
-        sec = np.stack(rows[:n])
+    def measures(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
         for w, total in ((marg, marg_mass), (tilted, tilted_mass)):
             w /= total
             np.maximum(w, MIN_WEIGHT, out=w)
         log_marg = np.log(marg)
         return (
-            np.sum(qstar * (np.log(qstar) - log_marg), axis=1),
-            np.sum(marg * sec, axis=1),
-            np.sum(qgame * (log_qgame - log_marg), axis=1),
-            np.max(np.abs(marg - tilted)),
-            np.max(np.abs(sum(a * w for a, w in zip(alpha, marg)) - qgame)),
+            part(np.add, qstar * (np.log(qstar) - log_marg)),
+            part(np.add, marg * sec),
+            part(np.add, qgame * (log_qgame - log_marg)),
+            part(np.maximum, np.abs(marg - tilted)),
+            part(np.maximum, np.abs(sum(a * w for a, w in zip(alpha, marg)) - qgame)),
         )
 
-    entropy_star, marginal_prices, entropy_qgame_marg, tilt_err, mixture_err = folded_over_blocks(
-        measures, arrays, np.add, np.add, np.add, np.maximum, np.maximum
+    entropy_star, marginal_prices, entropy_qgame_marg, tilt_err, mixture_err = (
+        x[..., 0] for x in folded_over_blocks(measures, arrays)
     )
+    mass, ties, rest, var_sec = (x[:, 0] for x in (mass, ties, rest, var_sec))
     marginal = tuple(Measure(market.space, w) for w in marg)
-    u_game = -deltas * (top_lam[:, 0] + np.log(mass))  # certainty equivalents, from the securities
+    u_game = -deltas * (top_lam + np.log(mass))  # certainty equivalents, from the securities
     per_agent_delta = u_game - np.asarray(ad.agent_gains)
     efficiency_loss = float(ad.aggregate_gain - u_game.sum())
     entropy_terms = deltas * entropy_star
     log_total = np.log1p(rest / ties) + np.log(ties) + top_marg  # log-sum-exp, ties split off
     residuals = {
         # The log-ratio encoding must reproduce the payoffs.
-        "ratio_representation": representation,
+        "ratio_representation": np.max(representation),
         # Construction drift: the unnormalised marginal densities integrate to
         # one exactly at an equilibrium.
-        "marginal_normalisation": np.max(np.abs(np.exp(log_total[:, 0]) - 1.0)),
+        "marginal_normalisation": np.max(np.abs(np.exp(log_total) - 1.0)),
         # Loss formula: aggregate shortfall equals the valuation-weighted
         # log-mean of the lambda-geometric-mean of the price ratios.
         "loss_formula": (u_game.sum() - ad.aggregate_gain)
@@ -171,7 +165,7 @@ def compute_diagnostics(
         "entropy_split": np.max(np.abs(per_agent_delta - (undervaluation - entropy_terms))),
         # Marginal measures tilt the game valuation and the agent's own beliefs
         # the same way; cross-check through the belief route.
-        "marginal_vs_belief_tilt": tilt_err,
+        "marginal_vs_belief_tilt": np.max(tilt_err),
         # Pricing decomposition: game valuation is the alpha-mixture of the
         # marginal measures.
         "pricing_decomposition": mixture_err,
@@ -183,7 +177,7 @@ def compute_diagnostics(
         # Marginal price is variance over complementary tolerance.
         "marginal_price_variance": np.max(np.abs(marginal_prices - var_sec / dminus)),
         # Revealed-belief bounds; slacks are >= 0 up to float error.
-        "bound_likelihood_cap": first[9],
+        "bound_likelihood_cap": np.min(first[9]),
         "bound_alpha_mixture": first[10],
         "bound_plain_sum": first[11],
         "bound_belief_entropy": np.min(np.log(bound_cap) - belief_distance),

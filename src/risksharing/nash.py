@@ -356,25 +356,26 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
     # q and of the agents' certainty equivalents (cara_utility per agent,
     # stacked) with their tops, then their shifted exponentials' sums, then
     # q as normalized_weights floors it, and the prices.
-    def tops(sec, q, work, u, y, log_q, beliefs):
+    def tops(part, sec, q, work, u, y, log_q, beliefs):
         np.multiply(np.expm1(u, out=sec), market.delta_minus[:, None], out=sec)
         np.subtract(log_q, y, out=q)
         np.divide(np.negative(sec, out=work), market.deltas[:, None], out=work)
-        return q.max(axis=-1, keepdims=True), work.max(axis=2, keepdims=True)
+        return part(np.maximum, q), part(np.maximum, work)
 
-    def sums(sec, q, work, u, y, log_q, beliefs):
+    def sums(part, sec, q, work, u, y, log_q, beliefs):
         np.exp(np.subtract(q, top_q, out=q), out=q)
         np.multiply(np.exp(np.subtract(work, top, out=work), out=work), beliefs, out=work)
-        return q.sum(axis=-1, keepdims=True), np.sum(work, axis=2)
+        return part(np.add, q), part(np.add, work)
 
-    def priced(sec, q, work):
+    def priced(part, sec, q, work):
         np.maximum(np.divide(q, total, out=q), MIN_WEIGHT, out=q)
-        return (np.sum(np.multiply(sec, q[:, None], out=work), axis=2),)
+        return (part(np.add, np.multiply(sec, q[:, None], out=work)),)
 
-    top_q, top = folded_over_blocks(tops, arrays, np.maximum, np.maximum)
-    total, mass = folded_over_blocks(sums, arrays, np.add, np.add)
-    (prices,) = folded_over_blocks(priced, arrays[:3], np.add)
-    values = -market.deltas * (top[:, :, 0] + np.log(mass))
+    top_q, top = folded_over_blocks(tops, arrays)
+    total, mass = folded_over_blocks(sums, arrays)
+    (prices,) = folded_over_blocks(priced, arrays[:3])
+    prices = prices[:, :, 0]
+    values = -market.deltas * (top[:, :, 0] + np.log(mass[:, :, 0]))
     shortfall = ad.aggregate_gain - values.sum(axis=1, keepdims=True)
     phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
     rows = iter(map(_Evaluation, phi, phi - z, prices, u, y, sec, q, values))
@@ -412,7 +413,7 @@ def _jacobians(market: Market, evaluations: list, ws):
     # On blocks of states: dy (in d), the partial price Jacobian, and the
     # tilt of Q_i (in work) with its top; then its exponentials' sums; then
     # Q_i * r_i (in work) and the partial value Jacobian.
-    def first(sec, work, d, ratio, spread, q_r, q, log_beliefs, *rows):
+    def first(part, sec, work, d, ratio, spread, q_r, q, log_beliefs, *rows):
         for j in range(k):
             sec[j], q[j, 0] = rows[j], rows[k + j]
         np.add(sec, market.delta_minus[:, None], out=work)  # dC/du
@@ -424,26 +425,25 @@ def _jacobians(market: Market, evaluations: list, ws):
         np.subtract(sec, prices[:, :, None], out=spread)
         spread *= q
         np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
-        d_prices = _row_products(spread, d)
+        d_prices = part(np.add, spread, d, reduce=_row_products)
         tilt = np.subtract(log_beliefs, np.divide(sec, deltas, out=work), out=work)
-        return tilt.max(axis=2, keepdims=True), d_prices, np.sum(q_r, axis=2)
+        return part(np.maximum, tilt), d_prices, part(np.add, q_r)
 
-    def mass(sec, work, *_):
-        np.exp(np.subtract(work, top, out=work), out=work)
-        return (np.sum(work, axis=2, keepdims=True),)
+    def mass(part, sec, work, *_):
+        return (part(np.add, np.exp(np.subtract(work, top, out=work), out=work)),)
 
-    def weighed(sec, big_q, d, ratio, spread, *_):
+    def weighed(part, sec, big_q, d, ratio, spread, *_):
         big_q *= np.divide(ratio, total, out=spread)
         # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
-        return _row_products(big_q, d), np.sum(big_q, axis=2)
+        return part(np.add, big_q, d, reduce=_row_products), part(np.add, big_q)
 
-    top, d_prices, q_r = folded_over_blocks(first, arrays, np.maximum, np.add, np.add)
-    (total,) = folded_over_blocks(mass, arrays, np.add)
-    d_values, big_q = folded_over_blocks(weighed, arrays, np.add, np.add)
+    top, d_prices, q_r = folded_over_blocks(first, arrays)
+    (total,) = folded_over_blocks(mass, arrays)
+    d_values, big_q = folded_over_blocks(weighed, arrays)
     d_values = deltas * d_values
-    d_values[:, diag, diag] += big_q
+    d_values[:, diag, diag] += big_q[:, :, 0]
     d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
-    d_prices[:, diag, diag] += q_r
+    d_prices[:, diag, diag] += q_r[:, :, 0]
     return d_f[:, :, 1:] - d_f[:, :, :1], d_prices[:, :, 1:] - d_prices[:, :, :1]
 
 

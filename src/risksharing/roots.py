@@ -51,28 +51,32 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _on_runs(fn, arrays, n: int, whole: bool) -> list:
-    """``fn``'s results on the views of each block of the last axis of ``arrays``,
-    in block order, or with ``whole`` on the views of each thread's run of blocks.
+def _on_runs(call, n: int) -> list:
+    """``call(span, cuts)``'s results on a last axis of ``n`` elements, in order.
 
-    The ``n`` elements split into ``n // BLOCK_MIN`` contiguous blocks, a
-    layout fixed by ``n`` alone, dealt in contiguous runs to ``min(WORKERS,
+    The elements split into ``n // BLOCK_MIN`` contiguous blocks, a layout
+    fixed by ``n`` alone, dealt in contiguous runs to ``min(WORKERS,
     blocks)`` threads: the first run on the calling thread and the others on
     the pool, each in a copy of the caller's context (numpy's ``errstate`` is
     a context variable).  numpy's loops release the GIL, so the runs go on
-    as many cores.  ``fn`` must not call back in here: runs waiting on a
-    saturated pool would deadlock.  The pool is made on first use, with one
-    thread per CPU but the caller's.
+    as many cores.  On several threads ``call`` gets a run's ``span`` and its
+    blocks' slices within it, since many short calls on several threads wait
+    on each other for the GIL; on one, each block and ``[slice(None)]``,
+    which keeps its working set in cache.  ``call`` must not call back in
+    here: runs waiting on a saturated pool would deadlock.  The pool is made
+    on first use, with one thread per CPU but the caller's.
     """
     global _pool
     k = n // BLOCK_MIN
     t = min(WORKERS, k)
-    runs = [[slice(n * j // k, n * (j + 1) // k) for j in range(k * r // t, k * (r + 1) // t)]
-            for r in range(t)]
+    ends = [n * j // k for j in range(k + 1)]
 
-    def task(run):
-        run = [slice(run[0].start, run[-1].stop)] if whole else run
-        return [fn(*(x[..., b] for x in arrays)) for b in run]
+    def task(r):
+        blocks = [slice(*ends[j : j + 2]) for j in range(k * r // t, k * (r + 1) // t)]
+        if WORKERS < 2:
+            return [call(b, [slice(None)]) for b in blocks]
+        s = blocks[0].start
+        return [call(slice(s, blocks[-1].stop), [slice(b.start - s, b.stop - s) for b in blocks])]
 
     rest = []
     if t > 1:
@@ -82,9 +86,9 @@ def _on_runs(fn, arrays, n: int, whole: bool) -> list:
 
                 _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="risksharing")
             pool = _pool
-        rest = [pool.submit(contextvars.copy_context().run, task, run) for run in runs[1:]]
+        rest = [pool.submit(contextvars.copy_context().run, task, r) for r in range(1, t)]
     try:
-        first = task(runs[0])
+        first = task(0)
     finally:
         for f in rest:
             f.exception()  # waits: no run outlives the call
@@ -92,32 +96,47 @@ def _on_runs(fn, arrays, n: int, whole: bool) -> list:
 
 
 def over_blocks(fn, arrays, combine):
-    """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn`` on blocks of it.
+    """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn`` on spans of it.
 
     ``fn`` must treat the last axis elementwise, so that its results are
-    those of one block bit for bit, and ``combine`` gets them in order.  On
-    one thread it runs block by block (:func:`_on_runs`), which keeps its
-    working set in cache; on several, on each thread's run at once, since
-    many short calls on several threads wait on each other for the GIL.  An
-    axis under ``2 * BLOCK_MIN`` elements is one block.
+    those of one span bit for bit; ``combine`` gets them in order
+    (:func:`_on_runs`).  An axis under ``2 * BLOCK_MIN`` elements is one
+    block.
     """
     n = arrays[0].shape[-1] if arrays[0].ndim else 0
-    return fn(*arrays) if n // BLOCK_MIN < 2 else combine(_on_runs(fn, arrays, n, WORKERS > 1))
+    if n // BLOCK_MIN < 2:
+        return fn(*arrays)
+    return combine(_on_runs(lambda span, cuts: fn(*(x[..., span] for x in arrays)), n))
 
 
-def folded_over_blocks(fn, arrays, *ops) -> list:
-    """``fn(*arrays)``, or on a long last axis ``fn``'s partial results on each
-    block (:func:`_on_runs`), item ``i`` folded in block order by ``ops[i]``,
-    such as ``np.add`` for partial sums and ``np.maximum`` for partial maxima.
+def _reduced(op, *xs, reduce=None):
+    """``op.reduce`` of ``xs[0]`` over its last axis with its dims kept, or ``reduce(*xs)``."""
+    return reduce(*xs) if reduce else op.reduce(xs[0], axis=-1, keepdims=True)
 
-    The folds follow the blocks, which the axis length alone fixes, so the
-    results depend on the number of elements and never on the CPU count.
+
+def folded_over_blocks(fn, arrays) -> list:
+    """The items of ``fn(part, *arrays)``, on a long last axis run on spans of
+    it (:func:`_on_runs`), each folded over the blocks in block order.
+
+    An item is ``part(op, *xs, reduce=None)``: on each block, the views of
+    ``xs`` reduced (:func:`_reduced`), and ``op`` folds the blocks' results,
+    such as ``np.add`` partial sums and ``np.maximum`` partial maxima.  The
+    blocks are fixed by the axis length alone, so the results depend on the
+    number of elements and never on the CPU count.  An axis under ``2 *
+    BLOCK_MIN`` elements is one block, and each item is its one reduction.
     """
     n = arrays[0].shape[-1]
     if n // BLOCK_MIN < 2:
-        return fn(*arrays)
-    parts = _on_runs(fn, arrays, n, False)
-    return [functools.reduce(op, items) for op, items in zip(ops, zip(*parts))]
+        return list(fn(_reduced, *arrays))
+
+    def call(span, cuts):
+        def part(op, *xs, reduce=None):
+            return op, [_reduced(op, *(x[..., c] for x in xs), reduce=reduce) for c in cuts]
+
+        return fn(part, *(x[..., span] for x in arrays))
+
+    return [functools.reduce(items[0][0], [p for _, ps in items for p in ps])
+            for items in zip(*_on_runs(call, n))]
 
 
 def logsumexp(a, axis=None):

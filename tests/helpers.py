@@ -143,8 +143,8 @@ def force_blocks(monkeypatch, workers, block_min):
     threads, whatever the machine's CPUs.
 
     Returns the list of the names of the threads that run each call of a
-    block function, filled as they run: one per run for ``over_blocks``, and
-    one per block for ``folded_over_blocks``."""
+    block function, filled as they run: one per block on one worker, and one
+    per run on several."""
     monkeypatch.setattr(roots, "BLOCK_MIN", block_min)
     monkeypatch.setattr(roots, "WORKERS", workers)
     threads = []

@@ -260,19 +260,20 @@ class TestBlocks:
     def test_partial_sums_fold_over_blocks_fixed_by_the_length(self, monkeypatch, workers):
         """1,000 elements make 10 blocks of 100 whatever the workers: each
         block's partial sum and maximum, folded in block order, are the
-        bytes of the same fold done by hand, and the calling thread runs the
-        first of ``min(workers, 10)`` runs."""
+        bytes of the same fold done by hand.  The calling thread runs the
+        first of ``min(workers, 10)`` runs: on one worker block by block, and
+        on several in one call per run."""
         x = np.random.default_rng(76).normal(0.0, 1.0, (3, 1000)) * np.logspace(0, 12, 1000)
-        parts = [(np.sum(x[:, b], axis=1), np.max(x[:, b], axis=1))
+        parts = [(np.sum(x[:, b], axis=1, keepdims=True), np.max(x[:, b], axis=1, keepdims=True))
                  for b in (slice(100 * j, 100 * (j + 1)) for j in range(10))]
         want = [functools.reduce(op, items) for op, items in zip((np.add, np.maximum), zip(*parts))]
         threads = force_blocks(monkeypatch, workers, 100)
-        got = roots.folded_over_blocks(
-            lambda v: (np.sum(v, axis=1), np.max(v, axis=1)), (x,), np.add, np.maximum
-        )
+        got = roots.folded_over_blocks(lambda part, v: (part(np.add, v), part(np.maximum, v)), (x,))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert got[0].tobytes() != np.sum(x, axis=1).tobytes()  # the blocks' sum, not one sum
-        assert len(threads) == 10 and threads.count(threading.current_thread().name) == 10 // workers
+        assert got[0].tobytes() != np.sum(x, axis=1, keepdims=True).tobytes()  # not one sum
+        caller = threading.current_thread().name
+        calls = 10 if workers == 1 else workers
+        assert len(threads) == calls and threads.count(caller) == calls // workers
 
     def test_a_0d_rhs_is_one_block(self, monkeypatch):
         want = solve_exp_linear(2.0, 3.0, 5.0, start=7.0)
