@@ -20,7 +20,7 @@ import typing
 import numpy as np
 
 from . import __version__
-from .agents import Agent, Market
+from .agents import Agent, Market, cara_utility
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .best_response import BestResponse, solve_best_response
 from .diagnostics import compute_diagnostics
@@ -140,30 +140,20 @@ def record_from_dict(cls, doc: dict, space: StateSpace):
 
 
 def ad_ledger(market: Market, ad: ArrowDebreuEquilibrium) -> list:
-    d = market.deltas[:, None]
-    # The random leg alone leaves each agent indifferent to no trade: its
-    # certainty equivalent (cara_utility) is -delta*log E[exp(-leg/delta)].
-    # On blocks of states: the clearing gap, the partial prices and the
-    # legs' exponents with their tops; then their exponentials' sums.
-    lam = np.empty((market.n_agents, market.space.n_states))
-    arrays = (lam, ad.pricing.weights, market.log_beliefs, market.belief_weights,
-              *(c.values for c in ad.securities))
-
-    def first(part, lam, q, log_b, beliefs, *rows):
-        sec = np.stack(rows)
-        np.divide(-(d * (log_b - np.log(q))), d, out=lam)
-        return part(np.maximum, np.abs(sec.sum(axis=0))), part(np.add, sec * q), part(np.maximum, lam)
-
-    def mass(part, lam, q, log_b, beliefs, *rows):
-        return (part(np.add, beliefs * np.exp(lam - top)),)
-
-    clearing, prices, top = folded_over_blocks(first, arrays)
-    (total,) = folded_over_blocks(mass, arrays)
-    legs = -market.deltas * (top + np.log(total))[:, 0]
+    sec = ad.security_values()
+    q = ad.pricing.weights
+    clearing = float(np.max(np.abs(sec.sum(axis=0))))
+    zero_price = float(np.max(np.abs(np.sum(sec * q, axis=1))))
+    # The random leg alone leaves each agent indifferent to no trade.
+    indiff = 0.0
+    logq = ad.pricing.log_weights()
+    for i, agent in enumerate(market.agents):
+        part = agent.delta * (market.log_beliefs[i] - logq)
+        indiff = max(indiff, abs(cara_utility(agent, RandomVariable(market.space, part))))
     return [
-        _entry("ad_clearing", clearing[0]),
-        _entry("ad_zero_price", float(np.max(np.abs(prices)))),
-        _entry("ad_indifference", max(0.0, *np.abs(legs))),
+        _entry("ad_clearing", clearing),
+        _entry("ad_zero_price", zero_price),
+        _entry("ad_indifference", indiff),
     ]
 
 
