@@ -19,9 +19,8 @@ before numpy starts them.
 All operations are pure functions of immutable inputs (each solver's
 result is determined by its arguments), so concurrent invocation is safe;
 per-state work is vectorised with fixed-order reductions, and on long
-state axes runs on a layout of blocks of states fixed by the state count,
-dealt to worker threads, one per CPU; sums over the states add the blocks'
-partial sums in block order, so results never depend on the CPU count.
+state axes runs on blocks of states fixed by the state count, in worker
+threads, one per CPU; no result depends on the CPU count.
 """
 
 import importlib

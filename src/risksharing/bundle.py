@@ -165,39 +165,29 @@ def nash_ledger(market: Market, ad: ArrowDebreuEquilibrium, eq: NashEquilibrium,
     caps = np.log((market.n_agents - 1) * market.delta_total / market.delta_minus)[:, None]
     logq = np.empty(market.space.n_states)
     arrays = (logq, np.asarray(eq.log_ratios), eq.pricing.weights, ad.pricing.weights,
-              *(c.values for c in eq.securities), *(c.values for c in ad.securities))
+              eq.security_values(), ad.security_values())
 
-    # On blocks of states: the gaps of clearing, of the representation and
-    # of the per-state characterisation at the solved transfers, the partial
-    # prices, the valuation's log reconstructed from the competitive pricing
-    # and the ratios with its top, and the bound; then the reconstruction's
-    # sums; then its gap.
-    def first(part, logq, u, q, q_ad, *rows):
-        sec, sec_ad = np.stack(rows[: market.n_agents]), np.stack(rows[market.n_agents :])
+    # On blocks of states: the gaps of clearing, of the representation and of
+    # the per-state system at the solved transfers, the prices, the bound and
+    # the valuation rebuilt from the competitive pricing and the ratios.
+    def passes(part, logq, u, q, q_ad, sec, sec_ad):
         coupling = np.sum(market.lambdas[:, None] * u, axis=0)
         system = sec + deltas * u - (eq.z[:, None] + sec_ad + deltas * coupling)
         np.subtract(np.log(q_ad), coupling, out=logq)
-        return (
+        top, *_ = yield (
+            part(np.maximum, logq),
             part(np.maximum, np.abs(sec.sum(axis=0))),
             part(np.add, sec * q),
             part(np.maximum, np.abs(dminus * np.expm1(u) - sec)),
             part(np.maximum, np.abs(system)),
-            part(np.maximum, logq),
             part(np.minimum, caps - u),
             part(np.logical_and, np.isfinite(u)),
         )
+        (total,) = yield (part(np.add, np.exp(np.subtract(logq, top, out=logq), out=logq)),)
+        yield (part(np.maximum, np.abs(logq / total - q)),)
 
-    def mass(part, logq, *_):
-        return (part(np.add, np.exp(np.subtract(logq, top, out=logq), out=logq)),)
-
-    def reconstructed(part, w, u, q, *_):
-        return (part(np.maximum, np.abs(w / total - q)),)
-
-    clearing, prices, representation, system, top, bound_slack, finite = folded_over_blocks(
-        first, arrays
-    )
-    (total,) = folded_over_blocks(mass, arrays)
-    (reconstruction,) = folded_over_blocks(reconstructed, arrays)
+    first, _, (reconstruction,) = folded_over_blocks(passes, arrays)
+    _, clearing, prices, representation, system, bound_slack, finite = first
     entries.append(_entry("nash_clearing", np.max(clearing)))
     entries.append(_entry("nash_zero_price", float(np.max(np.abs(prices)))))
     entries.append(_entry("nash_representation", np.max(representation)))

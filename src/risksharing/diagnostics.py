@@ -19,7 +19,7 @@ import numpy as np
 from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium
 from .errors import ContractError
-from .measures import MIN_WEIGHT, Measure
+from .measures import Measure, floored
 from .nash import NashEquilibrium
 from .roots import folded_over_blocks
 
@@ -59,75 +59,55 @@ def compute_diagnostics(
     if len(ad.securities) != market.n_agents or len(nash.securities) != market.n_agents:
         raise ContractError("inconsistent agent counts across inputs")
 
-    n = market.n_agents
-    n_others = n - 1
+    n_others = market.n_agents - 1
     deltas = market.deltas
     dminus = market.delta_minus
     lambdas = market.lambdas
-    d, dm = deltas[:, None], dminus[:, None]
     alpha = market.lambda_minus / n_others
     bound_cap = n_others / market.lambda_minus
 
     u = np.asarray(nash.log_ratios)
-    # Per agent and state: the exponents of the agents' certainty equivalents,
-    # of the marginal measures and of the beliefs tilted by the securities;
-    # per state, the game's log valuation.
     lam, marg, tilted = np.empty((3, *u.shape))
     arrays = (u, lam, marg, tilted, np.empty(u.shape[1]), ad.pricing.weights,
               nash.pricing.weights, market.belief_weights, market.log_beliefs,
               nash.security_values(), np.stack([m.weights for m in nash.revealed]))
 
-    # Every per-state pass below runs on blocks of states
-    # (:func:`~risksharing.roots.folded_over_blocks`) and returns partial
-    # sums and extremes, folded in block order; each is the textbook formula
-    # of its quantity (relative entropy, expectation, variance, log-sum-exp).
-    def exponents(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
-        np.divide(-sec, d, out=lam)
+    # On blocks of states (:func:`~risksharing.roots.folded_over_blocks`): per
+    # agent and state the exponents of the certainty equivalents, the marginal
+    # measures and the tilted beliefs, and the log valuation; the passes yield
+    # partial sums and extremes of textbook formulas (entropy, variance, ...).
+    def passes(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
+        np.divide(-sec, deltas[:, None], out=lam)
         np.add(np.log(qgame, out=log_qgame), u, out=marg)
         np.add(log_b, lam, out=tilted)
         lik = beliefs / rev
-        return (
-            part(np.maximum, np.abs(dm * np.expm1(u) - sec)),
+        top_lam, top_marg, top_tilted, mean_sec, *_ = yield (
             part(np.maximum, lam),
             part(np.maximum, marg),
             part(np.maximum, tilted),
+            part(np.add, qgame * sec),
+            part(np.maximum, np.abs(dminus[:, None] * np.expm1(u) - sec)),
             part(np.add, qstar * sec),  # undervaluation
             part(np.add, beliefs * (log_b - np.log(rev))),  # belief distance
-            part(np.add, qgame * np.exp(np.sum(lambdas[:, None] * u, axis=0))),
-            part(np.add, qgame * sec),
             part(np.add, qgame * (log_qgame - log_b)),
             part(np.minimum, bound_cap[:, None] - lik),
+            part(np.add, qgame * np.exp(np.sum(lambdas[:, None] * u, axis=0))),
             part(np.minimum, 1.0 - sum(a * x for a, x in zip(alpha, lik))),
             part(np.minimum, sum(lik) - 1.0),
         )
-
-    first = [x[..., 0] for x in folded_over_blocks(exponents, arrays)]
-    representation, top_lam, top_marg, top_tilted, undervaluation, belief_distance = first[:6]
-    mix_mass, mean_sec, entropy_qgame_beliefs = first[6:9]
-
-    def exponentials(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
-        np.exp(np.subtract(lam, top_lam[:, None], out=lam), out=lam)
-        at_top = np.subtract(marg, top_marg[:, None], out=marg) == 0.0
-        np.exp(marg, out=marg)
-        np.exp(np.subtract(tilted, top_tilted[:, None], out=tilted), out=tilted)
-        dev = sec - mean_sec[:, None]
-        return (
-            part(np.add, beliefs * lam),
-            part(np.add, marg),
-            part(np.add, at_top, reduce=lambda x: np.sum(x, axis=-1, keepdims=True, dtype=float)),
+        at_top = np.subtract(marg, top_marg, out=marg) == 0.0
+        dev = sec - mean_sec
+        _, marg_mass, tilted_mass, *_ = yield (
+            part(np.add, beliefs * np.exp(np.subtract(lam, top_lam, out=lam), out=lam)),
+            part(np.add, np.exp(marg, out=marg)),
+            part(np.add, np.exp(np.subtract(tilted, top_tilted, out=tilted), out=tilted)),
+            part(np.add, at_top * 1.0),
             part(np.add, np.where(at_top, 0.0, marg)),
-            part(np.add, tilted),
             part(np.add, qgame * dev * dev),
         )
-
-    mass, marg_mass, ties, rest, tilted_mass, var_sec = folded_over_blocks(exponentials, arrays)
-
-    def measures(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
-        for w, total in ((marg, marg_mass), (tilted, tilted_mass)):
-            w /= total
-            np.maximum(w, MIN_WEIGHT, out=w)
-        log_marg = np.log(marg)
-        return (
+        log_marg = np.log(floored(marg, marg_mass))
+        floored(tilted, tilted_mass)
+        yield (
             part(np.add, qstar * (np.log(qstar) - log_marg)),
             part(np.add, marg * sec),
             part(np.add, qgame * (log_qgame - log_marg)),
@@ -135,10 +115,12 @@ def compute_diagnostics(
             part(np.maximum, np.abs(sum(a * w for a, w in zip(alpha, marg)) - qgame)),
         )
 
-    entropy_star, marginal_prices, entropy_qgame_marg, tilt_err, mixture_err = (
-        x[..., 0] for x in folded_over_blocks(measures, arrays)
-    )
-    mass, ties, rest, var_sec = (x[:, 0] for x in (mass, ties, rest, var_sec))
+    (
+        (top_lam, top_marg, _, _, representation, undervaluation, belief_distance,
+         entropy_qgame_beliefs, slack_cap, mix_mass, slack_mix, slack_sum),
+        (mass, _, _, ties, rest, var_sec),
+        (entropy_star, marginal_prices, entropy_qgame_marg, tilt_err, mixture_err),
+    ) = ([x[..., 0] for x in phase] for phase in folded_over_blocks(passes, arrays))
     marginal = tuple(Measure(market.space, w) for w in marg)
     u_game = -deltas * (top_lam + np.log(mass))  # certainty equivalents, from the securities
     per_agent_delta = u_game - np.asarray(ad.agent_gains)
@@ -177,9 +159,9 @@ def compute_diagnostics(
         # Marginal price is variance over complementary tolerance.
         "marginal_price_variance": np.max(np.abs(marginal_prices - var_sec / dminus)),
         # Revealed-belief bounds; slacks are >= 0 up to float error.
-        "bound_likelihood_cap": np.min(first[9]),
-        "bound_alpha_mixture": first[10],
-        "bound_plain_sum": first[11],
+        "bound_likelihood_cap": np.min(slack_cap),
+        "bound_alpha_mixture": slack_mix,
+        "bound_plain_sum": slack_sum,
         "bound_belief_entropy": np.min(np.log(bound_cap) - belief_distance),
         "bound_efficiency": efficiency_loss,
         "bound_marginal_prices": np.min(marginal_prices),

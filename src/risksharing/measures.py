@@ -151,8 +151,13 @@ def normalized_weights(logw: np.ndarray) -> np.ndarray:
     """
     w = logw - logw.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    return np.maximum(w, MIN_WEIGHT, out=w)
+    return floored(w, w.sum(axis=-1, keepdims=True))
+
+
+def floored(w: np.ndarray, total) -> np.ndarray:
+    """``w / total`` in place, each at least ``MIN_WEIGHT``: the floor of
+    :func:`normalized_weights`, after normalising."""
+    return np.maximum(np.divide(w, total, out=w), MIN_WEIGHT, out=w)
 
 
 def weights_from_logs(space: StateSpace, logw: np.ndarray) -> Measure:

@@ -29,25 +29,22 @@ a public-map call builds its own in :func:`_evaluate_one`.  The inner solve,
 :func:`_evaluate` and :func:`_jacobians` write their stacked temporaries
 into views of its leading rows, which shrink as starts leave; what they
 return is allocated apart, so no result shares memory with another search.
-On long state axes the inner solve's set-up and passes, the kernel,
-:func:`_evaluate` and :func:`_jacobians` run on a layout of blocks of states
-fixed by the state count, in worker threads; the sums over the states add
-the blocks' partial sums in block order, so a result depends on the state
-count and never on the CPU count.
+On long state axes the kernel, the inner solve's passes, :func:`_evaluate`
+and :func:`_jacobians` run on blocks of states fixed by the state count in
+worker threads; no result depends on the CPU count.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .agents import Market
 from .arrow_debreu import ArrowDebreuEquilibrium, solve_arrow_debreu
 from .errors import ContractError, SolverError
-from .measures import MIN_WEIGHT, Measure, RandomVariable, normalize_log_density
+from .measures import Measure, RandomVariable, floored, normalize_log_density
 from .roots import folded_over_blocks, over_blocks, solve_exp_linear
 
 INNER_MAX_ITER = 100
@@ -99,29 +96,20 @@ def _peak(x) -> float:
 
 
 class _Workspace:
-    """The scratch arrays of one equilibrium search against the competitive
-    equilibrium ``ad``, for stacks of up to ``k`` entries.
+    """The scratch arrays of one equilibrium search, for stacks of up to ``k`` entries.
 
     ``stacks`` holds nine ``(k, n, S)`` buffers and ``planes`` four ``(k, 1, S)``
     ones: the inner solve's ``y``, its carried agent's ``v``, and the ``|y|``
     and carried spread at the point before each pass's step, for its stop.
     A stacked call of ``m`` entries writes into views of their leading ``m``
     rows through ``out=``; nothing it returns is such a view, and no buffer
-    holds a value from one call to the next.  ``log_q``, the competitive log
-    pricing weights, is the search's constant, computed on first use, after
-    the first inner solve, so that it does not add to that solve's peak
-    memory.
+    holds a value from one call to the next.
     """
 
-    def __init__(self, ad: ArrowDebreuEquilibrium, k: int):
-        self.ad = ad
-        n, s = len(ad.securities), ad.pricing.space.n_states
+    def __init__(self, k: int, n: int, s: int):
         self.stacks = np.empty((9, k, n, s))
         self.planes = np.empty((4, k, 1, s))
-
-    @cached_property
-    def log_q(self) -> np.ndarray:
-        return np.log(self.ad.pricing.weights)
+        self.log_q = None  # the competitive log pricing weights, set on first use
 
 
 def _compact(keep, arrays) -> list:
@@ -182,16 +170,14 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     once, each pass writes into them, and when entries leave, the rows of
     the others move up, so the views shrink as entries leave.  Per call it
     allocates the returned ``(u, y)`` and, for a cold start, the kernel's
-    result; a pass allocates only ``(K, 1, S)`` temporaries.  ``a`` adds the
-    competitive securities row by row, so they are never stacked.
+    result; a pass allocates only ``(K, 1, S)`` temporaries.
 
-    On a long state axis the set-up and each pass run on blocks of states
-    in worker threads (:func:`~risksharing.roots.over_blocks`).  The step's
-    blocks return per entry whether it stops on their states, which the
-    calling thread joins.  The solve sums over agents only, never over
-    states, a projection moves only states past a cap, the stop's bound is
-    each state's own, and each entry stops on all its states at once, so the
-    result is that of one block bit for bit.
+    On a long state axis a pass runs on blocks of states in worker threads
+    (:func:`~risksharing.roots.over_blocks`).  The step's blocks return per
+    entry whether it stops on their states, which the calling thread joins.
+    The solve sums over agents, never over states, a projection moves only
+    states past a cap, the stop's bound is each state's own, and each entry
+    stops on all its states at once, so the result is that of one block.
     """
     n_stack, n_states = len(z), market.space.n_states
     stacks, planes = ws.stacks[:, :n_stack], ws.planes[:, :n_stack]
@@ -214,27 +200,15 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
     caps = np.log(n_others * market.delta_total / market.delta_minus)
     projected = (caps - 1e-14 * (1.0 + np.abs(caps)))[:, None]
     u_out, y_out = np.empty((n_stack, market.n_agents, n_states)), np.empty((n_stack, n_states))
-    y, rhs = y_rows, stacks[5]
-
-    def set_up(a, a_scale, y, rhs, u, *rows):  # a, its scale and the start on a block of states
-        for i, sec_ad in enumerate(rows[: market.n_agents]):
-            np.add(z[:, i, None], sec_ad, out=a[:, i])
-        # Tolerances scale with the terms, y's among them through dG/dy, not
-        # with their sum, which cancels.
-        np.abs(a, out=a_scale)
-        a_scale += 1.0
-        if start is None:  # y at the fixed point of the system linearised at u = 0
-            np.sum(np.multiply(lambdas, a, out=rhs), axis=1, keepdims=True, out=y)
-            y /= float(market.lambdas @ market.delta_minus)
-            np.multiply(deltas, y, out=rhs)
-            rhs += a
-        warm = rows[market.n_agents :]
-        for j in range(len(warm) // 2):
-            u[j], y[j, 0] = warm[j], warm[n_stack + j]
-
-    rows = [c.values for c in ad.securities] + ([] if start is None else [*start[0], *start[1]])
-    over_blocks(set_up, (a, a_scale, y, rhs, u_start, *rows), list)
+    for i, c in enumerate(ad.securities):
+        np.add(z[:, i, None], c.values, out=a[:, i])
     if start is None:
+        # y at the fixed point of the system linearised at u = 0.
+        y, rhs = y_rows, stacks[5]
+        np.sum(np.multiply(lambdas, a, out=rhs), axis=1, keepdims=True, out=y)
+        y /= float(market.lambdas @ market.delta_minus)
+        np.multiply(deltas, y, out=rhs)
+        rhs += a
         try:
             u = solve_exp_linear(dminus, deltas, rhs)
         except SolverError:
@@ -242,7 +216,11 @@ def _inner_log_ratios(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray,
             y_out.fill(np.nan)
             return u_out, y_out
     else:
-        u = u_start
+        u, y = np.stack(start[0], out=u_start), np.stack(start[1], out=y_rows[:, 0])[:, None]
+    # Tolerances scale with the terms, y's among them through dG/dy, not
+    # with their sum, which cancels.
+    np.abs(a, out=a_scale)
+    a_scale += 1.0
 
     def step(u, y, v, a_rows, scale, em1, growth, d, g, lam_u, du, abs_y, spread):
         """One Newton step on a block of states, in place, a first one projected
@@ -349,43 +327,36 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
     if not ok.all():
         z, u, y = z[ok], u[ok], y[ok]
     u.setflags(write=False)
+    if ws.log_q is None:  # after the first inner solve, so as not to add to its peak memory
+        ws.log_q = np.log(ad.pricing.weights)
     sec, q, work = np.empty(u.shape), np.empty(y.shape), ws.stacks[0, : len(u)]
-    arrays = (sec, q, work, u, y, ws.log_q, market.belief_weights)
 
-    # On blocks of states: the securities, the log weights of the valuation
-    # q and of the agents' certainty equivalents (cara_utility per agent,
-    # stacked) with their tops, then their shifted exponentials' sums, then
-    # q as normalized_weights floors it, and the prices.
-    def tops(part, sec, q, work, u, y, log_q, beliefs):
+    # On blocks of states: the securities, and the log weights of q and of
+    # the certainty equivalents (cara_utility per agent, stacked); their
+    # exponentials' sums; q (normalized_weights) and the prices.
+    def passes(part, sec, q, work, u, y, log_q, beliefs):
         np.multiply(np.expm1(u, out=sec), market.delta_minus[:, None], out=sec)
         np.subtract(log_q, y, out=q)
         np.divide(np.negative(sec, out=work), market.deltas[:, None], out=work)
-        return part(np.maximum, q), part(np.maximum, work)
-
-    def sums(part, sec, q, work, u, y, log_q, beliefs):
+        top_q, top = yield part(np.maximum, q), part(np.maximum, work)
         np.exp(np.subtract(q, top_q, out=q), out=q)
         np.multiply(np.exp(np.subtract(work, top, out=work), out=work), beliefs, out=work)
-        return part(np.add, q), part(np.add, work)
+        total, _ = yield part(np.add, q), part(np.add, work)
+        yield (part(np.add, np.multiply(sec, floored(q, total)[:, None], out=work)),)
 
-    def priced(part, sec, q, work):
-        np.maximum(np.divide(q, total, out=q), MIN_WEIGHT, out=q)
-        return (part(np.add, np.multiply(sec, q[:, None], out=work)),)
-
-    top_q, top = folded_over_blocks(tops, arrays)
-    total, mass = folded_over_blocks(sums, arrays)
-    (prices,) = folded_over_blocks(priced, arrays[:3])
-    prices = prices[:, :, 0]
+    arrays = (sec, q, work, u, y, ws.log_q, market.belief_weights)
+    (_, top), (_, mass), (prices,) = folded_over_blocks(passes, arrays)
     values = -market.deltas * (top[:, :, 0] + np.log(mass[:, :, 0]))
     shortfall = ad.aggregate_gain - values.sum(axis=1, keepdims=True)
     phi = values - np.asarray(ad.agent_gains) + market.lambdas * shortfall
-    rows = iter(map(_Evaluation, phi, phi - z, prices, u, y, sec, q, values))
+    rows = iter(map(_Evaluation, phi, phi - z, prices[:, :, 0], u, y, sec, q, values))
     return [next(rows) if solved else None for solved in ok]
 
 
 def _evaluate_one(market: Market, ad: ArrowDebreuEquilibrium, z) -> _Evaluation:
     """The evaluation at one transfer vector; SolverError if its inner solve fails."""
     z = _check_z(market, z)
-    ws = _Workspace(ad, 1)
+    ws = _Workspace(1, market.n_agents, market.space.n_states)
     (e,) = _evaluate(market, ad, z[None], None, ws)
     if e is None:
         raise SolverError("per-state security system failed", diagnostics={"z": z.tolist()})
@@ -407,13 +378,10 @@ def _jacobians(market: Market, evaluations: list, ws):
     deltas, lambdas = market.deltas[:, None], market.lambdas[:, None]
     prices = np.stack([e.prices for e in evaluations])
     diag = np.arange(market.n_agents)
-    rows = [e.sec for e in evaluations] + [e.q for e in evaluations]
-    arrays = (*ws.stacks[:6, :k], ws.planes[0, :k], market.log_beliefs, *rows)
 
-    # On blocks of states: dy (in d), the partial price Jacobian, and the
-    # tilt of Q_i (in work) with its top; then its exponentials' sums; then
-    # Q_i * r_i (in work) and the partial value Jacobian.
-    def first(part, sec, work, d, ratio, spread, q_r, q, log_beliefs, *rows):
+    # On blocks of states: dy (in d), the price Jacobian and Q_i's log (in
+    # work); its exponentials' sums; Q_i * r_i and the value Jacobian.
+    def passes(part, sec, work, d, ratio, spread, q_r, q, log_beliefs, *rows):
         for j in range(k):
             sec[j], q[j, 0] = rows[j], rows[k + j]
         np.add(sec, market.delta_minus[:, None], out=work)  # dC/du
@@ -427,19 +395,15 @@ def _jacobians(market: Market, evaluations: list, ws):
         np.subtract(np.multiply(deltas, q_r, out=work), spread, out=spread)
         d_prices = part(np.add, spread, d, reduce=_row_products)
         tilt = np.subtract(log_beliefs, np.divide(sec, deltas, out=work), out=work)
-        return part(np.maximum, tilt), d_prices, part(np.add, q_r)
-
-    def mass(part, sec, work, *_):
-        return (part(np.add, np.exp(np.subtract(work, top, out=work), out=work)),)
-
-    def weighed(part, sec, big_q, d, ratio, spread, *_):
-        big_q *= np.divide(ratio, total, out=spread)
+        top, _, _ = yield part(np.maximum, tilt), d_prices, part(np.add, q_r)
+        (total,) = yield (part(np.add, np.exp(np.subtract(tilt, top, out=tilt), out=tilt)),)
+        tilt *= np.divide(ratio, total, out=spread)  # Q_i * r_i
         # The [i = j] terms are added apart, so no (K, n, n, S) array is formed.
-        return part(np.add, big_q, d, reduce=_row_products), part(np.add, big_q)
+        yield part(np.add, tilt, d, reduce=_row_products), part(np.add, tilt)
 
-    top, d_prices, q_r = folded_over_blocks(first, arrays)
-    (total,) = folded_over_blocks(mass, arrays)
-    d_values, big_q = folded_over_blocks(weighed, arrays)
+    rows = [e.sec for e in evaluations] + [e.q for e in evaluations]
+    arrays = (*ws.stacks[:6, :k], ws.planes[0, :k], market.log_beliefs, *rows)
+    (_, d_prices, q_r), _, (d_values, big_q) = folded_over_blocks(passes, arrays)
     d_values = deltas * d_values
     d_values[:, diag, diag] += big_q[:, :, 0]
     d_f = d_values - lambdas * np.sum(d_values, axis=1, keepdims=True) - np.eye(market.n_agents)
@@ -541,7 +505,7 @@ def _newton(market, ad, z, eps_target):
     start, ``e`` None if it cannot be solved.
     """
     floor = -np.asarray(ad.agent_gains)
-    ws = _Workspace(ad, len(z))
+    ws = _Workspace(len(z), market.n_agents, market.space.n_states)
     starts = [
         _Start(p, e, [np.inf], _DONE) if e is None else _Start(p, e, [_peak(e.residual)])
         for p, e in zip(z, _evaluate(market, ad, z, None, ws))

@@ -51,92 +51,83 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _on_runs(call, n: int) -> list:
-    """``call(span, cuts)``'s results on a last axis of ``n`` elements, in order.
-
-    The elements split into ``n // BLOCK_MIN`` contiguous blocks, a layout
-    fixed by ``n`` alone, dealt in contiguous runs to ``min(WORKERS,
-    blocks)`` threads: the first run on the calling thread and the others on
-    the pool, each in a copy of the caller's context (numpy's ``errstate`` is
-    a context variable).  numpy's loops release the GIL, so the runs go on
-    as many cores.  On several threads ``call`` gets a run's ``span`` and its
-    blocks' slices within it, since many short calls on several threads wait
-    on each other for the GIL; on one, each block and ``[slice(None)]``,
-    which keeps its working set in cache.  ``call`` must not call back in
-    here: runs waiting on a saturated pool would deadlock.  The pool is made
-    on first use, with one thread per CPU but the caller's.
-    """
-    global _pool
-    k = n // BLOCK_MIN
-    t = min(WORKERS, k)
+def _runs(n: int) -> list:
+    """Per thread, its calls on a last axis of ``n`` elements: a span and its
+    blocks' slices within it.  The ``n // BLOCK_MIN`` blocks (one under ``2 *
+    BLOCK_MIN``) are dealt in contiguous runs to ``min(WORKERS, blocks)``
+    threads.  On one thread each block is a call, which keeps it in cache; on
+    several, each run, since many short calls there wait for the GIL."""
+    k = max(1, n // BLOCK_MIN)
     ends = [n * j // k for j in range(k + 1)]
+    if WORKERS < 2 or k < 2:
+        return [[(slice(a, b), [slice(None)]) for a, b in zip(ends, ends[1:])]]
+    t = min(WORKERS, k)
+    return [[(slice(e[0], e[-1]), [slice(a - e[0], b - e[0]) for a, b in zip(e, e[1:])])]
+            for e in (ends[k * r // t : k * (r + 1) // t + 1] for r in range(t))]
 
-    def task(r):
-        blocks = [slice(*ends[j : j + 2]) for j in range(k * r // t, k * (r + 1) // t)]
-        if WORKERS < 2:
-            return [call(b, [slice(None)]) for b in blocks]
-        s = blocks[0].start
-        return [call(slice(s, blocks[-1].stop), [slice(b.start - s, b.stop - s) for b in blocks])]
 
+def _on_threads(tasks) -> list:
+    """The tasks' results, the first run on the calling thread and the others
+    on the pool (made on first use, one thread per CPU but the caller's), in
+    copies of the caller's context, which holds numpy's ``errstate``.  A task
+    must not call back in here: tasks waiting on a saturated pool deadlock."""
+    global _pool
     rest = []
-    if t > 1:
+    if len(tasks) > 1:
         with _pool_lock:
             if _pool is None:
                 from concurrent.futures import ThreadPoolExecutor
 
                 _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="risksharing")
             pool = _pool
-        rest = [pool.submit(contextvars.copy_context().run, task, r) for r in range(1, t)]
+        rest = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
     try:
-        first = task(0)
+        first = tasks[0]()
     finally:
         for f in rest:
-            f.exception()  # waits: no run outlives the call
-    return [*first, *(x for f in rest for x in f.result())]
+            f.exception()  # waits: no task outlives the call
+    return [first, *(f.result() for f in rest)]
 
 
 def over_blocks(fn, arrays, combine):
-    """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn`` on spans of it.
-
-    ``fn`` must treat the last axis elementwise, so that its results are
-    those of one span bit for bit; ``combine`` gets them in order
-    (:func:`_on_runs`).  An axis under ``2 * BLOCK_MIN`` elements is one
-    block.
-    """
+    """``fn(*arrays)``, or on a long last axis ``combine`` of ``fn``'s results
+    on spans of it (:func:`_runs`), in order; ``fn`` must treat the last axis
+    elementwise, so that they are those of one span bit for bit."""
     n = arrays[0].shape[-1] if arrays[0].ndim else 0
     if n // BLOCK_MIN < 2:
         return fn(*arrays)
-    return combine(_on_runs(lambda span, cuts: fn(*(x[..., span] for x in arrays)), n))
-
-
-def _reduced(op, *xs, reduce=None):
-    """``op.reduce`` of ``xs[0]`` over its last axis with its dims kept, or ``reduce(*xs)``."""
-    return reduce(*xs) if reduce else op.reduce(xs[0], axis=-1, keepdims=True)
+    tasks = [lambda run=run: [fn(*(x[..., s] for x in arrays)) for s, _ in run] for run in _runs(n)]
+    return combine([y for ys in _on_threads(tasks) for y in ys])
 
 
 def folded_over_blocks(fn, arrays) -> list:
-    """The items of ``fn(part, *arrays)``, on a long last axis run on spans of
-    it (:func:`_on_runs`), each folded over the blocks in block order.
+    """Per phase of the generator ``fn(part, *arrays)``, run on spans of the
+    last axis (:func:`_runs`), the items it yields folded over the blocks.
 
-    An item is ``part(op, *xs, reduce=None)``: on each block, the views of
-    ``xs`` reduced (:func:`_reduced`), and ``op`` folds the blocks' results,
-    such as ``np.add`` partial sums and ``np.maximum`` partial maxima.  The
-    blocks are fixed by the axis length alone, so the results depend on the
-    number of elements and never on the CPU count.  An axis under ``2 *
-    BLOCK_MIN`` elements is one block, and each item is its one reduction.
-    """
-    n = arrays[0].shape[-1]
-    if n // BLOCK_MIN < 2:
-        return list(fn(_reduced, *arrays))
+    An item is ``part(op, *xs, reduce=None)``: per block, ``op.reduce`` of
+    ``xs[0]`` over the last axis, dims kept, or ``reduce`` of the views of
+    ``xs``, folded by ``op`` in block order.  ``yield`` returns the phase's
+    folded items.  The blocks depend on the axis length alone, so the
+    results never depend on the CPU count."""
 
-    def call(span, cuts):
-        def part(op, *xs, reduce=None):
-            return op, [_reduced(op, *(x[..., c] for x in xs), reduce=reduce) for c in cuts]
+    def part(cuts):
+        def reduced(op, *xs, reduce=None):
+            reduce = reduce or functools.partial(op.reduce, axis=-1, keepdims=True)
+            return op, [reduce(*(x[..., c] for x in xs)) for c in cuts]
 
-        return fn(part, *(x[..., span] for x in arrays))
+        return reduced
 
-    return [functools.reduce(items[0][0], [p for _, ps in items for p in ps])
-            for items in zip(*_on_runs(call, n))]
+    runs = [[fn(part(cuts), *(x[..., s] for x in arrays)) for s, cuts in run]
+            for run in _runs(arrays[0].shape[-1])]
+    phases, items = [], None
+    while True:
+        try:  # every run ends at the same phase
+            ran = _on_threads([lambda run=run: [g.send(items) for g in run] for run in runs])
+        except StopIteration:
+            return phases
+        items = [functools.reduce(i[0][0], [p for _, ps in i for p in ps])
+                 for i in zip(*(y for ys in ran for y in ys))]
+        phases.append(items)
 
 
 def logsumexp(a, axis=None):

@@ -2,7 +2,7 @@
 
 Run from the repository root, with one BLAS thread so that runs compare:
 
-    OPENBLAS_NUM_THREADS=1 python3 tests/ab.py [--base REV] [--change REV] [--label L]
+    OPENBLAS_NUM_THREADS=1 python3 tests/ab.py --base REV [--change REV] [--label L]
 
 Pytest does not collect this file.  ``git archive`` copies each commit's
 ``src/risksharing`` into a temporary directory as a package named after the
@@ -132,11 +132,10 @@ def run(workload, sides, reference, rng, pairs) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--base", required=True, help="the parent of the change")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--label", default=None, help="BENCH_<label>.json; default the change's hash")
     parser.add_argument("--seed", type=int, default=None, help="order seed; default drawn")
-    parser.add_argument("--scale", type=float, default=1.0, help="pairs as a multiple of the default")
     args = parser.parse_args()
     seed = int(np.random.SeedSequence().entropy % 2**32) if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
@@ -157,7 +156,7 @@ def main() -> int:
             "workloads": {},
         }
         for workload, pairs in PAIRS.items():
-            result = run(workload, sides, reference, rng, max(1, round(pairs * args.scale)))
+            result = run(workload, sides, reference, rng, pairs)
             doc["workloads"][workload] = result
             r, aa = result["ratio"], result["aa"]
             print(f"{workload}: change/base {r['median']:.3f} "

@@ -143,24 +143,31 @@ def force_blocks(monkeypatch, workers, block_min):
     threads, whatever the machine's CPUs.
 
     Returns the list of the names of the threads that run each call of a
-    block function, filled as they run: one per block on one worker, and one
-    per run on several."""
+    block function, or the first phase of each of its generators, filled as
+    they run: one per block on one worker, and one per run on several."""
     monkeypatch.setattr(roots, "BLOCK_MIN", block_min)
     monkeypatch.setattr(roots, "WORKERS", workers)
     threads = []
 
-    def recorded(split):
-        def wrapper(fn, arrays, *rest):
-            def block(*views):
-                threads.append(threading.current_thread().name)
-                return fn(*views)
+    def block(fn):
+        def call(*views):
+            threads.append(threading.current_thread().name)
+            return fn(*views)
 
-            return split(block, arrays, *rest)
+        return call
 
-        return wrapper
+    def phases(fn):
+        def run(*views):
+            threads.append(threading.current_thread().name)
+            return (yield from fn(*views))
 
-    for name in ("over_blocks", "folded_over_blocks"):
-        wrapper = recorded(getattr(roots, name))
+        return run
+
+    def recorded(split, wrap):
+        return lambda fn, arrays, *rest: split(wrap(fn), arrays, *rest)
+
+    for name, wrap in (("over_blocks", block), ("folded_over_blocks", phases)):
+        wrapper = recorded(getattr(roots, name), wrap)
         for module in (roots, nash, diagnostics, bundle):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)

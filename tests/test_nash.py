@@ -73,11 +73,11 @@ def scalar_two_agent_security(market, ad, z0, tol=1e-14):
     return out
 
 
-def used_workspace(ad, k):
+def used_workspace(market, k):
     """A workspace as a search passes it on: sized for more entries than the
     ``k`` of the call, as ``_newton``'s is once starts leave, and every buffer
     NaN, so that a value read before it is written shows in the result."""
-    ws = nash._Workspace(ad, k + 2)
+    ws = nash._Workspace(k + 2, market.n_agents, market.space.n_states)
     ws.stacks.fill(np.nan)
     ws.planes.fill(np.nan)
     return ws
@@ -85,7 +85,7 @@ def used_workspace(ad, k):
 
 def inner_solve(m, ad, z, start=None):
     """``_inner_log_ratios`` at the ``(K, n)`` stack ``z`` in a used workspace."""
-    return nash._inner_log_ratios(m, ad, z, start, used_workspace(ad, len(z)))
+    return nash._inner_log_ratios(m, ad, z, start, used_workspace(m, len(z)))
 
 
 class TestInnerSolve:
@@ -383,7 +383,7 @@ class TestExactJacobian:
             up, down = _evaluate_one(m, ad, z + dz), _evaluate_one(m, ad, z - dz)
             fd_residual[:, k] = (up.residual - down.residual) / (2.0 * h)
             fd_prices[:, k] = (up.prices - down.prices) / (2.0 * h)
-        for (exact,), fd in zip(_jacobians(m, [e], used_workspace(ad, 1)), (fd_residual, fd_prices)):
+        for (exact,), fd in zip(_jacobians(m, [e], used_workspace(m, 1)), (fd_residual, fd_prices)):
             assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_cases_reach_the_edges(self):
@@ -730,7 +730,7 @@ class TestWorkspace:
         m = random_market(np.random.default_rng(0), n_agents=8, n_states=500)
         ad = solve_arrow_debreu(m)
         z = nash._starts(m, ad)
-        ws = nash._Workspace(ad, len(z))
+        ws = nash._Workspace(*z.shape, m.space.n_states)
         start = nash._inner_log_ratios(m, ad, z, None, ws)
         with _kernel_calls(nash) as kernel:
             tracemalloc.start()
@@ -780,7 +780,7 @@ class TestWorkspace:
         ad = solve_arrow_debreu(m)
         shares = np.random.default_rng(2).uniform(0.1, 1.0, (6, m.n_agents))
         z = np.stack([_ir_point(ad, w) for w in shares])
-        ws = nash._Workspace(ad, len(z))
+        ws = nash._Workspace(len(z), m.n_agents, m.space.n_states)
         near = nash._evaluate(m, ad, z, None, ws)[::2]
         few = z[1::2]
         start = ([e.u for e in near], [e.y for e in near])
@@ -803,7 +803,7 @@ class TestWorkspace:
             ws.stacks.fill(np.nan)
             ws.planes.fill(np.nan)
             used = arrays(call(ws))
-            fresh = arrays(call(nash._Workspace(ad, len(few))))
+            fresh = arrays(call(nash._Workspace(len(few), m.n_agents, m.space.n_states)))
             assert used == fresh, name
 
     def test_solves_share_no_state(self):
@@ -1283,11 +1283,11 @@ class TestInnerSolveFailure:
         ad = solve_arrow_debreu(m)
         z = nash._starts(m, ad)
         alone = [
-            nash._evaluate(m, ad, z[j : j + 1], None, used_workspace(ad, 1))[0]
+            nash._evaluate(m, ad, z[j : j + 1], None, used_workspace(m, 1))[0]
             for j in range(len(z))
         ]
         _failing_kernel(monkeypatch, entry)
-        out = nash._evaluate(m, ad, z, None, used_workspace(ad, len(z)))
+        out = nash._evaluate(m, ad, z, None, used_workspace(m, len(z)))
         assert len(out) == len(z)
         for j, (e, e_alone) in enumerate(zip(out, alone)):
             if entry is None or j == entry:

@@ -260,16 +260,26 @@ class TestBlocks:
     def test_partial_sums_fold_over_blocks_fixed_by_the_length(self, monkeypatch, workers):
         """1,000 elements make 10 blocks of 100 whatever the workers: each
         block's partial sum and maximum, folded in block order, are the
-        bytes of the same fold done by hand.  The calling thread runs the
-        first of ``min(workers, 10)`` runs: on one worker block by block, and
-        on several in one call per run."""
+        bytes of the same fold done by hand, and a second phase gets the
+        first's folded items.  The calling thread runs the first of
+        ``min(workers, 10)`` runs: on one worker block by block, and on
+        several in one call per run."""
         x = np.random.default_rng(76).normal(0.0, 1.0, (3, 1000)) * np.logspace(0, 12, 1000)
+        blocks = [slice(100 * j, 100 * (j + 1)) for j in range(10)]
         parts = [(np.sum(x[:, b], axis=1, keepdims=True), np.max(x[:, b], axis=1, keepdims=True))
-                 for b in (slice(100 * j, 100 * (j + 1)) for j in range(10))]
+                 for b in blocks]
         want = [functools.reduce(op, items) for op, items in zip((np.add, np.maximum), zip(*parts))]
+        mass = functools.reduce(np.add, [np.sum(np.exp(x[:, b] - want[1]), axis=1, keepdims=True)
+                                         for b in blocks])
         threads = force_blocks(monkeypatch, workers, 100)
-        got = roots.folded_over_blocks(lambda part, v: (part(np.add, v), part(np.maximum, v)), (x,))
+
+        def fn(part, v):
+            _, top = yield part(np.add, v), part(np.maximum, v)
+            yield (part(np.add, np.exp(v - top)),)
+
+        got, (got_mass,) = roots.folded_over_blocks(fn, (x,))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert got_mass.tobytes() == mass.tobytes()
         assert got[0].tobytes() != np.sum(x, axis=1, keepdims=True).tobytes()  # not one sum
         caller = threading.current_thread().name
         calls = 10 if workers == 1 else workers
