@@ -72,10 +72,9 @@ def compute_diagnostics(
               nash.pricing.weights, market.belief_weights, market.log_beliefs,
               nash.security_values(), np.stack([m.weights for m in nash.revealed]))
 
-    # On blocks of states (:func:`~risksharing.roots.folded_over_blocks`): per
-    # agent and state the exponents of the certainty equivalents, the marginal
-    # measures and the tilted beliefs, and the log valuation; the passes yield
-    # partial sums and extremes of textbook formulas (entropy, variance, ...).
+    # On blocks of states (:func:`~risksharing.roots.folded_over_blocks`): the
+    # exponents of the certainty equivalents, marginal measures and tilted
+    # beliefs, and partial sums and extremes of the textbook formulas.
     def passes(part, u, lam, marg, tilted, log_qgame, qstar, qgame, beliefs, log_b, sec, rev):
         np.divide(-sec, deltas[:, None], out=lam)
         np.add(np.log(qgame, out=log_qgame), u, out=marg)

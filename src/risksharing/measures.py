@@ -155,8 +155,7 @@ def normalized_weights(logw: np.ndarray) -> np.ndarray:
 
 
 def floored(w: np.ndarray, total) -> np.ndarray:
-    """``w / total`` in place, each at least ``MIN_WEIGHT``: the floor of
-    :func:`normalized_weights`, after normalising."""
+    """``w / total`` in place, each at least ``MIN_WEIGHT``, the floor set after normalising."""
     return np.maximum(np.divide(w, total, out=w), MIN_WEIGHT, out=w)
 
 

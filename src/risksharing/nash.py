@@ -331,9 +331,8 @@ def _evaluate(market: Market, ad: ArrowDebreuEquilibrium, z: np.ndarray, near, w
         ws.log_q = np.log(ad.pricing.weights)
     sec, q, work = np.empty(u.shape), np.empty(y.shape), ws.stacks[0, : len(u)]
 
-    # On blocks of states: the securities, and the log weights of q and of
-    # the certainty equivalents (cara_utility per agent, stacked); their
-    # exponentials' sums; q (normalized_weights) and the prices.
+    # On blocks of states: the securities and the log weights of q and of the
+    # certainty equivalents (cara_utility, stacked); their sums; the prices.
     def passes(part, sec, q, work, u, y, log_q, beliefs):
         np.multiply(np.expm1(u, out=sec), market.delta_minus[:, None], out=sec)
         np.subtract(log_q, y, out=q)

@@ -53,13 +53,13 @@ if hasattr(os, "register_at_fork"):
 
 def _runs(n: int) -> list:
     """Per thread, its calls on a last axis of ``n`` elements: a span and its
-    blocks' slices within it.  The ``n // BLOCK_MIN`` blocks (one under ``2 *
-    BLOCK_MIN``) are dealt in contiguous runs to ``min(WORKERS, blocks)``
-    threads.  On one thread each block is a call, which keeps it in cache; on
-    several, each run, since many short calls there wait for the GIL."""
-    k = max(1, n // BLOCK_MIN)
+    blocks' slices within it.  The ``n // BLOCK_MIN`` blocks are dealt in
+    contiguous runs to ``min(WORKERS, blocks)`` threads.  On one thread each
+    block is a call, which keeps it in cache; on several, each run, since
+    many short calls there wait for the GIL."""
+    k = n // BLOCK_MIN
     ends = [n * j // k for j in range(k + 1)]
-    if WORKERS < 2 or k < 2:
+    if WORKERS < 2:
         return [[(slice(a, b), [slice(None)]) for a, b in zip(ends, ends[1:])]]
     t = min(WORKERS, k)
     return [[(slice(e[0], e[-1]), [slice(a - e[0], b - e[0]) for a, b in zip(e, e[1:])])]
@@ -100,33 +100,36 @@ def over_blocks(fn, arrays, combine):
     return combine([y for ys in _on_threads(tasks) for y in ys])
 
 
+def _reduced(op, *xs, reduce=None):
+    """``op.reduce`` of ``xs[0]`` over its last axis, dims kept, or ``reduce(*xs)``."""
+    return reduce(*xs) if reduce else op.reduce(xs[0], -1, keepdims=True)
+
+
 def folded_over_blocks(fn, arrays) -> list:
     """Per phase of the generator ``fn(part, *arrays)``, run on spans of the
     last axis (:func:`_runs`), the items it yields folded over the blocks.
 
-    An item is ``part(op, *xs, reduce=None)``: per block, ``op.reduce`` of
-    ``xs[0]`` over the last axis, dims kept, or ``reduce`` of the views of
-    ``xs``, folded by ``op`` in block order.  ``yield`` returns the phase's
-    folded items.  The blocks depend on the axis length alone, so the
-    results never depend on the CPU count."""
+    An item is ``part(op, *xs, reduce=None)``, per block :func:`_reduced`,
+    folded by ``op`` in block order; ``yield`` returns the phase's folded
+    items.  The blocks depend on the axis length alone, so the results never
+    depend on the CPU count; one block is reduced as it is."""
 
     def part(cuts):
-        def reduced(op, *xs, reduce=None):
-            reduce = reduce or functools.partial(op.reduce, axis=-1, keepdims=True)
-            return op, [reduce(*(x[..., c] for x in xs)) for c in cuts]
+        return lambda op, *xs, reduce=None: (
+            op, [_reduced(op, *(x[..., c] for x in xs), reduce=reduce) for c in cuts])
 
-        return reduced
-
-    runs = [[fn(part(cuts), *(x[..., s] for x in arrays)) for s, cuts in run]
-            for run in _runs(arrays[0].shape[-1])]
+    n = arrays[0].shape[-1]
+    one = n // BLOCK_MIN < 2
+    runs = [[fn(_reduced, *arrays)]] if one else [
+        [fn(part(cuts), *(x[..., s] for x in arrays)) for s, cuts in run] for run in _runs(n)]
     phases, items = [], None
     while True:
         try:  # every run ends at the same phase
             ran = _on_threads([lambda run=run: [g.send(items) for g in run] for run in runs])
         except StopIteration:
             return phases
-        items = [functools.reduce(i[0][0], [p for _, ps in i for p in ps])
-                 for i in zip(*(y for ys in ran for y in ys))]
+        items = ran[0][0] if one else [functools.reduce(i[0][0], [p for _, ps in i for p in ps])
+                                       for i in zip(*(y for ys in ran for y in ys))]
         phases.append(items)
 
 
