@@ -112,7 +112,7 @@ def folded_over_blocks(fn, arrays) -> list:
     An item is ``part(op, *xs, reduce=None)``, per block :func:`_reduced`,
     folded by ``op`` in block order; ``yield`` returns the phase's folded
     items.  The blocks depend on the axis length alone, so the results never
-    depend on the CPU count; one block is reduced as it is."""
+    depend on the CPU count; an axis of one block is reduced unsplit."""
 
     def part(cuts):
         return lambda op, *xs, reduce=None: (
